@@ -317,25 +317,25 @@ def classify(params: PhaseParams, r: float,
     if not (0.0 < r <= R * (1 + 1e-12)):
         raise ValueError(f"r must lie in (0, {R}]")
     t = t_of_r(min(r, R))
+    # at R, t sits at the edge of the feasible range, where psi is not
+    # defined; the constraint pins t1 = beta1 there, so omega = phi1(beta1)
     at_R = t <= t_feasible_min(params) + 1e-15
     if params.l1 == params.l2:
-        if at_R:
-            lam0, interior = params.a2 / params.a1, True
-            omega = float(_phi(params.l1, params.beta1))
-        else:
-            lam0, interior = find_lambda0(params, t)
-            omega = psi(params, t, lam0)
-        return PhaseReport(params, r, t, R, None, None,
-                           REGIME_PURE_EXPONENTIAL, lam0, interior, omega)
-    t0, r0 = solve_t0(params)
-    if abs(r - r0) <= r0_window:
-        regime, lam0, interior = REGIME_CRITICAL, 0.0, False
-    elif r < r0:
-        lam0, interior = find_lambda0(params, t)
+        t0 = r0 = None
         regime = REGIME_PURE_EXPONENTIAL
+        lam0, interior = ((params.a2 / params.a1, True) if at_R
+                          else find_lambda0(params, t))
     else:
-        regime, lam0, interior = REGIME_OVER_N32, 0.0, False
-    omega = psi(params, t, lam0)
+        t0, r0 = solve_t0(params)
+        if abs(r - r0) <= r0_window:
+            regime, lam0, interior = REGIME_CRITICAL, 0.0, False
+        elif r < r0:
+            lam0, interior = find_lambda0(params, t)
+            regime = REGIME_PURE_EXPONENTIAL
+        else:
+            regime, lam0, interior = REGIME_OVER_N32, 0.0, False
+    omega = (float(_phi(params.l1, params.beta1)) if at_R
+             else psi(params, t, lam0))
     return PhaseReport(params, r, t, R, t0, r0, regime, lam0, interior, omega)
 
 

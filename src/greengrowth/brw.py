@@ -92,28 +92,45 @@ def _run_rng(seed: int, run: int) -> np.random.Generator:
                                                       run]))
 
 
-def _single_run(g, step_values, step_cum, off_values, off_cum, config, rng):
-    e = g.identity()
+def _law_table(pairs) -> Tuple[list, np.ndarray]:
+    """Values and cumulative weights of a finite law, for inverse-CDF draws."""
+    cum = np.cumsum([float(w) for _, w in pairs])
+    cum[-1] = 1.0
+    return [v for v, _ in pairs], cum
+
+
+def _generation(parents, steps, offspring, cap, rng):
+    """One generation's births: (parent, step) for each child kept under
+    the population cap, in breadth-first order, and whether the cap
+    dropped any.  Every offspring count and every step is drawn before
+    the cap applies, so the random stream does not depend on the cap."""
+    step_values, step_cum = steps
+    off_values, off_cum = offspring
+    counts = np.searchsorted(off_cum, rng.random(len(parents)), side="right")
+    births = int(sum(off_values[c] for c in counts))
+    drawn = np.searchsorted(step_cum, rng.random(births), side="right")
+    kept = []
+    j = 0
+    for parent, c in zip(parents, counts):
+        for _ in range(off_values[c]):
+            if j == cap:
+                return kept, True
+            kept.append((parent, step_values[drawn[j]]))
+            j += 1
+    return kept, False
+
+
+def _single_run(g, steps, offspring, config, rng):
     mul = g.multiply
-    particles = [e]
-    visited = {e}
+    particles = [g.identity()]
+    visited = set(particles)
     population = [1]
     truncated = False
     for _ in range(config.max_generation):
-        counts = np.searchsorted(
-            off_cum, rng.random(len(particles)), side="right")
-        births = int(sum(off_values[c] for c in counts))
-        steps = np.searchsorted(step_cum, rng.random(births), side="right")
-        children = []
-        j = 0
-        for parent, c in zip(particles, counts):
-            for _ in range(off_values[c]):
-                children.append(mul(parent, step_values[steps[j]]))
-                j += 1
-        if len(children) > config.population_cap:
-            children = children[: config.population_cap]
-            truncated = True
-        particles = children
+        kept, dropped = _generation(particles, steps, offspring,
+                                    config.population_cap, rng)
+        truncated |= dropped
+        particles = [mul(x, s) for x, s in kept]
         visited.update(particles)
         population.append(len(particles))
     m = np.zeros(config.max_generation + 1, dtype=np.int64)
@@ -131,16 +148,10 @@ def simulate(spec: GroupSpec, measure: Optional[Measure], config: BrwConfig,
     where the median run still has visited elements)."""
     if measure is None:
         measure = standard_measure(spec)
-    g = measure.group
-    step_values = [s for s, _ in measure.weights]
-    step_cum = np.cumsum([float(w) for _, w in measure.weights])
-    step_cum[-1] = 1.0
-    off_values = [k for k, _ in config.offspring]
-    off_cum = np.cumsum([float(w) for _, w in config.offspring])
-    off_cum[-1] = 1.0
-
-    runs = [_single_run(g, step_values, step_cum, off_values, off_cum,
-                        config, _run_rng(config.seed, i))
+    steps = _law_table(measure.weights)
+    offspring = _law_table(config.offspring)
+    runs = [_single_run(measure.group, steps, offspring, config,
+                        _run_rng(config.seed, i))
             for i in range(config.runs)]
     if radius is None:
         med = np.median(np.array([t.m_counts for t in runs]), axis=0)
@@ -175,6 +186,7 @@ class CosetReport:
     offspring_means: np.ndarray
     estimate: float
     ci_halfwidth: float
+    truncated_runs: int = 0
 
 
 def _coset_key(g, side: int, x: Element):
@@ -191,7 +203,9 @@ def coset_hits(spec: FreeProduct, measure: Optional[Measure],
     Per run: the number of distinct cosets gP visited, the largest number
     of distinct elements seen in one coset, and the empirical offspring
     mean of the collection process (first entries to P per progenitor in
-    P) -- an estimator of the first-return mass t_{r,P}.
+    P) -- an estimator of the first-return mass t_{r,P}.  Children the
+    population cap drops count neither as returns nor as visits;
+    `truncated_runs` counts the runs in which the cap dropped any.
     """
     if not isinstance(spec, FreeProduct):
         raise ValueError("coset statistics need a free product")
@@ -199,44 +213,34 @@ def coset_hits(spec: FreeProduct, measure: Optional[Measure],
         measure = standard_measure(spec)
     g = measure.group
     in_p = lambda x: g.factor_part(side, x) is not None
-    step_values = [s for s, _ in measure.weights]
-    step_cum = np.cumsum([float(w) for _, w in measure.weights])
-    step_cum[-1] = 1.0
-    off_values = [k for k, _ in config.offspring]
-    off_cum = np.cumsum([float(w) for _, w in config.offspring])
-    off_cum[-1] = 1.0
+    steps = _law_table(measure.weights)
+    offspring = _law_table(config.offspring)
 
     distinct, max_visits, means = [], [], []
+    truncated_runs = 0
     for run in range(config.runs):
         rng = _run_rng(config.seed, run)
         # particle state: (position, progenitor id of nearest P-ancestor)
         particles = [(g.identity(), 0)]
         progenitors = 1
         returns = 0
+        truncated = False
         coset_elems: Dict[Element, set] = {(): {g.identity()}}
         for _ in range(config.max_generation):
-            counts = np.searchsorted(
-                off_cum, rng.random(len(particles)), side="right")
-            births = int(sum(off_values[c] for c in counts))
-            steps = np.searchsorted(step_cum, rng.random(births),
-                                    side="right")
-            children = []
-            j = 0
-            for (pos, prog), c in zip(particles, counts):
-                for _ in range(off_values[c]):
-                    y = g.multiply(pos, step_values[steps[j]])
-                    j += 1
-                    if in_p(y):
-                        returns += 1
-                        children.append((y, progenitors))
-                        progenitors += 1
-                    else:
-                        children.append((y, prog))
-                    coset_elems.setdefault(_coset_key(g, side, y),
-                                           set()).add(y)
-            if len(children) > config.population_cap:
-                children = children[: config.population_cap]
-            particles = children
+            kept, dropped = _generation(particles, steps, offspring,
+                                        config.population_cap, rng)
+            truncated |= dropped
+            particles = []
+            for (pos, prog), s in kept:
+                y = g.multiply(pos, s)
+                if in_p(y):
+                    returns += 1
+                    particles.append((y, progenitors))
+                    progenitors += 1
+                else:
+                    particles.append((y, prog))
+                coset_elems.setdefault(_coset_key(g, side, y), set()).add(y)
+        truncated_runs += truncated
         distinct.append(len(coset_elems))
         max_visits.append(max(len(v) for v in coset_elems.values()))
         means.append(returns / progenitors)
@@ -245,4 +249,4 @@ def coset_hits(spec: FreeProduct, measure: Optional[Measure],
     ci = float(1.96 * means.std(ddof=1) / math.sqrt(len(means))
                if len(means) > 1 else math.inf)
     return CosetReport(spec, config, side, np.array(distinct),
-                       np.array(max_visits), means, est, ci)
+                       np.array(max_visits), means, est, ci, truncated_runs)

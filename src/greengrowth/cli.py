@@ -300,10 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Green-function growth series on groups")
     parser.add_argument("--config", default=None,
                         help="flat key = value defaults file")
-    parser.add_argument("--threads", type=int,
-                        default=int(os.environ.get("GREEN_GROWTH_THREADS",
-                                                   "1")),
-                        help="worker cap for parallel internals")
     parser.add_argument("--output", default=None,
                         help="write to a file instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -396,11 +392,7 @@ def dispatch(argv: Optional[List[str]] = None) -> int:
         for sp in parser._subparsers._group_actions[0].choices.values():
             sp.set_defaults(**{k: v for k, v in defaults.items()
                                if k in {a.dest for a in sp._actions}})
-        args = parser.parse_args(argv)
-    else:
-        args = parser.parse_args(argv)
-    if args.threads < 1:
-        raise ValueError("--threads must be positive")
+    args = parser.parse_args(argv)
     out = sys.stdout
     close = False
     if args.output:

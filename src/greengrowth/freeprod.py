@@ -21,17 +21,19 @@ growth exponent.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .bitree import PhaseParams, capital_R, classify, model_window, \
     prefactor_exponent, solve_t0
-from .groups import FreeAbelian, FreeProduct, TreeProduct, group_for
+from .groups import FreeAbelian, FreeProduct, TreeProduct
+from .growth import h_series, omega_estimate, sphere_reduced_sweep
 from .kernels import (
-    Measure, first_return_coefficients, green_truncated, standard_measure,
+    MEMO_SIZE, Measure, first_return_coefficients, green_truncated,
+    standard_measure,
 )
 
 DEFAULT_N = 24
@@ -50,9 +52,7 @@ class TransferPoint:
     lower_bound_only: bool = True
 
 
-_COEFF_CACHE: Dict[tuple, Tuple[np.ndarray, np.ndarray]] = {}
-
-
+@lru_cache(maxsize=MEMO_SIZE)
 def tagged_return_coefficients(measure: Measure, n_max: int = DEFAULT_N,
                                support_cap: Optional[int]
                                = DEFAULT_SCAN_SUPPORT_CAP,
@@ -61,12 +61,10 @@ def tagged_return_coefficients(measure: Measure, n_max: int = DEFAULT_N,
     from the factor-i component of the mixed measure), n = 0..n_max.
 
     These are r-independent, so one convolution sweep serves a whole
-    r-grid of transfer points.  Entries are certified lower bounds under
-    support pruning.
+    r-grid of transfer points, and they are memoized: pass the arguments
+    positionally so that equal requests share one entry.  Entries are
+    certified lower bounds under support pruning.
     """
-    key = (measure, n_max, support_cap)
-    if key in _COEFF_CACHE:
-        return _COEFF_CACHE[key]
     spec = measure.spec
     if not isinstance(spec, FreeProduct) or measure.kind != "freeprod-mix":
         raise ValueError("tagged returns need a freeprod-mix measure")
@@ -84,9 +82,7 @@ def tagged_return_coefficients(measure: Measure, n_max: int = DEFAULT_N,
             measure, lambda y: y == e, n_max, first_step=first,
             mode="float", support_cap=support_cap)
         out.append(coeffs.get(e, np.zeros(n_max + 1)))
-    result = (out[0], out[1])
-    _COEFF_CACHE[key] = result
-    return result
+    return out[0], out[1]
 
 
 def transfer(spec: FreeProduct, measure: Optional[Measure], r: float,
@@ -156,30 +152,6 @@ def induced_omega_P(params: PhaseParams, point: TransferPoint) -> float:
     return classify(params, point.zeta0).omega
 
 
-_DIAG_CACHE: Dict[tuple, np.ndarray] = {}
-
-
-def diagonal_coefficients(measure: Measure, n_max: int = DEFAULT_N,
-                          support_cap: Optional[int]
-                          = DEFAULT_SCAN_SUPPORT_CAP) -> np.ndarray:
-    """Return probabilities p_n(e, e), n = 0..n_max, from one cached
-    sweep (certified lower bounds under pruning)."""
-    key = (measure, n_max, support_cap)
-    if key not in _DIAG_CACHE:
-        from .kernels import convolve
-
-        g = measure.group
-        e = g.identity()
-        dist = {e: 1.0}
-        p = [1.0]
-        for _ in range(n_max):
-            dist = convolve(dist, measure, mode="float",
-                            support_cap=support_cap)
-            p.append(float(dist.get(e, 0.0)))
-        _DIAG_CACHE[key] = np.array(p)
-    return _DIAG_CACHE[key]
-
-
 def heuristic_r_cap(measure: Measure, n_max: int = DEFAULT_N,
                     support_cap: Optional[int] = DEFAULT_SCAN_SUPPORT_CAP,
                     ) -> float:
@@ -189,7 +161,8 @@ def heuristic_r_cap(measure: Measure, n_max: int = DEFAULT_N,
     The true convergence radius of the free product is not known in
     closed form; this cap is heuristic and flagged as such in reports.
     """
-    p = diagonal_coefficients(measure, n_max, support_cap)
+    # row 0 of the sphere sweep holds the return probabilities p_k(e, e)
+    p = sphere_reduced_sweep(measure, 0, n_max, None, support_cap)[0][0]
     k = n_max if n_max % 2 == 0 else n_max - 1
     if p[k] <= 0 or p[k - 2] <= 0:
         return 1.0
@@ -252,8 +225,6 @@ def scan_construction(factor_params: PhaseParams, d: int, alpha: float,
     crossing by root bracketing down to ~1e-9 residual.
     """
     from scipy.optimize import brentq
-
-    from .growth import h_series, omega_estimate
 
     if d < 3:
         raise ValueError("the abelian factor needs d >= 3")

@@ -22,7 +22,6 @@ Supported groups:
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple, Union
 

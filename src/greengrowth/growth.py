@@ -22,19 +22,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .groups import (
     DiestelLeader, Element, FreeAbelian, FreeProduct, GroupSpec,
-    RegularTree, TreeProduct, dl_sphere_profiles, group_for,
+    RegularTree, TreeProduct, dl_sphere_profiles,
 )
 from .kernels import (
-    DEFAULT_SUPPORT_CAP, Measure, _geom_tail, _heuristic_tail, _pick_n,
-    dl_class_key, dl_green_classes, green_truncated, standard_measure,
-    tree_green_by_distance, tree_sphere_sizes, treeprod_green_by_distance,
-    zd_lazy_green_batch,
+    DEFAULT_SUPPORT_CAP, MEMO_SIZE, Measure, _geom_tail, _heuristic_tail,
+    _pick_n, dl_class_key, dl_green_classes, green_truncated,
+    standard_measure, tree_green_by_distance, tree_sphere_sizes,
+    treeprod_green_by_distance, zd_lazy_green_batch,
 )
 
 
@@ -172,7 +173,6 @@ def _h_dl(spec, measure, r, n_max, tol, max_terms):
 
 
 def _h_generic(measure, r, n_max, tol, restriction, max_terms, support_cap):
-    g = measure.group
     n_steps, rigorous, rho = _pick_n(measure, r, tol, max_terms, default=40)
     coeffs, pruned = sphere_reduced_sweep(measure, n_max, n_steps,
                                           restriction, support_cap)
@@ -191,9 +191,6 @@ def _h_generic(measure, r, n_max, tol, restriction, max_terms, support_cap):
     return vals
 
 
-_SWEEP_CACHE: Dict[tuple, Tuple[np.ndarray, bool]] = {}
-
-
 def sphere_reduced_sweep(measure: Measure, n_max: int, n_steps: int,
                          restriction: Optional[Callable[[Element], bool]]
                          = None,
@@ -205,11 +202,14 @@ def sphere_reduced_sweep(measure: Measure, n_max: int, n_steps: int,
     reuse a single sweep across a whole r-grid.
 
     Returns (S, pruned); pruned means the support cap dropped mass, so
-    every entry is only a certified lower bound.
+    every entry is only a certified lower bound.  Unrestricted sweeps are
+    memoized; a restriction closure never repeats, so those are not.
     """
-    cache_key = (measure, n_max, n_steps, restriction, support_cap)
-    if restriction is None and cache_key in _SWEEP_CACHE:
-        return _SWEEP_CACHE[cache_key]
+    sweep = _sweep if restriction is not None else _memo_sweep
+    return sweep(measure, n_max, n_steps, restriction, support_cap)
+
+
+def _sweep(measure, n_max, n_steps, restriction, support_cap):
     from .kernels import convolve
 
     g = measure.group
@@ -233,9 +233,10 @@ def sphere_reduced_sweep(measure: Measure, n_max: int, n_steps: int,
         if support_cap is not None and len(dist) >= support_cap:
             pruned = True
         reduce_into(k)
-    if restriction is None:
-        _SWEEP_CACHE[cache_key] = (S, pruned)
     return S, pruned
+
+
+_memo_sweep = lru_cache(maxsize=MEMO_SIZE)(_sweep)
 
 
 def h_series(spec: GroupSpec, measure: Optional[Measure] = None,

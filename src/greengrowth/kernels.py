@@ -31,6 +31,8 @@ from .groups import (
 )
 
 DEFAULT_SUPPORT_CAP = 1_000_000
+# entries kept by each memo of r-independent sweep coefficients
+MEMO_SIZE = 32
 
 
 # ---------------------------------------------------------------------------
@@ -48,10 +50,6 @@ class Measure:
     @property
     def group(self) -> Group:
         return group_for(self.spec)
-
-    @property
-    def weight_dict(self) -> Dict[Element, Fraction]:
-        return dict(self.weights)
 
     def param(self, name, default=None):
         for k, v in self.params:
@@ -230,20 +228,6 @@ def convolve(dist: Dict[Element, object], measure: Measure,
     return out
 
 
-def distribution_sweep(measure: Measure, n_max: int, mode: str = "float",
-                       support_cap: Optional[int] = DEFAULT_SUPPORT_CAP,
-                       ) -> List[Dict[Element, object]]:
-    """p_0 .. p_{n_max} as sparse dicts from a single shared sweep."""
-    g = measure.group
-    one = Fraction(1) if mode == "exact" else 1.0
-    dist = {g.identity(): one}
-    out = [dist]
-    for _ in range(n_max):
-        dist = convolve(dist, measure, mode=mode, support_cap=support_cap)
-        out.append(dist)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # radial engines
 
@@ -322,9 +306,6 @@ def zd_lazy_green(d: int, alpha: float, x: Sequence[int], r: float) -> float:
 
     Requires r <= 1; at r = 1 convergence needs d >= 3.
     """
-    from scipy.integrate import quad
-    from scipy.special import ive
-
     if r > 1.0:
         raise ValueError("Z^d Green function diverges for r > 1")
     if r == 1.0 and d < 3:
@@ -483,7 +464,7 @@ def dl_green_classes(q: int, keys: Sequence[Tuple[int, int, int]],
     return out
 
 
-def dl_class_key(profile, h_sign_unused=None) -> Tuple[int, int, int]:
+def dl_class_key(profile) -> Tuple[int, int, int]:
     """Map a DLProfile to the (pos, A, B) walk class of its elements."""
     u1, d2, s = profile.u1, profile.d2, profile.s
     pos = (s - d2) - u1
@@ -544,7 +525,7 @@ def green_truncated(measure: Measure, targets: Sequence[Element], r: float,
     if r < 0:
         raise ValueError("r must be >= 0")
     spec, kind = measure.spec, measure.kind
-    targets = list(targets)
+    targets = list(dict.fromkeys(targets))
     if not targets:
         return {}
 

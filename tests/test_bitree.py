@@ -132,6 +132,15 @@ def test_boundary_prefactor_limits():
     assert 4.0 * step > 1.8  # H n e^{-n omega} keeps growing
 
 
+def test_classify_at_capital_r():
+    # at R, lambda0 = 0 and t1 = beta1, so omega(R) = (1/2) log(l1 - 1)
+    R = capital_R(P64)
+    rep = classify(P64, R)
+    assert rep.regime == "over-n-3-2"
+    assert abs(rep.omega - 0.5 * math.log(5.0)) < 1e-12
+    assert 0.0 < rep.omega - classify(P64, R * (1.0 - 1e-9)).omega < 1e-3
+
+
 def test_classify_validates_range():
     with pytest.raises(ValueError):
         classify(P64, 1.2)

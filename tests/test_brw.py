@@ -77,3 +77,19 @@ def test_coset_hits_report():
     assert len(rep.offspring_means) == 50
     assert 0.0 <= rep.estimate < 1.0
     assert rep.ci_halfwidth >= 0.0
+    # one particle per generation never reaches the cap
+    assert rep.truncated_runs == 0
+    assert rep.estimate == pytest.approx(0.5832929292929293, rel=1e-12)
+
+
+def test_coset_hits_flags_its_cap():
+    spec = FreeProduct(TreeProduct(4, 4), FreeAbelian(3))
+    cfg = BrwConfig(mean_offspring(2.0), 30, 500, seed=3, runs=2)
+    assert coset_hits(spec, None, cfg).truncated_runs == cfg.runs
+    # with cap 1 only one path survives, so a dropped child that still
+    # counted would push the visits past one element per generation
+    cfg = BrwConfig(offspring_law({8: Fraction(1)}), 30, 1, seed=3, runs=3)
+    rep = coset_hits(spec, None, cfg)
+    assert rep.truncated_runs == cfg.runs
+    assert (rep.distinct_cosets <= cfg.max_generation + 1).all()
+    assert (rep.max_visits <= cfg.max_generation + 1).all()

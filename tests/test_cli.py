@@ -150,14 +150,3 @@ def test_output_file(tmp_path, capsys):
     assert out == ""
     text = target.read_text()
     assert text.startswith("n,H,tail,rigorous\n")
-
-
-def test_threads_env_fallback(capsys, monkeypatch):
-    monkeypatch.setenv("GREEN_GROWTH_THREADS", "2")
-    code, out, _ = run(capsys, "hr", "--group", "tree", "--l", "4",
-                       "--r", "1", "--nmax", "2")
-    assert code == 0
-    monkeypatch.setenv("GREEN_GROWTH_THREADS", "0")
-    code, _, err = run(capsys, "hr", "--group", "tree", "--l", "4",
-                       "--r", "1", "--nmax", "2")
-    assert code == 1

@@ -8,13 +8,13 @@ whole file stays in the seconds range.
 import numpy as np
 import pytest
 
+from greengrowth import growth
 from greengrowth.bitree import PhaseParams, solve_t0
 from greengrowth.groups import FreeAbelian, FreeProduct, TreeProduct
-from greengrowth.kernels import standard_measure
+from greengrowth.kernels import MEMO_SIZE, return_probability, standard_measure
 from greengrowth.freeprod import (
-    diagonal_coefficients, heuristic_r_cap, induced_omega_P,
-    scan_construction, tagged_return_coefficients, transfer,
-    transfer_consistency,
+    heuristic_r_cap, induced_omega_P, scan_construction,
+    tagged_return_coefficients, transfer, transfer_consistency,
 )
 
 SPEC = FreeProduct(TreeProduct(4, 4), FreeAbelian(3))
@@ -87,13 +87,35 @@ def test_heuristic_r_cap_exceeds_one():
     assert heuristic_r_cap(m, **FAST) > 1.0
 
 
-def test_diagonal_coefficients_cached_and_positive():
+def test_heuristic_r_cap_reads_return_probabilities():
+    # the cap comes from row 0 of the sphere sweep; return_probability
+    # runs its own loop
     m = measure_for(0.3)
-    a = diagonal_coefficients(m, **FAST)
-    b = diagonal_coefficients(m, **FAST)
-    assert a is b
-    assert a[0] == 1.0
-    assert (a >= 0).all()
+    p8, p10 = (return_probability(m, n, support_cap=5_000) for n in (8, 10))
+    cap = heuristic_r_cap(m, n_max=10, support_cap=5_000)
+    assert cap == (p8 / p10) ** 0.5
+
+
+def test_r_independent_sweeps_share_a_bounded_memo():
+    m = measure_for(0.3)
+    a = tagged_return_coefficients(m, 10, 5_000)
+    assert tagged_return_coefficients(m, 10, 5_000) is a
+    s = growth.sphere_reduced_sweep(m, 2, 6, None, 5_000)
+    assert growth.sphere_reduced_sweep(m, 2, 6, None, 5_000) is s
+    for memo in (tagged_return_coefficients, growth._memo_sweep):
+        assert memo.cache_info().maxsize == MEMO_SIZE < 1_000
+    # a restriction closure never repeats, so restricted sweeps bypass it
+    size = growth._memo_sweep.cache_info().currsize
+
+    def inside(x):
+        return True
+
+    first = growth.sphere_reduced_sweep(m, 2, 6, inside, 5_000)
+    second = growth.sphere_reduced_sweep(m, 2, 6, inside, 5_000)
+    assert first is not second
+    assert np.array_equal(first[0], second[0])
+    assert np.array_equal(first[0], s[0])
+    assert growth._memo_sweep.cache_info().currsize == size
 
 
 def test_scan_construction_fast():

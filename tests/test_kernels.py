@@ -122,6 +122,17 @@ def test_green_truncated_generic_vs_tree_engine():
     assert abs(fast.value - slow.value) <= fast.tail + slow.tail + 1e-12
 
 
+def test_green_truncated_generic_repeated_target():
+    spec = FreeProduct(TreeProduct(4, 4), FreeAbelian(3))
+    m = standard_measure(spec, alpha=0.2)
+    g = group_for(spec)
+    x = g.embed(0, group_for(spec.left).sphere(2)[0])
+    once = green_truncated(m, [x], 0.5, max_terms=8, support_cap=2000)
+    twice = green_truncated(m, [x, x], 0.5, max_terms=8, support_cap=2000)
+    assert once[x].value > 0.0
+    assert twice[x].value == once[x].value
+
+
 def test_convolve_is_deterministic_under_pruning():
     m = standard_measure(TreeProduct(4, 4))
     dist = {s: float(w) for s, w in m.weights}
