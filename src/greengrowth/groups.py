@@ -566,35 +566,17 @@ def dl_class_count(q: int, i: int, j: int, k: int) -> int:
 
 
 def dl_sphere_count(q: int, n: int) -> int:
-    """Sphere size of DL(q, q) by summing profile class counts.
-
-    Strata: h(x1) > 0 elements satisfy u1 < s - d2 and sit at distance
-    u1 + d2 + s; the h(x1) < 0 stratum has equal size by the coordinate
-    swap symmetry; h(x1) = 0 forces d2 = s - u1 and distance 2s.
-    """
-    if n == 0:
-        return 1
-    total = 0
-    for s in range(1, n + 1):
-        rest = n - s
-        if rest < 0:
-            continue
-        for j in range(0, min(s, rest) + 1):
-            i = rest - j
-            if 0 <= i <= s and i < s - j:
-                total += 2 * dl_class_count(q, i, j, s)
-    if n % 2 == 0:
-        s = n // 2
-        for i in range(0, s + 1):
-            total += dl_class_count(q, i, s - i, s)
-    return total
+    """Sphere size of DL(q, q): the sum of its profile class counts."""
+    return sum(count for _, _, count in dl_sphere_profiles(q, n))
 
 
 def dl_sphere_profiles(q: int, n: int):
     """Profile classes making up the DL(q, q) sphere of radius n.
 
-    Yields (profile, h_sign, count) with h_sign in {-1, 0, +1}; classes
-    with h(x1) < 0 mirror the h(x1) > 0 classes.
+    Yields (profile, h_sign, count) with h_sign in {-1, 0, +1}.  Elements
+    with h(x1) > 0 satisfy u1 < s - d2 and sit at distance u1 + d2 + s;
+    the h(x1) < 0 classes mirror them under the coordinate swap; h(x1) = 0
+    forces d2 = s - u1 and distance 2s.
     """
     if n == 0:
         yield DLProfile(0, 0, 0), 0, 1

@@ -8,7 +8,8 @@ in the catalog gets the cheapest correct engine:
 * Z^d                             -- Bessel-integral Green values summed
   over coordinate symmetry classes,
 * Diestel-Leader                  -- sphere profile decomposition with the
-  lamplighter range engine (heuristic tails, flagged),
+  closed-form lamplighter range engine (proved range-cutoff tails,
+  0 <= r <= 1),
 * everything else                 -- one shared convolution sweep reduced
   per sphere, so the r-dependence is a cheap polynomial evaluation.
 
@@ -33,7 +34,7 @@ from .groups import (
 )
 from .kernels import (
     DEFAULT_SUPPORT_CAP, MEMO_SIZE, Measure, _geom_tail, _heuristic_tail,
-    _pick_n, dl_class_key, dl_green_classes, green_truncated,
+    _pick_n, dl_class_key, dl_class_tail, dl_green_classes, green_truncated,
     standard_measure, tree_green_by_distance, tree_sphere_sizes,
     treeprod_green_by_distance, zd_lazy_green_batch,
 )
@@ -153,22 +154,20 @@ def _h_zd(spec, measure, r, n_max, tol):
     return vals
 
 
-def _h_dl(spec, measure, r, n_max, tol, max_terms):
+def _h_dl(spec, measure, r, n_max, tol):
     q = spec.q
-    per_n = []
-    keys = set()
-    for n in range(n_max + 1):
-        row = [(dl_class_key(prof), count)
-               for prof, _, count in dl_sphere_profiles(q, n)]
-        per_n.append(row)
-        keys.update(k for k, _ in row)
-    n_steps = max_terms if max_terms is not None else 600
-    green = dl_green_classes(q, sorted(keys), r, n_max=n_steps,
-                             rel_tol=min(tol, 1e-9))
+    rel_tol = min(tol, 1e-9)
+    per_n = [[(dl_class_key(prof), count)
+              for prof, _, count in dl_sphere_profiles(q, n)]
+             for n in range(n_max + 1)]
+    keys = sorted({k for row in per_n for k, _ in row})
+    green = dl_green_classes(q, keys, r, rel_tol)
     vals = {}
-    for n in range(n_max + 1):
-        total = sum(count * green[k] for k, count in per_n[n])
-        vals[n] = HEntry(total, float("nan"), False)
+    for n, row in enumerate(per_n):
+        total = sum(count * green[k] for k, count in row)
+        tail = sum(count * dl_class_tail(q, k[2] - k[1], r, rel_tol)
+                   for k, count in row)
+        vals[n] = HEntry(total, tail, True)
     return vals
 
 
@@ -246,7 +245,8 @@ def h_series(spec: GroupSpec, measure: Optional[Measure] = None,
              max_terms: Optional[int] = None,
              support_cap: Optional[int] = DEFAULT_SUPPORT_CAP,
              ) -> GrowthSeries:
-    """Sphere-summed Green series H_r(n) for n = 0..n_max."""
+    """Sphere-summed Green series H_r(n) for n = 0..n_max.  The Z^d and
+    Diestel-Leader engines are not step sums and ignore max_terms."""
     if measure is None:
         measure = standard_measure(spec)
     if r < 0:
@@ -260,7 +260,7 @@ def h_series(spec: GroupSpec, measure: Optional[Measure] = None,
         elif isinstance(spec, FreeAbelian) and kind == "lazy-srw" and r <= 1:
             vals = _h_zd(spec, measure, r, n_max, tol)
         elif isinstance(spec, DiestelLeader) and kind == "dl-srw":
-            vals = _h_dl(spec, measure, r, n_max, tol, max_terms)
+            vals = _h_dl(spec, measure, r, n_max, tol)
         else:
             vals = _h_generic(measure, r, n_max, tol, None, max_terms,
                               support_cap)

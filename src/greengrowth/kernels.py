@@ -14,6 +14,8 @@ than sparse convolution could:
 Tail bounds use p_n(x, y) <= rho^n for symmetric kernels; they are
 rigorous whenever the spectral radius rho is known in closed form and
 r * rho < 1, and heuristic (geometric extrapolation, flagged) otherwise.
+The Diestel-Leader engine is exact per range; its range cutoff carries a
+proved tail for 0 <= r <= 1.
 """
 
 from __future__ import annotations
@@ -170,7 +172,7 @@ def known_spectral_radius(measure: Measure) -> Optional[float]:
         return a1 * r1 + (1 - a1) * r2
     if kind == "lazy-srw":
         return 1.0  # Z^d and Heisenberg are amenable
-    return None  # DL (amenable but left heuristic here) and free products
+    return None  # DL (its engine needs none) and free products
 
 
 # ---------------------------------------------------------------------------
@@ -404,64 +406,80 @@ def zd_lazy_green_batch(d: int, alpha: float,
 # Diestel-Leader engine
 
 
+def _dl_extra(q: int, rel_tol: float) -> int:
+    """Range cutoff K: ranges wider than a class by more than K are cut."""
+    return max(2, math.ceil(-math.log(rel_tol) / math.log(q)))
+
+
 def dl_green_classes(q: int, keys: Sequence[Tuple[int, int, int]],
-                     r: float, n_max: int = 600, rel_tol: float = 1e-9,
+                     r: float, rel_tol: float = 1e-9,
                      ) -> Dict[Tuple[int, int, int], float]:
-    """Green values for DL(q, q) walk classes.
+    """Green values for DL(q, q) walk classes, for 0 <= r <= 1.
 
     A class key is (pos, A, B): pos is the Z coordinate of the lamplighter,
     A = min(0, pos, lowest lamp edge), B = max(0, pos, highest lamp edge + 1).
     The projected Z walk must cover [A, B] and end at pos; every distinct
-    crossed edge contributes a factor 1/q for the lamp to match.  Summing
-    exact-range path weights over all ranges containing [A, B] gives the
-    exact n-step probabilities, so the only approximations are the range
-    cutoff (relative rel_tol) and the truncation at n_max steps.
+    crossed edge contributes a factor 1/q for the lamp to match.  The class
+    value sums e(a, b) q^(a - b) over the ranges [a, b] containing [A, B],
+    where e(a, b) weighs the walks from 0 to pos whose range is exactly
+    [a, b].  The only approximation is the range cutoff (relative
+    rel_tol), and `dl_class_tail` bounds what it drops.
+
+    Such a walk reaches one end of [a, b] before the other, then the other
+    end without leaving [a, b], then pos inside [a, b].  With cosh(t) = 1/r
+    and S(x, y) = sinh(t x) / sinh(t y) (x / y at r = 1), the three steps
+    weigh S(b, b - a) or S(-a, b - a), then S(1, b - a + 1), then
+    (2 / r) S(pos - a + 1, b - a + 2) from b or (2 / r) S(b - pos + 1,
+    b - a + 2) from a (Woess, Random Walks on Infinite Graphs and Groups,
+    CUP 2000).  Every factor is positive, so nothing cancels, and
+    S = e^(t (x - y)) expm1(-2 t x) / expm1(-2 t y) does not overflow.
     """
-    if not keys:
-        return {}
-    extra = max(2, math.ceil(-math.log(rel_tol) / math.log(q)))
+    if not 0.0 <= r <= 1.0:
+        raise ValueError(f"the DL engine needs 0 <= r <= 1, got r = {r}")
+    if r == 0.0 or not keys:
+        return {k: float(k == (0, 0, 0)) for k in keys}  # G = delta_e
+    t = math.acosh(1.0 / r)
+
+    def S(x, y):
+        if r == 1.0:
+            return x / y
+        return np.exp(t * (x - y)) * np.expm1(-2 * t * x) / np.expm1(
+            -2 * t * y)
+
+    extra = _dl_extra(q, rel_tol)
     a_lo = min(k[1] for k in keys) - extra
     b_hi = max(k[2] for k in keys) + extra
-    positions = np.arange(a_lo, b_hi + 1)
-
-    # accumulated confined-walk transforms T[(a, b)][pos] = sum_n r^n W_n
-    acc: Dict[Tuple[int, int], np.ndarray] = {}
-    for a in range(a_lo, 1):
-        for b in range(0, b_hi + 1):
-            width = b - a + 1
-            v = np.zeros(width)
-            v[-a] = 1.0  # start at 0
-            tot = np.zeros(width)
-            tot += v
-            rn = 1.0
-            for _ in range(n_max):
-                nv = np.zeros(width)
-                nv[1:] += 0.5 * v[:-1]
-                nv[:-1] += 0.5 * v[1:]
-                v = nv
-                rn *= r
-                inc = rn * v
-                tot += inc
-                if inc.max() <= rel_tol * 1e-3 * (tot.max() + 1e-300):
-                    break
-            acc[(a, b)] = tot
-
-    def read(a, b, pos):
-        if a > 0 or b < 0 or pos < a or pos > b:
-            return 0.0
-        return acc[(a, b)][pos - a]
-
     out = {}
     for pos, A, B in keys:
-        total = 0.0
-        for a in range(a_lo, A + 1):
-            for b in range(B, b_hi + 1):
-                e = (read(a, b, pos) - read(a + 1, b, pos)
-                     - read(a, b - 1, pos) + read(a + 1, b - 1, pos))
-                if e:
-                    total += e * q ** float(a - b)
-        out[(pos, A, B)] = total
+        a = np.arange(a_lo, A + 1)[:, None]
+        b = np.arange(B, b_hi + 1)[None, :]
+        w = b - a
+        # a walk that starts at a = 0 has reached a first; [0, 0] has w = 0
+        first_a = np.where(a == 0, 1.0, S(b, np.maximum(w, 1)))
+        first_b = S(-a, np.maximum(w, 1))
+        e = (2.0 / r * S(1, w + 1) * (first_a * S(pos - a + 1, w + 2)
+                                      + first_b * S(b - pos + 1, w + 2)))
+        out[(pos, A, B)] = float(np.sum(e * float(q) ** -w))
     return out
+
+
+def dl_class_tail(q: int, width: int, r: float,
+                  rel_tol: float = 1e-9) -> float:
+    """Proved bound on the mass `dl_green_classes` cuts from a class with
+    B - A = width, for 0 <= r <= 1.
+
+    A cut range is k = (A - a) + (b - B) > K = `_dl_extra` wider than the
+    class, k + 1 ranges have a given k, and a path with range [a, b] takes
+    at least b - a steps, so 0 <= e(a, b) <= r^(b - a) G_[a, b](0, pos | 1)
+    <= r^(b - a) (b - a + 2) / 2, the walk being killed outside [a, b].  The
+    tail is at most sum_{k > K} (k + 1)(width + k + 2) / 2 x^(width + k),
+    x = r / q, which with k = K + 1 + j closes in sums of j^p x^j, p <= 2.
+    """
+    K, x, c = _dl_extra(q, rel_tol), r / q, width + 2
+    s0 = 1.0 / (1.0 - x)
+    s1, s2 = x * s0 * s0, x * (1.0 + x) * s0 ** 3
+    poly = s2 + (2 * K + 3 + c) * s1 + (K + 2) * (K + 1 + c) * s0
+    return 0.5 * x ** (width + K + 1) * poly
 
 
 def dl_class_key(profile) -> Tuple[int, int, int]:
@@ -520,7 +538,9 @@ def green_truncated(measure: Measure, targets: Sequence[Element], r: float,
 
     The truncation order comes from the closed-form spectral radius when
     available with r * rho < 1 (rigorous tail bound), else from max_terms
-    with a heuristic tail estimate, flagged via ``rigorous=False``.
+    with a heuristic tail estimate, flagged via ``rigorous=False``.  The
+    Z^d and Diestel-Leader engines are not step sums and ignore max_terms;
+    n_terms = -1 marks a value that is not a truncation.
     """
     if r < 0:
         raise ValueError("r must be >= 0")
@@ -537,7 +557,7 @@ def green_truncated(measure: Measure, targets: Sequence[Element], r: float,
         if isinstance(spec, FreeAbelian) and kind == "lazy-srw" and r <= 1.0:
             return _green_zd_integral(measure, targets, r, tol)
         if isinstance(spec, DiestelLeader) and kind == "dl-srw":
-            return _green_dl(measure, targets, r, tol, max_terms)
+            return _green_dl(measure, targets, r, tol)
     return _green_generic(measure, targets, r, tol, mode, max_terms,
                           support_cap)
 
@@ -619,16 +639,14 @@ def _green_zd_integral(measure, targets, r, tol):
     return out
 
 
-def _green_dl(measure, targets, r, tol, max_terms):
+def _green_dl(measure, targets, r, tol):
     q = measure.spec.q
     g = measure.group
-    n_max = max_terms if max_terms is not None else 600
-    keys = {}
-    for x in targets:
-        keys[x] = dl_class_key(g.profile(x))
-    values = dl_green_classes(q, sorted(set(keys.values())), r, n_max=n_max,
-                              rel_tol=min(tol, 1e-9))
-    return {x: GreenEstimate(values[k], n_max, float("nan"), False)
+    rel_tol = min(tol, 1e-9)
+    keys = {x: dl_class_key(g.profile(x)) for x in targets}
+    values = dl_green_classes(q, sorted(set(keys.values())), r, rel_tol)
+    return {x: GreenEstimate(values[k], -1,
+                             dl_class_tail(q, k[2] - k[1], r, rel_tol), True)
             for x, k in keys.items()}
 
 

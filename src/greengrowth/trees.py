@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Dict, Sequence
 
 from .groups import DLProfile, dl_class_count
+from .kernels import dl_class_key, dl_green_classes
 
 
 @dataclass(frozen=True)
@@ -117,15 +118,13 @@ def lamplighter_h1_model(q: int, n: int) -> float:
     return total
 
 
-def bw_calibration(q: int, profiles: Sequence[DLProfile], r: float = 1.0,
-                   n_max: int = 600) -> Dict[DLProfile, float]:
+def bw_calibration(q: int, profiles: Sequence[DLProfile],
+                   r: float = 1.0) -> Dict[DLProfile, float]:
     """Ratio of the series Green value to the shape for given profiles.
 
     A stable ratio across profiles is the (non-rigorous) calibration of the
     global constant in the shape formula.
     """
-    from .kernels import dl_class_key, dl_green_classes
-
     keys = {p: dl_class_key(p) for p in profiles}
-    values = dl_green_classes(q, sorted(set(keys.values())), r, n_max=n_max)
+    values = dl_green_classes(q, sorted(set(keys.values())), r)
     return {p: values[k] / bw_green_shape(q, p) for p, k in keys.items()}

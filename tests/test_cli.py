@@ -129,6 +129,14 @@ def test_validation_error_exit_code(capsys):
     assert err
 
 
+def test_dl_r_beyond_one_exit_code(capsys):
+    code, out, err = run(capsys, "hr", "--group", "dl", "--q", "3",
+                         "--r", "1.2", "--nmax", "4")
+    assert code == 1
+    assert not out
+    assert "0 <= r <= 1" in err
+
+
 def test_budget_error_exit_code(capsys, monkeypatch):
     from greengrowth.groups import BudgetExceededError
 

@@ -65,7 +65,7 @@ def test_tree_level_sphere_count_table():
 @pytest.mark.parametrize("q,n", [(2, 5), (3, 4)])
 def test_dl_profiles_partition_the_sphere(q, n):
     total = sum(count for _, _, count in dl_sphere_profiles(q, n))
-    assert total == dl_sphere_count(q, n)
+    assert total == sphere_sizes(DiestelLeader(q), n)[n]
 
 
 def test_dl_class_counts_match_bfs_profiles():

@@ -8,8 +8,9 @@ import pytest
 
 from greengrowth.groups import (
     DiestelLeader, FreeAbelian, FreeProduct, RegularTree, TreeProduct,
-    group_for,
+    dl_sphere_profiles, group_for,
 )
+from greengrowth.growth import h_series
 from greengrowth.kernels import (
     convolve, dl_class_key, dl_green_classes, first_return_coefficients,
     first_return_kernel, green_truncated, restricted_green,
@@ -81,14 +82,14 @@ def test_dl_green_engine_matches_convolution_series():
     g = m.group
     e = g.identity()
     key = (0, 0, 0)
-    engine = dl_green_classes(2, [key], 0.3, n_max=200)[key]
+    engine = dl_green_classes(2, [key], 0.3)[key]
     # independent route: exact-rational convolution series (untruncated
     # support), remaining tail below 0.3^13 / 0.7
     series = green_truncated(m, [e], 0.3, mode="exact", max_terms=12,
                              support_cap=None)[e].value
     assert series <= engine + 1e-12
     assert abs(engine - series) < 1e-6
-    frozen = dl_green_classes(2, [key], 0.5, n_max=200)[key]
+    frozen = dl_green_classes(2, [key], 0.5)[key]
     assert abs(frozen - 1.0717038974389885) < 1e-9
 
 
@@ -98,9 +99,82 @@ def test_dl_green_offdiagonal_matches_sweep():
     m = standard_measure(DiestelLeader(q))
     x = g.ball(2)[2][0]
     key = dl_class_key(g.profile(x))
-    engine = dl_green_classes(q, [key], 0.6, n_max=400)[key]
+    engine = dl_green_classes(q, [key], 0.6)[key]
     direct = green_truncated(m, [x], 0.6, max_terms=30)[x].value
     assert abs(engine - direct) < 1e-5
+
+
+def _dl_banded_series(q, n_max, r, cut=1e-13):
+    """H_r(n) on DL(q, q) from a banded solve of (I - r P) e_0 on each
+    confined interval, with a range cutoff far below the engine's."""
+    from scipy.linalg import solve_banded
+
+    rows = [[(dl_class_key(p), c) for p, _, c in dl_sphere_profiles(q, n)]
+            for n in range(n_max + 1)]
+    keys = {k for row in rows for k, _ in row}
+    extra = math.ceil(-math.log(cut) / math.log(q))
+    a_lo = min(k[1] for k in keys) - extra
+    b_hi = max(k[2] for k in keys) + extra
+    resolvent = {}
+
+    def read(a, b, pos):
+        if a > 0 or b < 0 or not a <= pos <= b:
+            return 0.0
+        if (a, b) not in resolvent:
+            band = np.zeros((3, b - a + 1))
+            band[0, 1:] = band[2, :-1] = -0.5 * r
+            band[1] = 1.0
+            rhs = np.zeros(b - a + 1)
+            rhs[-a] = 1.0
+            resolvent[(a, b)] = solve_banded((1, 1), band, rhs)
+        return resolvent[(a, b)][pos - a]
+
+    green = {(pos, A, B): sum(
+        (read(a, b, pos) - read(a + 1, b, pos) - read(a, b - 1, pos)
+         + read(a + 1, b - 1, pos)) * float(q) ** (a - b)
+        for a in range(a_lo, A + 1) for b in range(B, b_hi + 1))
+        for pos, A, B in keys}
+    return np.array([sum(c * green[k] for k, c in row) for row in rows])
+
+
+@pytest.mark.parametrize("r", [0.5, 1.0])
+def test_dl_series_matches_banded_resolvent(r):
+    series = h_series(DiestelLeader(3), r=r, n_max=10)
+    ref = _dl_banded_series(3, 10, r)
+    value = series.array()
+    tail = np.array([series.values[n].tail for n in range(11)])
+    assert np.all(np.abs(value - ref) <= 1e-9 * ref)
+    # the engine only drops nonnegative range weights, and its tail
+    # bounds what it drops
+    assert np.all(np.abs(value - ref) <= tail)
+    assert all(series.values[n].rigorous for n in range(11))
+
+
+def test_dl_engine_refuses_r_outside_unit_interval():
+    m = standard_measure(DiestelLeader(3))
+    e = m.group.identity()
+    for r in (-0.1, 1.2, float("nan")):
+        with pytest.raises(ValueError):
+            dl_green_classes(3, [(0, 0, 0)], r)
+        with pytest.raises(ValueError):
+            h_series(DiestelLeader(3), r=r, n_max=4)
+        with pytest.raises(ValueError):
+            green_truncated(m, [e], r)
+
+
+def test_dl_engine_at_r_zero_is_delta():
+    series = h_series(DiestelLeader(3), r=0.0, n_max=4)
+    assert list(series.array()) == [1.0, 0.0, 0.0, 0.0, 0.0]
+    assert all(series.values[n].tail == 0.0 for n in range(5))
+
+
+def test_dl_green_estimate_carries_a_rigorous_tail():
+    m = standard_measure(DiestelLeader(3))
+    g = m.group
+    xs = [g.identity()] + g.ball(3)[3][:5]
+    for x, est in green_truncated(m, xs, 1.0).items():
+        assert est.rigorous and est.n_terms == -1
+        assert 0.0 < est.tail < 1e-6 * est.value
 
 
 def test_green_truncated_tree_is_certified():

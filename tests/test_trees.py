@@ -83,6 +83,6 @@ def test_bw_calibration_ratio_is_stable():
     q = 2
     profiles = [DLProfile(3, 2, 8), DLProfile(4, 3, 9), DLProfile(4, 4, 10),
                 DLProfile(5, 4, 11), DLProfile(6, 5, 12)]
-    ratios = list(bw_calibration(q, profiles, n_max=1000).values())
+    ratios = list(bw_calibration(q, profiles).values())
     spread = (max(ratios) - min(ratios)) / min(ratios)
     assert spread < 0.25
