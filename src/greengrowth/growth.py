@@ -3,8 +3,10 @@
 H_r(n) = sum over the word-metric sphere S_n of G(e, x | r).  Each group
 in the catalog gets the cheapest correct engine:
 
-* regular trees and tree products -- radial distance chains plus the
-  closed-form sphere counts (rigorous tails below the convergence radius),
+* regular trees and tree products -- the radial distance chain of each
+  tree factor (for a product, the two factor chains mixed by binomial
+  weights over how many steps each factor takes) plus the closed-form
+  sphere counts (rigorous tails below the convergence radius),
 * Z^d                             -- Bessel-integral Green values summed
   over coordinate symmetry classes,
 * Diestel-Leader                  -- sphere profile decomposition with the

@@ -7,7 +7,8 @@ computed by specialized engines that reach far higher truncation orders
 than sparse convolution could:
 
 * regular trees   -- radial birth-death chain on the distance,
-* tree products   -- two-dimensional distance chain,
+* tree products   -- the two factor distance chains, mixed by binomial
+                     weights over how many steps each factor takes,
 * Z^d             -- Bessel-integral representation of the Green kernel,
 * Diestel-Leader  -- path-range decomposition of the lamplighter walk.
 
@@ -237,9 +238,8 @@ def convolve(dist: Dict[Element, object], measure: Measure,
 def tree_chain_step(l: int, v: np.ndarray) -> np.ndarray:
     """One step of the lazy tree walk projected to the distance from e.
 
-    Works along the first axis, so it applies to the 2-d joint-distance
-    arrays of tree products as well.  The last row is a buffer; callers
-    keep the array wide enough that it stays empty.
+    The last entry is a buffer; callers keep the vector wide enough that
+    it stays empty.
     """
     out = 0.5 * v.copy()
     out[1] += 0.5 * v[0]
@@ -249,11 +249,37 @@ def tree_chain_step(l: int, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def treeprod_mix_step(V: np.ndarray, l1: int, l2: int, a1: float
-                      ) -> np.ndarray:
-    """One step of the product-mix walk on the joint distance lattice."""
-    return (a1 * tree_chain_step(l1, V)
-            + (1.0 - a1) * tree_chain_step(l2, V.T).T)
+def tree_distance_law(l: int, n_max: int, d_max: int) -> np.ndarray:
+    """P[k, d] = P(|X_k| = d) for the lazy tree walk, 0 <= k <= n_max and
+    0 <= d <= d_max."""
+    v = np.zeros(n_max + d_max + 2)
+    v[0] = 1.0
+    P = np.empty((n_max + 1, d_max + 1))
+    P[0] = v[: d_max + 1]
+    for k in range(1, n_max + 1):
+        v = tree_chain_step(l, v)
+        P[k] = v[: d_max + 1]
+    return P
+
+
+def _mix_weights(a1: float, r: float, n_max: int) -> np.ndarray:
+    """B[k, m] = r^(k+m) C(k+m, k) a1^k (1-a1)^m for k + m <= n_max, else 0.
+
+    The product-mix measure is a1 (mu1 x delta) + (1-a1) (delta x mu2) and
+    its two parts commute, so B[k, m] weighs k steps of the first factor
+    and m of the second.  Each antidiagonal comes from the previous one by
+    Pascal's rule; it adds only positive terms, so no entry underflows
+    before its true value does.
+    """
+    B = np.zeros((n_max + 1, n_max + 1))
+    flat = B.reshape(-1)
+    flat[0] = 1.0
+    b = np.ones(1)
+    for n in range(1, n_max + 1):
+        b = r * (np.append((1.0 - a1) * b, 0.0) + np.insert(a1 * b, 0, 0.0))
+        # B[k, n - k] sits at flat index n + k * n_max
+        flat[n: n * n_max + n + 1: n_max] = b
+    return B
 
 
 def tree_sphere_sizes(l: int, n_max: int) -> np.ndarray:
@@ -266,40 +292,25 @@ def tree_sphere_sizes(l: int, n_max: int) -> np.ndarray:
 def tree_green_by_distance(l: int, r: float, n_max: int, d_max: int
                            ) -> np.ndarray:
     """G(e, x | r) truncated at n_max, indexed by |x| = 0..d_max."""
-    v = np.zeros(n_max + 2 + d_max)
-    v[0] = 1.0
-    acc = np.zeros(d_max + 1)
-    acc += v[: d_max + 1]
-    rn = 1.0
-    for _ in range(n_max):
-        v = tree_chain_step(l, v)
-        rn *= r
-        acc += rn * v[: d_max + 1]
-        if rn * v.max() < 1e-320:
-            break
-    return acc / tree_sphere_sizes(l, d_max)
+    rn = np.cumprod(np.r_[1.0, np.full(n_max, float(r))])
+    G = rn @ tree_distance_law(l, n_max, d_max)
+    return G / tree_sphere_sizes(l, d_max)
 
 
 def treeprod_green_by_distance(l1: int, l2: int, a1: float, r: float,
                                n_max: int, d1_max: int, d2_max: int
                                ) -> np.ndarray:
-    """Truncated G(e, (x1, x2) | r) indexed by the pair of factor distances."""
-    w1 = n_max + 2 + d1_max
-    w2 = n_max + 2 + d2_max
-    V = np.zeros((w1, w2))
-    V[0, 0] = 1.0
-    acc = np.zeros((d1_max + 1, d2_max + 1))
-    acc += V[: d1_max + 1, : d2_max + 1]
-    rn = 1.0
-    for _ in range(n_max):
-        V = treeprod_mix_step(V, l1, l2, a1)
-        rn *= r
-        acc += rn * V[: d1_max + 1, : d2_max + 1]
-        if rn * V.max() < 1e-320:
-            break
-    s1 = tree_sphere_sizes(l1, d1_max)
-    s2 = tree_sphere_sizes(l2, d2_max)
-    return acc / np.outer(s1, s2)
+    """Truncated G(e, (x1, x2) | r) indexed by the pair of factor distances.
+
+    Sum over k + m <= n_max of B[k, m] P1[k, d1] P2[m, d2], with the mix
+    weights B of `_mix_weights` and the factor distance laws Pi of
+    `tree_distance_law`: the same n_max-step truncation as a chain on the
+    joint distance lattice, in time quadratic rather than cubic in n_max.
+    """
+    G = (tree_distance_law(l1, n_max, d1_max).T @ _mix_weights(a1, r, n_max)
+         @ tree_distance_law(l2, n_max, d2_max))
+    return G / np.outer(tree_sphere_sizes(l1, d1_max),
+                        tree_sphere_sizes(l2, d2_max))
 
 
 def zd_lazy_green(d: int, alpha: float, x: Sequence[int], r: float) -> float:
@@ -746,18 +757,13 @@ def return_probability(measure: Measure, n: int,
     """p_n(e, e), via a structure-aware engine when available."""
     spec, kind = measure.spec, measure.kind
     if isinstance(spec, RegularTree) and kind == "tree-lazy":
-        v = np.zeros(n + 2)
-        v[0] = 1.0
-        for _ in range(n):
-            v = tree_chain_step(spec.l, v)
-        return float(v[0])
+        return float(tree_distance_law(spec.l, n, 0)[n, 0])
     if isinstance(spec, TreeProduct) and kind == "product-mix":
-        V = np.zeros((n + 2, n + 2))
-        V[0, 0] = 1.0
-        a1 = float(measure.param("a1"))
-        for _ in range(n):
-            V = treeprod_mix_step(V, spec.l1, spec.l2, a1)
-        return float(V[0, 0])
+        # p_n(e, e) = sum_k C(n, k) a1^k a2^(n-k) p1_k(0) p2_(n-k)(0)
+        b = np.fliplr(_mix_weights(float(measure.param("a1")), 1.0, n))
+        p1 = tree_distance_law(spec.l1, n, 0)[:, 0]
+        p2 = tree_distance_law(spec.l2, n, 0)[::-1, 0]
+        return float(b.diagonal() @ (p1 * p2))
     g = measure.group
     dist = {g.identity(): 1.0}
     for _ in range(n):

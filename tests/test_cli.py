@@ -1,10 +1,13 @@
 """Command-line interface: formats, config handling, exit codes."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from greengrowth.cli import main
+from greengrowth.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -158,3 +161,17 @@ def test_output_file(tmp_path, capsys):
     assert out == ""
     text = target.read_text()
     assert text.startswith("n,H,tail,rigorous\n")
+
+
+def test_readme_examples_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```sh\n(.*?)```", readme, re.S)
+    lines = "".join(blocks).replace("\\\n", " ").splitlines()
+    examples = [shlex.split(line, comments=True) for line in lines
+                if line.startswith("greengrowth ")]
+    assert len(examples) >= 10
+    for argv in examples:
+        try:
+            build_parser().parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {shlex.join(argv)}")

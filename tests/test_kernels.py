@@ -15,8 +15,8 @@ from greengrowth.kernels import (
     convolve, dl_class_key, dl_green_classes, first_return_coefficients,
     first_return_kernel, green_truncated, restricted_green,
     return_probability, spectral_radius_lower, standard_measure,
-    tree_green_by_distance, tree_sphere_sizes, zd_lazy_green,
-    zd_lazy_green_batch,
+    tree_green_by_distance, tree_sphere_sizes, treeprod_green_by_distance,
+    zd_lazy_green, zd_lazy_green_batch,
 )
 from greengrowth.trees import tree_closed_form, tree_green
 
@@ -41,6 +41,91 @@ def test_tree_chain_matches_closed_form(l, r):
 def test_tree_sphere_sizes():
     sizes = tree_sphere_sizes(4, 5)
     assert list(sizes) == [1, 4, 12, 36, 108, 324]
+
+
+def _treeprod_2d_chain(l1, l2, a1, r, n_max, d_max):
+    """Truncated tree-product Green function from the product-mix walk
+    stepped on the joint distance lattice (d1, d2)."""
+    def step(l, V):  # lazy tree walk on the distance, along axis 0
+        out = 0.5 * V
+        out[:-1] += V[1:] / (2 * l)
+        out[1] += 0.5 * V[0]
+        out[2:] += V[1:-1] * ((l - 1) / (2 * l))
+        return out
+
+    V = np.zeros((n_max + 2, n_max + 2))
+    V[0, 0] = 1.0
+    acc = V[: d_max + 1, : d_max + 1].copy()
+    for n in range(1, n_max + 1):
+        V = a1 * step(l1, V) + (1 - a1) * step(l2, V.T).T
+        acc += r ** n * V[: d_max + 1, : d_max + 1]
+    sizes = [[1.0] + [l * (l - 1.0) ** (d - 1) for d in range(1, d_max + 1)]
+             for l in (l1, l2)]
+    return acc / np.outer(*sizes)
+
+
+def _word(d):
+    return tuple(i % 2 for i in range(d))
+
+
+def test_treeprod_engine_matches_2d_distance_chain():
+    m = standard_measure(TreeProduct(6, 4))
+    xs = [(_word(d1), _word(d2)) for d1 in range(9) for d2 in range(9)]
+    got = green_truncated(m, xs, 1.03, max_terms=150)
+    ref = _treeprod_2d_chain(6, 4, 0.5, 1.03, 150, 8)
+    for x in xs:
+        assert got[x].n_terms == 150 and not got[x].rigorous
+        expected = ref[len(x[0]), len(x[1])]
+        assert abs(got[x].value - expected) <= 1e-12 * expected
+
+
+def test_treeprod_engine_matches_exact_sweep():
+    # l1 != l2 and a1 != 1/2, so swapping the factors or their weights fails
+    m = standard_measure(TreeProduct(4, 3), a1=Fraction(1, 3))
+    xs = [((), ()), ((0,), ()), ((), (0,)), ((0, 1), (2,)), ((1,), (0, 1, 0))]
+    exact = green_truncated(m, xs, 0.9, mode="exact", max_terms=10,
+                            support_cap=None)
+    fast = green_truncated(m, xs, 0.9, max_terms=10)
+    for x in xs:
+        assert fast[x].n_terms == exact[x].n_terms == 10
+        assert abs(fast[x].value - float(exact[x].value)) <= (
+            1e-12 * fast[x].value)
+
+
+def test_treeprod_engine_at_r_zero_is_delta():
+    m = standard_measure(TreeProduct(4, 3))
+    xs = [((), ()), ((0,), ()), ((1, 0), (2,))]
+    got = green_truncated(m, xs, 0.0)
+    assert [got[x].value for x in xs] == [1.0, 0.0, 0.0]
+    assert all(got[x].tail == 0.0 and got[x].rigorous for x in xs)
+    assert treeprod_green_by_distance(4, 3, 0.5, 0.0, 0, 2, 2).tolist() == [
+        [1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+
+
+def test_treeprod_green_satisfies_resolvent_identity():
+    # G(x) = delta(x) + r sum_s mu(s) G(xs); truncating at N steps leaves
+    # the residual r^(N+1) p_(N+1)(e, x) <= (r rho)^(N+1), within the tail
+    spec = TreeProduct(6, 4)
+    m = standard_measure(spec)
+    g = m.group
+    r = 1.08
+    xs = [((), ()), ((0,), ()), ((), (3,)), ((0, 1), (2, 1, 0))]
+    targets = xs + [g.multiply(x, s) for x in xs for s, _ in m.weights]
+    G = green_truncated(m, targets, r)
+    assert G[xs[0]].n_terms == 967 and G[xs[0]].rigorous
+    for x in xs:
+        rhs = (x == g.identity()) + r * sum(
+            float(w) * G[g.multiply(x, s)].value for s, w in m.weights)
+        assert abs(G[x].value - rhs) <= G[x].tail + 1e-13 * G[x].value
+
+
+def test_return_probability_treeprod_matches_convolution():
+    m = standard_measure(TreeProduct(4, 3), a1=Fraction(1, 3))
+    e = m.group.identity()
+    dist = {e: 1.0}
+    for n in range(9):
+        assert abs(return_probability(m, n) - dist[e]) <= 1e-13
+        dist = convolve(dist, m, support_cap=None)
 
 
 # frozen oracles from high-precision quadrature of the Bessel-product
