@@ -3,10 +3,10 @@
 H_r(n) = sum over the word-metric sphere S_n of G(e, x | r).  Each group
 in the catalog gets the cheapest correct engine:
 
-* regular trees and tree products -- the radial distance chain of each
-  tree factor (for a product, the two factor chains mixed by binomial
-  weights over how many steps each factor takes) plus the closed-form
-  sphere counts (rigorous tails below the convergence radius),
+* regular trees and tree products -- the closed-form tree resolvent (for
+  a product, the two factor resolvents integrated over an ellipse by the
+  trapezoid rule, with a proved per-sphere error bound) times the
+  closed-form sphere counts,
 * Z^d                             -- Bessel-integral Green values summed
   over coordinate symmetry classes,
 * Diestel-Leader                  -- sphere profile decomposition with the
@@ -35,10 +35,10 @@ from .groups import (
     RegularTree, TreeProduct, dl_sphere_profiles,
 )
 from .kernels import (
-    DEFAULT_SUPPORT_CAP, MEMO_SIZE, Measure, _geom_tail, _heuristic_tail,
-    _pick_n, dl_class_key, dl_class_tail, dl_green_classes, green_truncated,
+    DEFAULT_SUPPORT_CAP, MEMO_SIZE, Measure, _heuristic_tail, _pick_n,
+    dl_class_key, dl_class_tail, dl_green_classes, green_truncated,
     standard_measure, tree_green_by_distance, tree_sphere_sizes,
-    treeprod_green_by_distance, zd_lazy_green_batch,
+    treeprod_error, treeprod_green_by_distance, zd_lazy_green_batch,
 )
 
 
@@ -81,38 +81,29 @@ class OmegaEstimate:
 # engines
 
 
-def _h_tree(spec, measure, r, n_max, tol, max_terms):
-    l = spec.l
-    n_steps, rigorous, rho = _pick_n(measure, r, tol, max_terms, default=800)
-    G = tree_green_by_distance(l, r, n_steps, n_max)
-    sizes = tree_sphere_sizes(l, n_max)
-    per_elem = _geom_tail(r, rho, n_steps) if rigorous else float("nan")
-    vals = {}
-    for n in range(n_max + 1):
-        tail = sizes[n] * per_elem if rigorous else float("nan")
-        vals[n] = HEntry(float(sizes[n] * G[n]), tail, rigorous)
-    return vals
+def _h_tree(spec, r, n_max):
+    H = tree_sphere_sizes(spec.l, n_max) * tree_green_by_distance(
+        spec.l, r, n_max)
+    return {n: HEntry(float(H[n]), 0.0, True) for n in range(n_max + 1)}
 
 
-def _h_treeprod(spec, measure, r, n_max, tol, max_terms):
+def _sphere_sums(W):
+    """sum_{d1 + d2 = n} W[d1, d2] for n = 0..n_max, W square."""
+    d = np.arange(len(W))
+    return np.bincount(np.add.outer(d, d).ravel(), W.ravel())[: len(W)]
+
+
+def _h_treeprod(spec, measure, r, n_max, tol):
     a1 = float(measure.param("a1"))
-    n_steps, rigorous, rho = _pick_n(measure, r, tol, max_terms, default=800)
-    G = treeprod_green_by_distance(spec.l1, spec.l2, a1, r, n_steps,
-                                   n_max, n_max)
-    s1 = tree_sphere_sizes(spec.l1, n_max)
-    s2 = tree_sphere_sizes(spec.l2, n_max)
-    per_elem = _geom_tail(r, rho, n_steps) if rigorous else float("nan")
-    vals = {}
-    for n in range(n_max + 1):
-        total = 0.0
-        count = 0.0
-        for d1 in range(n + 1):
-            d2 = n - d1
-            total += s1[d1] * s2[d2] * G[d1, d2]
-            count += s1[d1] * s2[d2]
-        tail = count * per_elem if rigorous else float("nan")
-        vals[n] = HEntry(total, tail, rigorous)
-    return vals
+    counts = np.outer(tree_sphere_sizes(spec.l1, n_max),
+                      tree_sphere_sizes(spec.l2, n_max))
+    n, tails = treeprod_error(spec.l1, spec.l2, a1, r, n_max, n_max, tol,
+                              lambda E: _sphere_sums(counts * E))
+    G = treeprod_green_by_distance(spec.l1, spec.l2, a1, r, n, n_max,
+                                   n_max)
+    H = _sphere_sums(counts * G)
+    return {k: HEntry(float(H[k]), float(tails[k]), True)
+            for k in range(n_max + 1)}
 
 
 def _zd_sphere_classes(d: int, n: int):
@@ -247,18 +238,24 @@ def h_series(spec: GroupSpec, measure: Optional[Measure] = None,
              max_terms: Optional[int] = None,
              support_cap: Optional[int] = DEFAULT_SUPPORT_CAP,
              ) -> GrowthSeries:
-    """Sphere-summed Green series H_r(n) for n = 0..n_max.  The Z^d and
-    Diestel-Leader engines are not step sums and ignore max_terms."""
+    """Sphere-summed Green series H_r(n) for n = 0..n_max.
+
+    The tree, tree-product, Z^d and Diestel-Leader engines are not step
+    sums and ignore max_terms.  The tree engine is a closed form (tail 0,
+    0 <= r <= R); the tree-product engine picks its node count so that
+    every sphere's proved tail is at most tol, and raises ValueError at
+    r >= R or when that count would pass `kernels.MAX_NODES`.
+    """
     if measure is None:
         measure = standard_measure(spec)
-    if r < 0:
-        raise ValueError("r must be >= 0")
+    if not r >= 0:
+        raise ValueError(f"r must be >= 0, got r = {r}")
     kind = measure.kind
     if restriction is None:
         if isinstance(spec, RegularTree) and kind == "tree-lazy":
-            vals = _h_tree(spec, measure, r, n_max, tol, max_terms)
+            vals = _h_tree(spec, r, n_max)
         elif isinstance(spec, TreeProduct) and kind == "product-mix":
-            vals = _h_treeprod(spec, measure, r, n_max, tol, max_terms)
+            vals = _h_treeprod(spec, measure, r, n_max, tol)
         elif isinstance(spec, FreeAbelian) and kind == "lazy-srw" and r <= 1:
             vals = _h_zd(spec, measure, r, n_max, tol)
         elif isinstance(spec, DiestelLeader) and kind == "dl-srw":

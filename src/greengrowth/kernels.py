@@ -2,20 +2,22 @@
 
 The generic machinery works on sparse distributions over group elements
 with exact rational weights (mode "exact") or floats (mode "float").
-For groups whose standard kernels have extra structure, Green sums are
-computed by specialized engines that reach far higher truncation orders
-than sparse convolution could:
+For groups whose standard kernels have extra structure, Green functions
+are computed by specialized engines that sum no steps at all:
 
-* regular trees   -- radial birth-death chain on the distance,
-* tree products   -- the two factor distance chains, mixed by binomial
-                     weights over how many steps each factor takes,
+* regular trees   -- the closed-form resolvent F^|x| / (w - F) of the
+                     simple random walk on the tree,
+* tree products   -- the two factor resolvents multiplied on an ellipse
+                     around the first factor's spectrum and integrated by
+                     the trapezoid rule, with a proved error bound,
 * Z^d             -- Bessel-integral representation of the Green kernel,
 * Diestel-Leader  -- path-range decomposition of the lamplighter walk.
 
-Tail bounds use p_n(x, y) <= rho^n for symmetric kernels; they are
-rigorous whenever the spectral radius rho is known in closed form and
-r * rho < 1, and heuristic (geometric extrapolation, flagged) otherwise.
-The Diestel-Leader engine is exact per range; its range cutoff carries a
+Step sums (the generic convolution engine) bound their tails with
+p_n(x, y) <= rho^n for symmetric kernels; the bounds are rigorous
+whenever the spectral radius rho is known in closed form and r * rho < 1,
+and heuristic (geometric extrapolation, flagged) otherwise.  The
+Diestel-Leader engine is exact per range; its range cutoff carries a
 proved tail for 0 <= r <= 1.
 """
 
@@ -165,12 +167,10 @@ def known_spectral_radius(measure: Measure) -> Optional[float]:
     """Closed-form spectral radius, or None when unavailable."""
     spec, kind = measure.spec, measure.kind
     if kind == "tree-lazy":
-        return 0.5 + math.sqrt(spec.l - 1) / spec.l
+        return _tree_rho(spec.l)
     if kind == "product-mix":
         a1 = float(measure.param("a1"))
-        r1 = 0.5 + math.sqrt(spec.l1 - 1) / spec.l1
-        r2 = 0.5 + math.sqrt(spec.l2 - 1) / spec.l2
-        return a1 * r1 + (1 - a1) * r2
+        return a1 * _tree_rho(spec.l1) + (1.0 - a1) * _tree_rho(spec.l2)
     if kind == "lazy-srw":
         return 1.0  # Z^d and Heisenberg are amenable
     return None  # DL (its engine needs none) and free products
@@ -232,7 +232,7 @@ def convolve(dist: Dict[Element, object], measure: Measure,
 
 
 # ---------------------------------------------------------------------------
-# radial engines
+# tree and tree-product resolvent engines
 
 
 def tree_chain_step(l: int, v: np.ndarray) -> np.ndarray:
@@ -262,26 +262,6 @@ def tree_distance_law(l: int, n_max: int, d_max: int) -> np.ndarray:
     return P
 
 
-def _mix_weights(a1: float, r: float, n_max: int) -> np.ndarray:
-    """B[k, m] = r^(k+m) C(k+m, k) a1^k (1-a1)^m for k + m <= n_max, else 0.
-
-    The product-mix measure is a1 (mu1 x delta) + (1-a1) (delta x mu2) and
-    its two parts commute, so B[k, m] weighs k steps of the first factor
-    and m of the second.  Each antidiagonal comes from the previous one by
-    Pascal's rule; it adds only positive terms, so no entry underflows
-    before its true value does.
-    """
-    B = np.zeros((n_max + 1, n_max + 1))
-    flat = B.reshape(-1)
-    flat[0] = 1.0
-    b = np.ones(1)
-    for n in range(1, n_max + 1):
-        b = r * (np.append((1.0 - a1) * b, 0.0) + np.insert(a1 * b, 0, 0.0))
-        # B[k, n - k] sits at flat index n + k * n_max
-        flat[n: n * n_max + n + 1: n_max] = b
-    return B
-
-
 def tree_sphere_sizes(l: int, n_max: int) -> np.ndarray:
     sizes = np.ones(n_max + 1)
     for d in range(1, n_max + 1):
@@ -289,28 +269,194 @@ def tree_sphere_sizes(l: int, n_max: int) -> np.ndarray:
     return sizes
 
 
-def tree_green_by_distance(l: int, r: float, n_max: int, d_max: int
-                           ) -> np.ndarray:
-    """G(e, x | r) truncated at n_max, indexed by |x| = 0..d_max."""
-    rn = np.cumprod(np.r_[1.0, np.full(n_max, float(r))])
-    G = rn @ tree_distance_law(l, n_max, d_max)
-    return G / tree_sphere_sizes(l, d_max)
+def tree_resolvent(l: int, w, d_max: int) -> np.ndarray:
+    """(w - S)^(-1)(e, x) for |x| = 0..d_max along a new last axis, S the
+    simple random walk operator on T_l.
+
+    With c = 2 sqrt(l - 1) / l, the spectral radius of S, and
+    s = sqrt(w - c) sqrt(w + c), F = l (w - s) / (2 (l - 1)) is the
+    first-passage value to a neighbour and (w - S)^(-1)(e, x) =
+    F^|x| / (w - F) (Woess, Random Walks on Infinite Graphs and Groups,
+    CUP 2000).  F is computed as 2 / (l (w + s)), the same value without
+    the cancellation in w - s at large w.  w may be a complex array off
+    [-c, c]; real w must be >= c, and w = c (up to rounding) is the edge.
+    """
+    w = np.asarray(w)
+    c = 2.0 * math.sqrt(l - 1) / l
+    if np.iscomplexobj(w):
+        s = np.sqrt(w - c) * np.sqrt(w + c)
+    else:
+        s = np.sqrt(np.maximum(w - c, 0.0)) * np.sqrt(w + c)
+    F = 2.0 / (l * (w + s))
+    return F[..., None] ** np.arange(d_max + 1) / (w - F)[..., None]
+
+
+def _tree_rho(l: int) -> float:
+    """Spectral radius 1/2 + c/2 of the lazy walk 1/2 + S/2 on T_l."""
+    return 0.5 + math.sqrt(l - 1) / l
+
+
+def _delta(*shape) -> np.ndarray:
+    out = np.zeros(shape)
+    out[(0,) * len(shape)] = 1.0
+    return out
+
+
+def tree_green_by_distance(l: int, r: float, d_max: int) -> np.ndarray:
+    """G(e, x | r) of the lazy tree walk, indexed by |x| = 0..d_max.
+
+    The walk is 1/2 + S/2, so G = (2 / r) (w - S)^(-1) at the real point
+    w = 2 / r - 1, read from `tree_resolvent`: a closed form, exact up to
+    rounding, for 0 <= r <= R = 1 / rho.
+    """
+    R = 1.0 / _tree_rho(l)
+    if not 0.0 <= r <= R:
+        raise ValueError(f"the tree engine needs 0 <= r <= R = {R!r}, "
+                         f"got r = {r}")
+    if r == 0.0:
+        return _delta(d_max + 1)  # G = delta_e
+    return (2.0 / r) * tree_resolvent(l, 2.0 / r - 1.0, d_max)
+
+
+# The tree-product walk is rA + rB with A = 1/4 + (a1/2) S1 on the first
+# factor and B = 1/4 + (a2/2) S2 on the second.  The two commute, and for
+# 0 < r < R the spectrum of rA lies left of 1 - spec(rB), so
+#   G(e, (x1, x2) | r) = (1/2 pi i) oint (z - rA)^(-1)(e, x1)
+#                                        (1 - z - rB)^(-1)(e, x2) dz
+# over a contour around spec(rA) only (the residue of 1 / ((z - x)(1 - z
+# - y)) at z = x is 1 / (1 - x - y)).  The contour is the ellipse
+# z = r/4 + (f/2)(u + 1/u), u = rho0 e^(i theta), whose foci r/4 -+ f,
+# f = r a1 c1 / 2, are the ends of spec(rA).  On it the first factor sits
+# at w1 = (c1/2)(u + 1/u), the Joukowski map, so F1 = 1 / (sqrt(l1 - 1) u)
+# has constant modulus.  Its right vertex r/4 + f (rho0 + 1/rho0) / 2 lies
+# halfway between spec(rA) and 1 - spec(rB), whose left end is kappa f
+# right of r/4; rho_out = kappa + sqrt(kappa^2 - 1) puts the vertex on it.
+# The integrand h(theta) is analytic in u on the annulus
+# rho_in < |u| < rho_out, rho_in = max(1/rho_out, 1/sqrt(l1 - 1)) (inside
+# |u| = 1 the first factor continues through its cut, F1 staying
+# 1 / (sqrt(l1 - 1) u), up to the pole of 1 / (w1 - F1) at
+# |u| = 1/sqrt(l1 - 1)).  The M-node trapezoid rule in theta then errs by
+# at most H(rho) x^M / (1 - x^M) from each side, x = rho0 / rho outside
+# and rho / rho0 inside, H(rho) the largest |h| on |u| = rho
+# (Trefethen & Weideman, SIAM Review 56, 2014).
+
+MAX_NODES = 1 << 16  # the most trapezoid nodes a tolerance may ask for
+# circles the bound is tried on, as fractions of the log-distance from
+# |u| = rho0 to the edge of the annulus on each side
+_BOUND_FRACTIONS = (0.25, 0.5, 0.75, 0.9)
+
+
+def _treeprod_contour(l1: int, l2: int, a1: float, r: float
+                      ) -> Tuple[float, float, float]:
+    """(rho0, rho_in, rho_out) of the contour for 0 < r < R."""
+    R = 1.0 / (a1 * _tree_rho(l1) + (1.0 - a1) * _tree_rho(l2))
+    if not 0.0 < r < R:
+        raise ValueError(f"the tree-product engine needs 0 <= r < R = "
+                         f"{R!r}, got r = {r}")
+    c1 = 2.0 * math.sqrt(l1 - 1) / l1
+    c2 = 2.0 * math.sqrt(l2 - 1) / l2
+    kappa = (1.0 - r / 2 - r * (1.0 - a1) * c2 / 2) / (r * a1 * c1 / 2)
+    k0 = (1.0 + kappa) / 2
+    rho0 = k0 + math.sqrt(max(k0 * k0 - 1.0, 0.0))
+    rho_out = kappa + math.sqrt(max(kappa * kappa - 1.0, 0.0))
+    return rho0, max(1.0 / rho_out, 1.0 / math.sqrt(l1 - 1)), rho_out
+
+
+def _treeprod_w2(a1, r, z):
+    """The second factor's resolvent point for contour point z."""
+    return 2.0 * (1.0 - z - r / 4) / (r * (1.0 - a1))
 
 
 def treeprod_green_by_distance(l1: int, l2: int, a1: float, r: float,
-                               n_max: int, d1_max: int, d2_max: int
+                               n: int, d1_max: int, d2_max: int
                                ) -> np.ndarray:
-    """Truncated G(e, (x1, x2) | r) indexed by the pair of factor distances.
+    """G(e, (x1, x2) | r) of the product-mix walk, indexed by the pair of
+    factor distances, from the n-node trapezoid rule on the contour above.
 
-    Sum over k + m <= n_max of B[k, m] P1[k, d1] P2[m, d2], with the mix
-    weights B of `_mix_weights` and the factor distance laws Pi of
-    `tree_distance_law`: the same n_max-step truncation as a chain on the
-    joint distance lattice, in time quadratic rather than cubic in n_max.
+    `treeprod_error` gives the node count for a tolerance and bounds what
+    the rule leaves out; rounding adds an absolute error of about machine
+    epsilon times the largest term, so values far below G(e, e | r), at
+    large distances and small r, keep fewer relative digits.  Valid for
+    0 <= r < R.
     """
-    G = (tree_distance_law(l1, n_max, d1_max).T @ _mix_weights(a1, r, n_max)
-         @ tree_distance_law(l2, n_max, d2_max))
-    return G / np.outer(tree_sphere_sizes(l1, d1_max),
-                        tree_sphere_sizes(l2, d2_max))
+    if r == 0.0:
+        return _delta(d1_max + 1, d2_max + 1)  # G = delta_e
+    rho0 = _treeprod_contour(l1, l2, a1, r)[0]
+    c1 = 2.0 * math.sqrt(l1 - 1) / l1
+    u = rho0 * np.exp(2j * math.pi * np.arange(n) / n)
+    w1 = (c1 / 2) * (u + 1.0 / u)
+    z = r / 4 + (r * a1 / 2) * w1
+    # dz = i (r a1 c1 / 4)(u - 1/u) d theta, times the factors 2 / (r a1)
+    # and 2 / (r a2) of the two resolvents, over 2 pi i, for weight 2 pi / n
+    wts = c1 * (u - 1.0 / u) / (r * (1.0 - a1) * n)
+    R1 = tree_resolvent(l1, w1, d1_max) * wts[:, None]
+    R2 = tree_resolvent(l2, _treeprod_w2(a1, r, z), d2_max)
+    return (R1.T @ R2).real
+
+
+def _treeprod_circle(l1, l2, a1, r, rho):
+    """(A, p, q) with |h| <= A p^d1 q^d2 on the circle |u| = rho.
+
+    |dz/dtheta| <= (f/2)(rho + 1/rho); |F1| = p = 1 / (sqrt(l1 - 1) rho)
+    and |w1 - F1| = (sqrt(l1 - 1)/l1) |u^2 - 1/(l1 - 1)| / |u| >= L1.  The
+    z-ellipse of |u| = rho (or 1/rho) lies left of the vertical line
+    through its right vertex, and the level curve of |F2| through that
+    vertex (an ellipse with its foci at the ends of 1 - spec(rB)) right of
+    it, so |F2| <= q and |w2 - F2| >= L2, their values at the vertex.
+    """
+    c1 = 2.0 * math.sqrt(l1 - 1) / l1
+    k = math.sqrt(l1 - 1)
+    p = 1.0 / (k * rho)
+    L1 = (k / l1) * (rho * rho - 1.0 / (l1 - 1)) / rho
+    big = max(rho, 1.0 / rho)
+    w2 = _treeprod_w2(a1, r, r / 4 + (r * a1 * c1 / 4) * (big + 1.0 / big))
+    res = tree_resolvent(l2, w2, 1)  # 1 / (w2 - F2), F2 / (w2 - F2)
+    A = c1 * (rho + 1.0 / rho) * res[0] / (r * (1.0 - a1) * L1)
+    return A, p, res[1] / res[0]
+
+
+def treeprod_error(l1: int, l2: int, a1: float, r: float, d1_max: int,
+                   d2_max: int, tol: float,
+                   reduce: Callable[[np.ndarray], np.ndarray],
+                   ) -> Tuple[int, np.ndarray]:
+    """Node count for `tol`, and the proved bound on what the rule leaves
+    out, for 0 <= r < R.
+
+    E[d1, d2], (d1_max + 1) x (d2_max + 1), bounds the error of one element
+    at distances (d1, d2); `reduce` maps such a matrix (linearly, with
+    nonnegative weights) to the errors the caller reports, e.g. sphere
+    sums.  Returns the smallest node count M with every entry of reduce(E)
+    at most tol, and reduce(E) at M.  Raises ValueError if M would exceed
+    MAX_NODES.
+    """
+    if not tol > 0:
+        raise ValueError(f"tol must be > 0, got tol = {tol}")
+    if r == 0.0:  # G = delta_e, no nodes needed
+        return 0, reduce(np.zeros((d1_max + 1, d2_max + 1)))
+    rho0, rho_in, rho_out = _treeprod_contour(l1, l2, a1, r)
+    d1 = np.arange(d1_max + 1)[:, None]
+    d2 = np.arange(d2_max + 1)[None, :]
+    sides = []
+    for edge in (rho_out, rho_in):
+        best = None
+        for t in _BOUND_FRACTIONS:
+            rho = rho0 * (edge / rho0) ** t
+            A, p, q = _treeprod_circle(l1, l2, a1, r, rho)
+            with np.errstate(over="ignore"):
+                K = reduce(A * p ** d1 * q ** d2)
+            x = min(rho / rho0, rho0 / rho)
+            m = (math.log1p(2.0 * float(K.max()) / tol) / -math.log(x)
+                 if x < 1.0 else math.inf)
+            if best is None or m < best[0]:
+                best = (m, K, x)
+        sides.append(best)
+    m = max(side[0] for side in sides)
+    if not m <= MAX_NODES:
+        raise ValueError(
+            f"the tree-product rule needs more than MAX_NODES = {MAX_NODES} "
+            f"nodes for tol = {tol} at r = {r}")
+    M = max(1, math.ceil(m))
+    return M, sum(K * x ** M / (1.0 - x ** M) for _, K, x in sides)
 
 
 def zd_lazy_green(d: int, alpha: float, x: Sequence[int], r: float) -> float:
@@ -550,11 +696,14 @@ def green_truncated(measure: Measure, targets: Sequence[Element], r: float,
     The truncation order comes from the closed-form spectral radius when
     available with r * rho < 1 (rigorous tail bound), else from max_terms
     with a heuristic tail estimate, flagged via ``rigorous=False``.  The
-    Z^d and Diestel-Leader engines are not step sums and ignore max_terms;
-    n_terms = -1 marks a value that is not a truncation.
+    tree, tree-product, Z^d and Diestel-Leader engines are not step sums
+    and ignore max_terms; n_terms = -1 marks a value that is not a
+    truncation.  The tree engine is a closed form (tail 0); the
+    tree-product engine's tail bounds its quadrature error, and it raises
+    ValueError at r >= R, as the tree engine does at r > R.
     """
-    if r < 0:
-        raise ValueError("r must be >= 0")
+    if not r >= 0:
+        raise ValueError(f"r must be >= 0, got r = {r}")
     spec, kind = measure.spec, measure.kind
     targets = list(dict.fromkeys(targets))
     if not targets:
@@ -562,9 +711,9 @@ def green_truncated(measure: Measure, targets: Sequence[Element], r: float,
 
     if mode == "float":
         if isinstance(spec, RegularTree) and kind == "tree-lazy":
-            return _green_tree(measure, targets, r, tol, max_terms)
+            return _green_tree(measure, targets, r)
         if isinstance(spec, TreeProduct) and kind == "product-mix":
-            return _green_treeprod(measure, targets, r, tol, max_terms)
+            return _green_treeprod(measure, targets, r, tol)
         if isinstance(spec, FreeAbelian) and kind == "lazy-srw" and r <= 1.0:
             return _green_zd_integral(measure, targets, r, tol)
         if isinstance(spec, DiestelLeader) and kind == "dl-srw":
@@ -607,29 +756,25 @@ def _green_generic(measure, targets, r, tol, mode, max_terms, support_cap):
             for x in targets}
 
 
-def _green_tree(measure, targets, r, tol, max_terms):
-    l = measure.spec.l
-    n_max, rigorous, rho = _pick_n(measure, r, tol, max_terms, default=400)
+def _green_tree(measure, targets, r):
     g = measure.group
-    d_max = max(g.word_length(x) for x in targets)
-    G = tree_green_by_distance(l, r, n_max, d_max)
-    tail = _geom_tail(r, rho, n_max) if rigorous else float("nan")
-    return {x: GreenEstimate(float(G[g.word_length(x)]), n_max, tail, rigorous)
-            for x in targets}
+    d = [g.word_length(x) for x in targets]
+    G = tree_green_by_distance(measure.spec.l, r, max(d))
+    return {x: GreenEstimate(float(G[dx]), -1, 0.0, True)
+            for x, dx in zip(targets, d)}
 
 
-def _green_treeprod(measure, targets, r, tol, max_terms):
+def _green_treeprod(measure, targets, r, tol):
     spec = measure.spec
     a1 = float(measure.param("a1"))
-    n_max, rigorous, rho = _pick_n(measure, r, tol, max_terms, default=400)
-    d1_max = max(len(x[0]) for x in targets)
-    d2_max = max(len(x[1]) for x in targets)
-    G = treeprod_green_by_distance(spec.l1, spec.l2, a1, r, n_max,
-                                   d1_max, d2_max)
-    tail = _geom_tail(r, rho, n_max) if rigorous else float("nan")
-    return {x: GreenEstimate(float(G[len(x[0]), len(x[1])]), n_max, tail,
-                             rigorous)
-            for x in targets}
+    d1 = np.array([len(x[0]) for x in targets])
+    d2 = np.array([len(x[1]) for x in targets])
+    n, tails = treeprod_error(spec.l1, spec.l2, a1, r, d1.max(), d2.max(),
+                              tol, lambda E: E[d1, d2])
+    G = treeprod_green_by_distance(spec.l1, spec.l2, a1, r, n, d1.max(),
+                                   d2.max())
+    return {x: GreenEstimate(float(v), -1, float(t), True)
+            for x, v, t in zip(targets, G[d1, d2], tails)}
 
 
 def _green_zd_integral(measure, targets, r, tol):
@@ -645,8 +790,7 @@ def _green_zd_integral(measure, targets, r, tol):
         key = tuple(sorted(abs(v) for v in x))
         if key not in cache:
             cache[key] = zd_lazy_green(spec.d, alpha, key, r)
-        out[x] = GreenEstimate(cache[key], n_rig if rigorous else -1,
-                               tail, rigorous)
+        out[x] = GreenEstimate(cache[key], -1, tail, rigorous)
     return out
 
 
@@ -759,11 +903,15 @@ def return_probability(measure: Measure, n: int,
     if isinstance(spec, RegularTree) and kind == "tree-lazy":
         return float(tree_distance_law(spec.l, n, 0)[n, 0])
     if isinstance(spec, TreeProduct) and kind == "product-mix":
-        # p_n(e, e) = sum_k C(n, k) a1^k a2^(n-k) p1_k(0) p2_(n-k)(0)
-        b = np.fliplr(_mix_weights(float(measure.param("a1")), 1.0, n))
+        # p_n(e, e) = sum_k C(n, k) a1^k a2^(n-k) p1_k(0) p2_(n-k)(0),
+        # the binomial weights b[k] built up by Pascal's rule
+        a1 = float(measure.param("a1"))
+        b = np.ones(1)
+        for _ in range(n):
+            b = np.append((1.0 - a1) * b, 0.0) + np.insert(a1 * b, 0, 0.0)
         p1 = tree_distance_law(spec.l1, n, 0)[:, 0]
         p2 = tree_distance_law(spec.l2, n, 0)[::-1, 0]
-        return float(b.diagonal() @ (p1 * p2))
+        return float(b @ (p1 * p2))
     g = measure.group
     dist = {g.identity(): 1.0}
     for _ in range(n):

@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 from greengrowth.cli import build_parser, main
+from greengrowth.groups import TreeProduct
+from greengrowth.kernels import known_spectral_radius, standard_measure
 
 
 def run(capsys, *argv):
@@ -138,6 +140,33 @@ def test_dl_r_beyond_one_exit_code(capsys):
     assert code == 1
     assert not out
     assert "0 <= r <= 1" in err
+
+
+def test_tree_r_beyond_radius_exit_code(capsys):
+    code, out, err = run(capsys, "hr", "--group", "tree", "--l", "4",
+                         "--r", "1.2", "--nmax", "4")
+    assert code == 1
+    assert not out
+    assert "0 <= r <= R" in err
+
+
+def test_treeprod_r_at_radius_exit_code(capsys):
+    R = 1.0 / known_spectral_radius(standard_measure(TreeProduct(6, 4)))
+    code, out, err = run(capsys, "hr", "--group", "treeprod", "--l1", "6",
+                         "--l2", "4", "--r", repr(R), "--nmax", "4")
+    assert code == 1
+    assert not out
+    assert "0 <= r < R" in err
+
+
+def test_treeprod_series_tails_within_tol(capsys):
+    code, out, _ = run(capsys, "hr", "--group", "treeprod", "--l1", "6",
+                       "--l2", "4", "--r", "1.03", "--nmax", "30")
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+    assert len(rows) == 31
+    for row in rows:
+        assert float(row[2]) <= 1e-9 and row[3] == "true"
 
 
 def test_budget_error_exit_code(capsys, monkeypatch):

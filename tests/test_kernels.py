@@ -15,7 +15,8 @@ from greengrowth.kernels import (
     convolve, dl_class_key, dl_green_classes, first_return_coefficients,
     first_return_kernel, green_truncated, restricted_green,
     return_probability, spectral_radius_lower, standard_measure,
-    tree_green_by_distance, tree_sphere_sizes, treeprod_green_by_distance,
+    tree_distance_law, tree_green_by_distance, tree_sphere_sizes,
+    treeprod_green_by_distance,
     zd_lazy_green, zd_lazy_green_batch,
 )
 from greengrowth.trees import tree_closed_form, tree_green
@@ -31,11 +32,23 @@ def test_standard_measures_are_probability_measures():
         assert all(w > 0 for _, w in m.weights)
 
 
+def _geometric_steps(x, tail):
+    """An N with sum_{n > N} x^n = x^(N+1) / (1 - x) <= tail."""
+    return math.ceil(math.log(tail * (1.0 - x)) / math.log(x))
+
+
 @pytest.mark.parametrize("l,r", [(4, 0.8), (4, 1.0), (6, 0.9)])
 def test_tree_chain_matches_closed_form(l, r):
-    G = tree_green_by_distance(l, r, n_max=400, d_max=6)
-    for d in range(7):
-        assert abs(G[d] - tree_green(l, r, d)) < 1e-9
+    # the stepped distance chain is a lower bound; p_n(e, x) <= rho^n
+    # bounds what it leaves out after N steps
+    rho = tree_closed_form(l, r).rho
+    tail = 1e-13
+    n = _geometric_steps(r * rho, tail)
+    chain = (r ** np.arange(n + 1) @ tree_distance_law(l, n, 6)
+             / tree_sphere_sizes(l, 6))
+    G = tree_green_by_distance(l, r, 6)
+    assert np.all(chain <= G * (1 + 1e-13))
+    assert np.all(G - chain <= tail + 1e-13 * G)
 
 
 def test_tree_sphere_sizes():
@@ -68,28 +81,45 @@ def _word(d):
     return tuple(i % 2 for i in range(d))
 
 
+def _treeprod_rho(l1, l2, a1):
+    return a1 * tree_closed_form(l1, 1.0).rho + (1 - a1) * tree_closed_form(
+        l2, 1.0).rho
+
+
 def test_treeprod_engine_matches_2d_distance_chain():
-    m = standard_measure(TreeProduct(6, 4))
+    l1, l2, a1, r = 6, 4, 0.5, 1.03
+    m = standard_measure(TreeProduct(l1, l2))
     xs = [(_word(d1), _word(d2)) for d1 in range(9) for d2 in range(9)]
-    got = green_truncated(m, xs, 1.03, max_terms=150)
-    ref = _treeprod_2d_chain(6, 4, 0.5, 1.03, 150, 8)
+    got = green_truncated(m, xs, r)
+    chain_tail = 1e-13
+    n = _geometric_steps(r * _treeprod_rho(l1, l2, a1), chain_tail)
+    ref = _treeprod_2d_chain(l1, l2, a1, r, n, 8)
     for x in xs:
-        assert got[x].n_terms == 150 and not got[x].rigorous
+        assert got[x].n_terms == -1 and got[x].rigorous
+        assert got[x].tail <= 1e-9
         expected = ref[len(x[0]), len(x[1])]
-        assert abs(got[x].value - expected) <= 1e-12 * expected
+        assert abs(got[x].value - expected) <= (
+            got[x].tail + chain_tail + 1e-12 * expected)
 
 
 def test_treeprod_engine_matches_exact_sweep():
-    # l1 != l2 and a1 != 1/2, so swapping the factors or their weights fails
+    # l1 != l2 and a1 != 1/2, so swapping the factors or their weights
+    # fails; at r = 0.1 the ten exact terms leave a tail below 1e-11
     m = standard_measure(TreeProduct(4, 3), a1=Fraction(1, 3))
+    r = 0.1
     xs = [((), ()), ((0,), ()), ((), (0,)), ((0, 1), (2,)), ((1,), (0, 1, 0))]
-    exact = green_truncated(m, xs, 0.9, mode="exact", max_terms=10,
-                            support_cap=None)
-    fast = green_truncated(m, xs, 0.9, max_terms=10)
-    for x in xs:
-        assert fast[x].n_terms == exact[x].n_terms == 10
-        assert abs(fast[x].value - float(exact[x].value)) <= (
-            1e-12 * fast[x].value)
+    exact = green_truncated(m, xs, r, tol=1e-14, mode="exact",
+                            max_terms=10, support_cap=None)
+    x = r * _treeprod_rho(4, 3, 1 / 3)
+    exact_tail = x ** 11 / (1 - x)
+    assert exact_tail < 1e-11
+    fast = green_truncated(m, xs, r, tol=1e-14)
+    for y in xs:
+        assert exact[y].n_terms == 10 and fast[y].n_terms == -1
+        assert fast[y].tail <= 1e-14
+        diff = fast[y].value - float(exact[y].value)
+        assert -fast[y].tail - 1e-15 <= diff
+        assert diff <= exact_tail + fast[y].tail + 1e-15
 
 
 def test_treeprod_engine_at_r_zero_is_delta():
@@ -100,11 +130,14 @@ def test_treeprod_engine_at_r_zero_is_delta():
     assert all(got[x].tail == 0.0 and got[x].rigorous for x in xs)
     assert treeprod_green_by_distance(4, 3, 0.5, 0.0, 0, 2, 2).tolist() == [
         [1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+    series = h_series(TreeProduct(4, 3), r=0.0, n_max=4)
+    assert list(series.array()) == [1.0, 0.0, 0.0, 0.0, 0.0]
+    assert all(series.values[n].tail == 0.0 for n in range(5))
 
 
 def test_treeprod_green_satisfies_resolvent_identity():
-    # G(x) = delta(x) + r sum_s mu(s) G(xs); truncating at N steps leaves
-    # the residual r^(N+1) p_(N+1)(e, x) <= (r rho)^(N+1), within the tail
+    # G(x) = delta(x) + r sum_s mu(s) G(xs) holds exactly, so the residual
+    # of the computed values is within their tails (and rounding)
     spec = TreeProduct(6, 4)
     m = standard_measure(spec)
     g = m.group
@@ -112,11 +145,100 @@ def test_treeprod_green_satisfies_resolvent_identity():
     xs = [((), ()), ((0,), ()), ((), (3,)), ((0, 1), (2, 1, 0))]
     targets = xs + [g.multiply(x, s) for x in xs for s, _ in m.weights]
     G = green_truncated(m, targets, r)
-    assert G[xs[0]].n_terms == 967 and G[xs[0]].rigorous
+    assert all(G[y].n_terms == -1 and G[y].rigorous for y in targets)
     for x in xs:
         rhs = (x == g.identity()) + r * sum(
             float(w) * G[g.multiply(x, s)].value for s, w in m.weights)
-        assert abs(G[x].value - rhs) <= G[x].tail + 1e-13 * G[x].value
+        allowed = G[x].tail + r * sum(
+            float(w) * G[g.multiply(x, s)].tail for s, w in m.weights)
+        assert abs(G[x].value - rhs) <= allowed + 1e-13 * G[x].value
+
+
+def _treeprod_mixed_chain(l1, l2, a1, r, n_max, d_max):
+    """Truncated sums over |x1| = d1, |x2| = d2 of G(e, x | r): the
+    product-mix walk gives k of k + m <= n_max steps to the first factor
+    with weight C(k + m, k) a1^k a2^m, and each factor steps its own
+    distance chain."""
+    B = np.zeros((n_max + 1, n_max + 1))
+    b = np.ones(1)
+    for n in range(n_max + 1):
+        B[np.arange(n + 1), n - np.arange(n + 1)] = b * r ** n
+        b = np.append((1 - a1) * b, 0.0) + np.insert(a1 * b, 0, 0.0)
+    return (tree_distance_law(l1, n_max, d_max).T @ B
+            @ tree_distance_law(l2, n_max, d_max))
+
+
+def test_series_tails_bound_the_error():
+    # references run until |S_n| (r rho)^(N+1) / (1 - r rho) <= 1e-13
+    chain_tail = 1e-13
+    n_max = 30
+    d = np.arange(n_max + 1)
+
+    def sphere_sums(W):
+        return np.bincount(np.add.outer(d, d).ravel(), W.ravel())[: n_max + 1]
+
+    cases = []
+    # a1 != 1/2 and l1 != l2 in the second product, so swapping fails
+    for l1, l2, a1, r in ((6, 4, Fraction(1, 2), 1.03),
+                          (4, 3, Fraction(1, 3), 1.0)):
+        spec = TreeProduct(l1, l2)
+        series = h_series(spec, standard_measure(spec, a1=a1), r, n_max)
+        size = sphere_sums(np.outer(tree_sphere_sizes(l1, n_max),
+                                    tree_sphere_sizes(l2, n_max)))
+        x = r * _treeprod_rho(l1, l2, float(a1))
+        n = _geometric_steps(x, chain_tail / size.max())
+        cases.append((series, sphere_sums(
+            _treeprod_mixed_chain(l1, l2, float(a1), r, n, n_max))))
+
+    tree = h_series(RegularTree(4), r=1.05, n_max=n_max)
+    size = tree_sphere_sizes(4, n_max)
+    x = 1.05 * tree_closed_form(4, 1.05).rho
+    n = _geometric_steps(x, chain_tail / size.max())
+    cases.append((tree, 1.05 ** np.arange(n + 1)
+                  @ tree_distance_law(4, n, n_max)))
+
+    for s, ref in cases:
+        for k in range(n_max + 1):
+            e = s.values[k]
+            assert e.rigorous and e.tail <= 1e-9
+            assert abs(e.value - ref[k]) <= (e.tail + chain_tail
+                                             + 1e-12 * e.value)
+
+
+def test_engines_refuse_bad_radii():
+    tp = TreeProduct(6, 4)
+    m_tp = standard_measure(tp)
+    m_tree = standard_measure(RegularTree(4))
+    R_tp = 1.0 / _treeprod_rho(6, 4, 0.5)
+    R_tree = tree_closed_form(4, 1.0).R
+    e_tp, e_tree = m_tp.group.identity(), m_tree.group.identity()
+    for r in (-0.1, float("nan"), R_tree * (1 + 1e-9)):
+        with pytest.raises(ValueError):
+            green_truncated(m_tree, [e_tree], r)
+        with pytest.raises(ValueError):
+            h_series(RegularTree(4), r=r, n_max=4)
+    # the tree series converges at R, the tree-product rule needs r < R
+    assert h_series(RegularTree(4), r=R_tree, n_max=4).values[4].rigorous
+    for r in (-0.1, float("nan"), R_tp):
+        with pytest.raises(ValueError):
+            green_truncated(m_tp, [e_tp], r)
+        with pytest.raises(ValueError):
+            h_series(tp, r=r, n_max=4)
+    # just below R the node count for tol passes MAX_NODES
+    with pytest.raises(ValueError, match="MAX_NODES"):
+        h_series(tp, r=R_tp * (1 - 1e-9), n_max=4)
+    with pytest.raises(ValueError, match="MAX_NODES"):
+        green_truncated(m_tp, [e_tp], R_tp * (1 - 1e-9))
+
+
+def test_tree_engine_at_r_zero_is_delta():
+    m = standard_measure(RegularTree(4))
+    xs = m.group.ball(1)[0] + m.group.ball(1)[1]
+    got = green_truncated(m, xs, 0.0)
+    assert [got[x].value for x in xs] == [1.0] + [0.0] * (len(xs) - 1)
+    series = h_series(RegularTree(4), r=0.0, n_max=4)
+    assert list(series.array()) == [1.0, 0.0, 0.0, 0.0, 0.0]
+    assert all(series.values[n].tail == 0.0 for n in range(5))
 
 
 def test_return_probability_treeprod_matches_convolution():
@@ -160,6 +282,14 @@ def test_zd_green_matches_series_at_small_r():
     cls = (0, 0, 0)
     integral = zd_lazy_green_batch(3, 0.5, [cls], r)[cls]
     assert abs(series - integral) < 1e-8
+
+
+def test_zd_green_estimate_is_not_a_truncation():
+    m = standard_measure(FreeAbelian(3))
+    e = m.group.identity()
+    est = green_truncated(m, [e], 0.99)[e]
+    assert est.n_terms == -1
+    assert est.value == zd_lazy_green(3, 0.5, (0, 0, 0), 0.99)
 
 
 def test_dl_green_engine_matches_convolution_series():
