@@ -216,7 +216,6 @@ def _cmd_freeprod_scan(args, out) -> int:
         "l1": args.l1, "l2": args.l2, "a1": args.a1, "d": args.d,
         "alpha": args.alpha, "truncation": report.truncation,
         "r0": report.r0, "r_cap": report.r_cap,
-        "r_cap_heuristic": report.r_cap_heuristic,
         "crossing_r": report.crossing_r,
         "crossing_zeta0": report.crossing_zeta0,
         "crossing_residual": report.crossing_residual,

@@ -9,20 +9,21 @@ at a shifted parameter:
 where w_0(r) is the r-weighted series of first returns to e whose first
 step was drawn from the alpha * mu_1 component, and
 zeta_0(r) = (1 - alpha) r / (1 - w_0(r)); symmetrically for the other
-factor.  The w's are computed as certified lower bounds at a finite
-truncation order and never extrapolated.
+factor.  With U_i = 1 - 1/G_i(e, e | .) the factors' first-return series,
+w_0 = (1 - w_1) U_1(alpha r / (1 - w_1)) and symmetrically (Woess, Random
+Walks on Infinite Graphs and Groups, CUP 2000): only the factor engines
+enter, and no convolution runs.
 
 The construction scan takes a tree-product factor with a growth phase
 threshold r0 and an abelian factor Z^d, and locates the parameter r at
 which zeta_0(r) crosses r0 -- the point where the factor's sphere series
 switches from divergent-type to convergent-type behavior at its own
-growth exponent.
+growth exponent, up to the free product's radius R_mu by default.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -30,14 +31,16 @@ import numpy as np
 from .bitree import PhaseParams, capital_R, classify, model_window, \
     prefactor_exponent, solve_t0
 from .groups import FreeAbelian, FreeProduct, TreeProduct
-from .growth import h_series, omega_estimate, sphere_reduced_sweep
+from .growth import h_series, omega_estimate
 from .kernels import (
-    MEMO_SIZE, Measure, first_return_coefficients, green_truncated,
-    standard_measure,
+    Measure, first_return_coefficients, green_truncated, standard_measure,
 )
 
 DEFAULT_N = 24
 DEFAULT_SCAN_SUPPORT_CAP = 200_000
+STEP_TOL = 1e-14
+MAX_ITERATIONS = 2000
+BRANCH_END_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -49,10 +52,8 @@ class TransferPoint:
     zeta0: float
     zeta1: float
     truncation: int
-    lower_bound_only: bool = True
 
 
-@lru_cache(maxsize=MEMO_SIZE)
 def tagged_return_coefficients(measure: Measure, n_max: int = DEFAULT_N,
                                support_cap: Optional[int]
                                = DEFAULT_SCAN_SUPPORT_CAP,
@@ -60,22 +61,18 @@ def tagged_return_coefficients(measure: Measure, n_max: int = DEFAULT_N,
     """Arrays a_i[n] = P(first return to e at step n, first step drawn
     from the factor-i component of the mixed measure), n = 0..n_max.
 
-    These are r-independent, so one convolution sweep serves a whole
-    r-grid of transfer points, and they are memoized: pass the arguments
-    positionally so that equal requests share one entry.  Entries are
-    certified lower bounds under support pruning.
+    A pruned convolution sweep, independent of the factor equations that
+    `transfer` solves, kept as a cross-check: its entries are certified
+    lower bounds.
     """
-    spec = measure.spec
-    if not isinstance(spec, FreeProduct) or measure.kind != "freeprod-mix":
+    if measure.kind != "freeprod-mix":
         raise ValueError("tagged returns need a freeprod-mix measure")
     alpha = float(measure.param("alpha"))
     g = measure.group
     e = g.identity()
-    m_left = standard_measure(spec.left)
-    m_right = standard_measure(spec.right)
     out = []
-    for side, part, weight in ((0, m_left, 1.0 - alpha),
-                               (1, m_right, alpha)):
+    for side, part, weight in ((0, measure.param("left"), 1.0 - alpha),
+                               (1, measure.param("right"), alpha)):
         first = {g.embed(side, x): weight * float(w)
                  for x, w in part.weights}
         coeffs = first_return_coefficients(
@@ -85,31 +82,47 @@ def tagged_return_coefficients(measure: Measure, n_max: int = DEFAULT_N,
     return out[0], out[1]
 
 
+def _excursions(factor: Measure, c: float, w: float) -> float:
+    """(1 - w) U(c / (1 - w)): first returns of the factor walk, weight c
+    per step, with excursions of weight w inserted at each interior visit."""
+    e = factor.group.identity()
+    g = green_truncated(factor, [e], c / (1.0 - w))[e].value
+    return (1.0 - w) * (1.0 - 1.0 / g)
+
+
 def transfer(spec: FreeProduct, measure: Optional[Measure], r: float,
              n_max: int = DEFAULT_N,
              support_cap: Optional[int] = DEFAULT_SCAN_SUPPORT_CAP,
              ) -> TransferPoint:
-    """Transfer quantities w_i(r), zeta_i(r) at truncation order n_max.
+    """w_i(r), zeta_i(r): the least solution of the factor equations.
 
-    w_0 is the series with first step from the alpha * mu_1 component
-    (the abelian side of the mix), matching zeta_0 = (1-alpha) r / (1-w_0)
-    for the *left* factor; symmetrically for w_1.
+    w_0 tags first steps from the alpha * mu_1 component and shifts the
+    *left* factor, zeta_0 = (1-alpha) r / (1-w_0); symmetrically for w_1.
+    From w = 0, w_0 and then w_1 are updated until no w moves by more than
+    STEP_TOL.  U_i has nonnegative coefficients and U_i < 1, so the
+    iterates increase to the solution and stay below it and below 1: no
+    engine is called past its radius while r < R_mu.  n_max and
+    support_cap are ignored (no sweep runs); truncation is -1.  Raises
+    ValueError at r < 0 and at or past R_mu, where an engine refuses its
+    zeta or MAX_ITERATIONS steps do not settle (which can also happen just
+    below R_mu where the two equations become tangent).
     """
     if measure is None:
         measure = standard_measure(spec)
-    if r < 0:
-        raise ValueError("r must be >= 0")
     alpha = float(measure.param("alpha"))
-    a_left, a_right = tagged_return_coefficients(measure, n_max, support_cap)
-    powers = r ** np.arange(n_max + 1)
-    # w_0 tags first steps from the complementary (right) component
-    w0 = float(a_right @ powers)
-    w1 = float(a_left @ powers)
-    if w0 >= 1.0 or w1 >= 1.0:
-        raise ValueError("truncated first-return mass reached 1; r too large")
-    zeta0 = (1.0 - alpha) * r / (1.0 - w0)
-    zeta1 = alpha * r / (1.0 - w1)
-    return TransferPoint(alpha, r, w0, w1, zeta0, zeta1, n_max)
+    w0 = w1 = 0.0
+    for _ in range(MAX_ITERATIONS):
+        new0 = _excursions(measure.param("right"), alpha * r, w1)
+        new1 = _excursions(measure.param("left"), (1.0 - alpha) * r, new0)
+        step = max(abs(new0 - w0), abs(new1 - w1))
+        w0, w1 = new0, new1
+        if step <= STEP_TOL:
+            return TransferPoint(alpha, r, w0, w1,
+                                 (1.0 - alpha) * r / (1.0 - w0),
+                                 alpha * r / (1.0 - w1), -1)
+    raise ValueError(f"the transfer equations did not settle in "
+                     f"{MAX_ITERATIONS} steps at r = {r}: r is at or past "
+                     f"the free product's radius")
 
 
 def transfer_consistency(spec: FreeProduct, measure: Optional[Measure],
@@ -120,20 +133,19 @@ def transfer_consistency(spec: FreeProduct, measure: Optional[Measure],
                          ) -> List[Tuple[object, float, float, float]]:
     """Cross-validation of the transfer identity on left-factor elements.
 
-    For each factor element x, compares the direct truncated Green value
-    G(e, x | r) on the free product with G_0(e, x | zeta_0) / (1 - w_0)
-    from the factor's own engine.  Both sides are truncation-limited;
-    returns (x, direct, transferred, relative discrepancy).
+    For each factor element x, compares the direct Green value G(e, x | r)
+    on the free product (a sweep of n_max steps pruned to support_cap)
+    with G_0(e, x | zeta_0) / (1 - w_0) from `transfer` and the factor's
+    engine; returns (x, direct, transferred, relative discrepancy).
     """
     if measure is None:
         measure = standard_measure(spec)
     g = measure.group
-    tp = transfer(spec, measure, r, n_max, support_cap)
-    m_left = standard_measure(spec.left)
+    tp = transfer(spec, measure, r)
     embedded = [g.embed(0, x) for x in elements]
     direct = green_truncated(measure, embedded, r, max_terms=n_max,
                              support_cap=support_cap)
-    factor = green_truncated(m_left, list(elements), tp.zeta0)
+    factor = green_truncated(measure.param("left"), list(elements), tp.zeta0)
     rows = []
     for x, y in zip(elements, embedded):
         dval = direct[y].value
@@ -150,23 +162,6 @@ def induced_omega_P(params: PhaseParams, point: TransferPoint) -> float:
     if not (0.0 < point.zeta0 <= R0):
         raise ValueError(f"zeta0 = {point.zeta0} outside (0, {R0}]")
     return classify(params, point.zeta0).omega
-
-
-def heuristic_r_cap(measure: Measure, n_max: int = DEFAULT_N,
-                    support_cap: Optional[int] = DEFAULT_SCAN_SUPPORT_CAP,
-                    ) -> float:
-    """Largest r at which the truncated on-diagonal Green terms are not
-    yet growing: 1 over the tail ratio of even return probabilities.
-
-    The true convergence radius of the free product is not known in
-    closed form; this cap is heuristic and flagged as such in reports.
-    """
-    # row 0 of the sphere sweep holds the return probabilities p_k(e, e)
-    p = sphere_reduced_sweep(measure, 0, n_max, None, support_cap)[0][0]
-    k = n_max if n_max % 2 == 0 else n_max - 1
-    if p[k] <= 0 or p[k - 2] <= 0:
-        return 1.0
-    return float((p[k - 2] / p[k]) ** 0.5)
 
 
 @dataclass(frozen=True)
@@ -191,7 +186,6 @@ class ConstructionReport:
     truncation: int
     r0: float
     r_cap: float
-    r_cap_heuristic: bool
     points: List[ScanPoint]
     crossing_r: Optional[float]
     crossing_zeta0: Optional[float]
@@ -220,9 +214,14 @@ def scan_construction(factor_params: PhaseParams, d: int, alpha: float,
     locate where zeta_0 crosses the factor's phase threshold r0.
 
     Reports per grid point the transfer quantities, the induced factor
-    growth rate omega_P, a truncated full-series growth estimate, their
-    gap, and the factor's convergence-type diagnostic; refines the
-    crossing by root bracketing down to ~1e-9 residual.
+    growth rate omega_P, a truncated full-series growth estimate (n_max
+    steps, support_cap, when full_series_n >= 10), their gap, and the
+    factor's convergence-type diagnostic; refines the crossing by root
+    bracketing down to ~1e-9 residual.  The default grid has 9 points
+    from 1 to R_mu, the largest r at which `transfer` converges, bisected
+    to BRANCH_END_RTOL relative; r_cap is the grid's end.  Where zeta_0
+    reaches R0 first, the tree-product engine's MAX_NODES ends the branch
+    a little short; at a tangent end, MAX_ITERATIONS does.
     """
     from scipy.optimize import brentq
 
@@ -237,22 +236,24 @@ def scan_construction(factor_params: PhaseParams, d: int, alpha: float,
         left_params={"a1": factor_params.a1})
     _, r0 = solve_t0(factor_params)
 
-    r_cap_heuristic = r_grid is None
     if r_grid is None:
-        r_cap = heuristic_r_cap(measure, n_max, support_cap)
-        r_grid = np.linspace(1.0, r_cap, 9)
-    else:
-        r_grid = list(r_grid)
-        r_cap = max(r_grid)
-
-    def zeta0_of(r):
-        return transfer(spec, measure, r, n_max, support_cap).zeta0
+        # transfer fails at hi, where zeta_0 >= (1 - alpha) r reaches the
+        # factor's radius or zeta_1 >= alpha r reaches 1
+        lo, hi = 1.0, min(capital_R(factor_params) / (1.0 - alpha), 1 / alpha)
+        while hi - lo > BRANCH_END_RTOL * lo:
+            mid = 0.5 * (lo + hi)
+            try:
+                transfer(spec, measure, mid)
+                lo = mid
+            except ValueError:
+                hi = mid
+        r_grid = np.linspace(1.0, lo, 9)
 
     points = []
     transition = None
     prev_label = None
     for i, r in enumerate(r_grid):
-        tp = transfer(spec, measure, float(r), n_max, support_cap)
+        tp = transfer(spec, measure, float(r))
         try:
             om_p = induced_omega_P(factor_params, tp)
         except ValueError:
@@ -273,16 +274,14 @@ def scan_construction(factor_params: PhaseParams, d: int, alpha: float,
                                 om_p, om_full, gap, expo, label))
 
     crossing_r = crossing_zeta = residual = None
-    zs = [p.zeta0 for p in points]
-    for i in range(len(points) - 1):
-        if (zs[i] - r0) * (zs[i + 1] - r0) < 0:
-            crossing_r = float(brentq(lambda r: zeta0_of(r) - r0,
-                                      points[i].r, points[i + 1].r,
-                                      xtol=1e-12, rtol=1e-14))
-            crossing_zeta = zeta0_of(crossing_r)
+    for a, b in zip(points, points[1:]):
+        if (a.zeta0 - r0) * (b.zeta0 - r0) < 0:
+            crossing_r = float(brentq(
+                lambda r: transfer(spec, measure, r).zeta0 - r0,
+                a.r, b.r, xtol=1e-12, rtol=1e-14))
+            crossing_zeta = transfer(spec, measure, crossing_r).zeta0
             residual = abs(crossing_zeta - r0)
             break
     return ConstructionReport(factor_params, d, alpha, n_max, r0,
-                              float(r_cap), r_cap_heuristic, points,
-                              crossing_r, crossing_zeta, residual,
-                              transition)
+                              float(max(r_grid)), points, crossing_r,
+                              crossing_zeta, residual, transition)

@@ -36,9 +36,10 @@ from .groups import (
 )
 from .kernels import (
     DEFAULT_SUPPORT_CAP, MEMO_SIZE, Measure, _heuristic_tail, _pick_n,
-    dl_class_key, dl_class_tail, dl_green_classes, green_truncated,
-    standard_measure, tree_green_by_distance, tree_sphere_sizes,
-    treeprod_error, treeprod_green_by_distance, zd_lazy_green_batch,
+    check_radius, dl_class_key, dl_class_tail, dl_green_classes,
+    green_truncated, standard_measure, tree_green_by_distance,
+    tree_sphere_sizes, treeprod_error, treeprod_green_by_distance,
+    zd_lazy_green_batch,
 )
 
 
@@ -244,19 +245,20 @@ def h_series(spec: GroupSpec, measure: Optional[Measure] = None,
     sums and ignore max_terms.  The tree engine is a closed form (tail 0,
     0 <= r <= R); the tree-product engine picks its node count so that
     every sphere's proved tail is at most tol, and raises ValueError at
-    r >= R or when that count would pass `kernels.MAX_NODES`.
+    r >= R or when that count would pass `kernels.MAX_NODES`.  Every walk
+    whose spectral radius rho is known in closed form raises ValueError at
+    r > 1/rho.
     """
     if measure is None:
         measure = standard_measure(spec)
-    if not r >= 0:
-        raise ValueError(f"r must be >= 0, got r = {r}")
+    check_radius(measure, r)
     kind = measure.kind
     if restriction is None:
         if isinstance(spec, RegularTree) and kind == "tree-lazy":
             vals = _h_tree(spec, r, n_max)
         elif isinstance(spec, TreeProduct) and kind == "product-mix":
             vals = _h_treeprod(spec, measure, r, n_max, tol)
-        elif isinstance(spec, FreeAbelian) and kind == "lazy-srw" and r <= 1:
+        elif isinstance(spec, FreeAbelian) and kind == "lazy-srw":
             vals = _h_zd(spec, measure, r, n_max, tol)
         elif isinstance(spec, DiestelLeader) and kind == "dl-srw":
             vals = _h_dl(spec, measure, r, n_max, tol)

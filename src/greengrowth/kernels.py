@@ -93,7 +93,8 @@ def standard_measure(spec: GroupSpec, kind: Optional[str] = None, **params
     parameter alpha = mass at the identity), "product-mix" (TreeProduct,
     parameter a1 = weight of the first factor), "dl-srw" (DiestelLeader),
     "freeprod-mix" (FreeProduct, parameter alpha = weight of the right
-    factor; the factors get their own default kinds unless overridden).
+    factor; the factors get their own default kinds unless overridden, and
+    the measure records them as its "left" and "right" parameters).
     """
     if kind is None:
         kind = _default_kind(spec)
@@ -154,7 +155,7 @@ def standard_measure(spec: GroupSpec, kind: Optional[str] = None, **params
         for x, wx in m_right.weights:
             y = g.embed(1, x)
             w[y] = w.get(y, Fraction(0)) + alpha * wx
-        p = (("alpha", alpha),)
+        p = (("alpha", alpha), ("left", m_left), ("right", m_right))
     else:
         raise ValueError(f"unknown measure kind {kind!r}")
 
@@ -174,6 +175,17 @@ def known_spectral_radius(measure: Measure) -> Optional[float]:
     if kind == "lazy-srw":
         return 1.0  # Z^d and Heisenberg are amenable
     return None  # DL (its engine needs none) and free products
+
+
+def check_radius(measure: Measure, r: float) -> None:
+    """Refuse r < 0, and r > 1/rho where the spectral radius rho is known
+    in closed form: the Green function diverges there."""
+    if not r >= 0:
+        raise ValueError(f"r must be >= 0, got r = {r}")
+    rho = known_spectral_radius(measure)
+    if rho is not None and r > 1.0 / rho:
+        raise ValueError(f"the Green function diverges for r > R = 1/rho: "
+                         f"it needs 0 <= r <= R = {1.0 / rho!r}, got r = {r}")
 
 
 # ---------------------------------------------------------------------------
@@ -700,10 +712,11 @@ def green_truncated(measure: Measure, targets: Sequence[Element], r: float,
     and ignore max_terms; n_terms = -1 marks a value that is not a
     truncation.  The tree engine is a closed form (tail 0); the
     tree-product engine's tail bounds its quadrature error, and it raises
-    ValueError at r >= R, as the tree engine does at r > R.
+    ValueError at r >= R.  Every walk whose spectral radius rho is known
+    in closed form (trees, tree products, Z^d, Heisenberg) raises
+    ValueError at r > 1/rho.
     """
-    if not r >= 0:
-        raise ValueError(f"r must be >= 0, got r = {r}")
+    check_radius(measure, r)
     spec, kind = measure.spec, measure.kind
     targets = list(dict.fromkeys(targets))
     if not targets:
@@ -714,7 +727,7 @@ def green_truncated(measure: Measure, targets: Sequence[Element], r: float,
             return _green_tree(measure, targets, r)
         if isinstance(spec, TreeProduct) and kind == "product-mix":
             return _green_treeprod(measure, targets, r, tol)
-        if isinstance(spec, FreeAbelian) and kind == "lazy-srw" and r <= 1.0:
+        if isinstance(spec, FreeAbelian) and kind == "lazy-srw":
             return _green_zd_integral(measure, targets, r, tol)
         if isinstance(spec, DiestelLeader) and kind == "dl-srw":
             return _green_dl(measure, targets, r, tol)

@@ -304,6 +304,7 @@ def test_criterion_9_free_product_transfer():
 
 
 def test_criterion_10_construction_scan():
+    t0 = time.time()
     rep = scan_construction(P64, 3, 0.05,
                             r_grid=np.linspace(1.0, 1.13, 9),
                             n_max=24, support_cap=50_000, full_series_n=0)
@@ -316,7 +317,7 @@ def test_criterion_10_construction_scan():
            if 1.0 < p.zeta0 < r0 and p.diagnostic_label == "divergent-type"
            and p.diagnostic_exponent is not None
            and p.diagnostic_exponent >= -1.0]
-    report(10, [
+    checks = [
         (bool(conv), f"{len(conv)} grid points with zeta0 > r0 and "
                      f"convergent diagnostic"),
         (bool(div), f"{len(div)} grid points with zeta0 < r0 and "
@@ -324,7 +325,10 @@ def test_criterion_10_construction_scan():
         (rep.crossing_residual is not None and rep.crossing_residual < 1e-6,
          f"crossing residual {rep.crossing_residual:.2e} < 1e-6 "
          f"at r*={rep.crossing_r:.6f}"),
-    ])
+    ]
+    elapsed = time.time() - t0
+    checks.append((elapsed < 60, f"runtime {elapsed:.1f}s < 60s"))
+    report(10, checks)
 
 
 def test_criterion_11_brw():

@@ -142,6 +142,14 @@ def test_dl_r_beyond_one_exit_code(capsys):
     assert "0 <= r <= 1" in err
 
 
+def test_zd_r_beyond_one_exit_code(capsys):
+    code, out, err = run(capsys, "hr", "--group", "zd", "--d", "3",
+                         "--r", "1.2")
+    assert code == 1
+    assert not out
+    assert "diverges for r > R" in err
+
+
 def test_tree_r_beyond_radius_exit_code(capsys):
     code, out, err = run(capsys, "hr", "--group", "tree", "--l", "4",
                          "--r", "1.2", "--nmax", "4")

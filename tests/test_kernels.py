@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from greengrowth.groups import (
-    DiestelLeader, FreeAbelian, FreeProduct, RegularTree, TreeProduct,
-    dl_sphere_profiles, group_for,
+    DiestelLeader, FreeAbelian, FreeProduct, Heisenberg3, RegularTree,
+    TreeProduct, dl_sphere_profiles, group_for,
 )
 from greengrowth.growth import h_series
 from greengrowth.kernels import (
@@ -229,6 +229,21 @@ def test_engines_refuse_bad_radii():
         h_series(tp, r=R_tp * (1 - 1e-9), n_max=4)
     with pytest.raises(ValueError, match="MAX_NODES"):
         green_truncated(m_tp, [e_tp], R_tp * (1 - 1e-9))
+
+
+def test_amenable_walks_refuse_r_beyond_one():
+    # rho = 1 is known in closed form for Z^d and the Heisenberg group, so
+    # r > 1 raises at once instead of summing a divergent series
+    for spec in (FreeAbelian(3), Heisenberg3()):
+        m = standard_measure(spec)
+        e = m.group.identity()
+        for r in (1.0 + 1e-12, 1.05):
+            with pytest.raises(ValueError, match="diverges"):
+                green_truncated(m, [e], r)
+            with pytest.raises(ValueError, match="diverges"):
+                green_truncated(m, [e], r, mode="exact")
+            with pytest.raises(ValueError, match="diverges"):
+                h_series(spec, m, r, n_max=4)
 
 
 def test_tree_engine_at_r_zero_is_delta():
