@@ -12,8 +12,11 @@ in the catalog gets the cheapest correct engine:
 * Diestel-Leader                  -- sphere profile decomposition with the
   closed-form lamplighter range engine (proved range-cutoff tails,
   0 <= r <= 1),
-* everything else                 -- one shared convolution sweep reduced
-  per sphere, so the r-dependence is a cheap polynomial evaluation.
+* everything else                 -- one float sweep (`kernels.FloatWalk`)
+  reduced per sphere through a per-element word-length array, so the
+  r-dependence is a cheap polynomial evaluation; the mass a support cap
+  prunes enters every tail.  A parabolic-gap report reduces one sweep
+  twice, over the whole spheres and over the factor.
 
 Also here: growth-rate estimation omega(r) by least-squares slope of
 log H_r(n), partial Poincare sums, the Green-based distance
@@ -35,11 +38,11 @@ from .groups import (
     RegularTree, TreeProduct, dl_sphere_profiles,
 )
 from .kernels import (
-    DEFAULT_SUPPORT_CAP, MEMO_SIZE, Measure, _heuristic_tail, _pick_n,
-    check_radius, dl_class_key, dl_class_tail, dl_green_classes,
-    green_truncated, standard_measure, tree_green_by_distance,
-    tree_sphere_sizes, treeprod_error, treeprod_green_by_distance,
-    zd_lazy_green_batch,
+    DEFAULT_SUPPORT_CAP, MEMO_SIZE, ZD_NEGLIGIBLE, FloatWalk, Measure,
+    _heuristic_tail, _pick_n, check_radius, dl_class_key, dl_class_tail,
+    dl_green_classes, green_truncated, standard_measure,
+    tree_green_by_distance, tree_sphere_sizes, treeprod_error,
+    treeprod_green_by_distance, zd_batch_cutoff, zd_lazy_green_batch,
 )
 
 
@@ -133,7 +136,10 @@ def _h_zd(spec, measure, r, n_max, tol):
     per_n = [list(_zd_sphere_classes(d, n)) for n in range(n_max + 1)]
     keys = [cls for row in per_n for cls, _ in row]
     green = zd_lazy_green_batch(d, alpha, keys, r)
-    rigorous = r < 1.0
+    # past the last panel edge only the local-CLT expansion is added,
+    # unless the integrand has decayed there below ZD_NEGLIGIBLE
+    rigorous = (r < 1.0
+                and zd_batch_cutoff(d, alpha, n_max, r) < ZD_NEGLIGIBLE)
     vals = {}
     for n in range(n_max + 1):
         total = 0.0
@@ -143,7 +149,7 @@ def _h_zd(spec, measure, r, n_max, tol):
             count += mult
         # zd values are converged integrals, not truncations; below r = 1
         # the quadrature error is dominated by this crude per-point bound
-        vals[n] = HEntry(total, count * 1e-9 if rigorous else float("nan"),
+        vals[n] = HEntry(total, count * 1e-9 if r < 1.0 else float("nan"),
                          rigorous)
     return vals
 
@@ -165,68 +171,74 @@ def _h_dl(spec, measure, r, n_max, tol):
     return vals
 
 
-def _h_generic(measure, r, n_max, tol, restriction, max_terms, support_cap):
+def _h_generic(measure, r, n_max, tol, restrictions, max_terms, support_cap):
+    """One series per restriction (None: the whole sphere), all reduced
+    from one sweep."""
     n_steps, rigorous, rho = _pick_n(measure, r, tol, max_terms, default=40)
-    coeffs, pruned = sphere_reduced_sweep(measure, n_max, n_steps,
-                                          restriction, support_cap)
-    rigorous = rigorous and not pruned and r < 1.0
+    if len(restrictions) == 1:
+        swept = sphere_reduced_sweep(measure, n_max, n_steps,
+                                     restrictions[0], support_cap)
+    else:
+        swept = _sweep(measure, n_max, n_steps, restrictions, support_cap)
+    *matrices, dropped = swept
+    rigorous = rigorous and r < 1.0
     powers = r ** np.arange(n_steps + 1)
-    vals = {}
-    for n in range(n_max + 1):
-        row = coeffs[n]
-        total = float(row @ powers)
-        if rigorous:
-            # sum over a sphere of p_k(e, .) is at most 1 for every k
-            tail = r ** (n_steps + 1) / (1.0 - r)
-        else:
-            tail = _heuristic_tail(list(row * powers))
-        vals[n] = HEntry(total, tail, rigorous)
-    return vals
+    # p_k(A) <= (pruned p_k)(A) + M_k for every set A
+    pruned = float(dropped @ powers)
+    out = []
+    for S in matrices:
+        vals = {}
+        for n in range(n_max + 1):
+            row = S[n]
+            total = float(row @ powers)
+            if rigorous:
+                # sum over a sphere of p_k(e, .) is at most 1 for every k
+                tail = r ** (n_steps + 1) / (1.0 - r)
+            else:
+                tail = _heuristic_tail(list(row * powers))
+            vals[n] = HEntry(total, tail + pruned, rigorous)
+        out.append(vals)
+    return out
 
 
 def sphere_reduced_sweep(measure: Measure, n_max: int, n_steps: int,
                          restriction: Optional[Callable[[Element], bool]]
                          = None,
                          support_cap: Optional[int] = DEFAULT_SUPPORT_CAP,
-                         ) -> Tuple[np.ndarray, bool]:
+                         ) -> Tuple[np.ndarray, np.ndarray]:
     """Matrix S[n, k] = sum of p_k(e, x) over x in S_n (optionally
     restricted), from one convolution sweep.  H_r(n) is then the
     polynomial sum_k r^k S[n, k] for any r, which is what lets scans
     reuse a single sweep across a whole r-grid.
 
-    Returns (S, pruned); pruned means the support cap dropped mass, so
-    every entry is only a certified lower bound.  Unrestricted sweeps are
-    memoized; a restriction closure never repeats, so those are not.
+    Returns (S, M): M[k] is the mass the support cap pruned by step k, so
+    each S[n, k] is a lower bound within M[k] of the unpruned value.
+    Unrestricted sweeps are memoized; a restriction closure never repeats,
+    so those are not.
     """
     sweep = _sweep if restriction is not None else _memo_sweep
-    return sweep(measure, n_max, n_steps, restriction, support_cap)
+    return sweep(measure, n_max, n_steps, (restriction,), support_cap)
 
 
-def _sweep(measure, n_max, n_steps, restriction, support_cap):
-    from .kernels import convolve
-
+def _sweep(measure, n_max, n_steps, restrictions, support_cap):
+    """One float sweep reduced per sphere once per restriction: returns
+    the matrices S, one per restriction, then the pruned masses M."""
     g = measure.group
-    S = np.zeros((n_max + 1, n_steps + 1))
-    dist = {g.identity(): 1.0}
-    pruned = False
-    lengths: Dict[Element, int] = {}
-
-    def reduce_into(k):
-        for x, px in dist.items():
-            if x not in lengths:
-                lengths[x] = g.word_length(x)
-            n = lengths[x]
-            if n <= n_max and (restriction is None or restriction(x)):
-                S[n, k] += px
-
-    reduce_into(0)
-    for k in range(1, n_steps + 1):
-        dist = convolve(dist, measure, mode="float",
-                        support_cap=support_cap)
-        if support_cap is not None and len(dist) >= support_cap:
-            pruned = True
-        reduce_into(k)
-    return S, pruned
+    walk = FloatWalk(measure, {g.identity(): 1.0}, support_cap)
+    S = np.zeros((len(restrictions), n_max + 1, n_steps + 1))
+    dropped = np.zeros(n_steps + 1)
+    for k in range(n_steps + 1):
+        if k:
+            walk.step()
+        n = walk.lookup(g.word_length)
+        for Sj, restriction in zip(S, restrictions):
+            inside = (slice(None) if restriction is None
+                      else walk.lookup(restriction, bool))
+            # bincount adds in support order, one entry after another
+            Sj[:, k] = np.bincount(n[inside], weights=walk.p[inside],
+                                   minlength=n_max + 1)[: n_max + 1]
+        dropped[k] = walk.dropped
+    return (*S, dropped)
 
 
 _memo_sweep = lru_cache(maxsize=MEMO_SIZE)(_sweep)
@@ -263,11 +275,11 @@ def h_series(spec: GroupSpec, measure: Optional[Measure] = None,
         elif isinstance(spec, DiestelLeader) and kind == "dl-srw":
             vals = _h_dl(spec, measure, r, n_max, tol)
         else:
-            vals = _h_generic(measure, r, n_max, tol, None, max_terms,
-                              support_cap)
+            vals, = _h_generic(measure, r, n_max, tol, (None,), max_terms,
+                               support_cap)
     else:
-        vals = _h_generic(measure, r, n_max, tol, restriction, max_terms,
-                          support_cap)
+        vals, = _h_generic(measure, r, n_max, tol, (restriction,), max_terms,
+                           support_cap)
     return GrowthSeries(spec, r, vals, restriction_label)
 
 
@@ -402,11 +414,13 @@ def parabolic_gap_report(spec: FreeProduct, measure: Optional[Measure],
     def in_factor(a):
         return g.factor_part(side, a) is not None
 
-    full = h_series(spec, measure, r, n_max, tol, max_terms=max_terms,
-                    support_cap=support_cap)
-    factor = h_series(spec, measure, r, n_max, tol, restriction=in_factor,
-                      restriction_label=f"factor-{side}",
-                      max_terms=max_terms, support_cap=support_cap)
+    check_radius(measure, r)
+    # one sweep, reduced over the whole spheres and over the factor
+    full_vals, factor_vals = _h_generic(measure, r, n_max, tol,
+                                        (None, in_factor), max_terms,
+                                        support_cap)
+    full = GrowthSeries(spec, r, full_vals)
+    factor = GrowthSeries(spec, r, factor_vals, f"factor-{side}")
     om_full = omega_estimate(full, window)
     om_factor = omega_estimate(factor, window)
     gap = om_full.slope - om_factor.slope

@@ -13,10 +13,14 @@ are computed by specialized engines that sum no steps at all:
 * Z^d             -- Bessel-integral representation of the Green kernel,
 * Diestel-Leader  -- path-range decomposition of the lamplighter walk.
 
-Step sums (the generic convolution engine) bound their tails with
-p_n(x, y) <= rho^n for symmetric kernels; the bounds are rigorous
+Step sums (the generic convolution engine) run in floats on `FloatWalk`,
+an array-backed sweep over interned elements with a memoized step table,
+and in exact mode on the dict loop of `convolve`.  They bound their tails
+with p_n(x, y) <= rho^n for symmetric kernels; the bounds are rigorous
 whenever the spectral radius rho is known in closed form and r * rho < 1,
-and heuristic (geometric extrapolation, flagged) otherwise.  The
+and heuristic (geometric extrapolation, flagged) otherwise.  A support
+cap prunes mass M_k by step k, and p_k(A) <= (pruned p_k)(A) + M_k for
+every set A, so sum_k r^k M_k is added to every tail.  The
 Diestel-Leader engine is exact per range; its range cutoff carries a
 proved tail for 0 <= r <= 1.
 """
@@ -26,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -202,45 +207,190 @@ def convolve(dist: Dict[Element, object], measure: Measure,
     With a support cap, only the heaviest cap entries are kept (ties broken
     by canonical encoding); dropped mass makes every later value a certified
     lower bound.  An optional restrict predicate zeroes the sources outside
-    the allowed set before stepping.
+    the allowed set before stepping.  Mode "float" runs one step of the
+    array sweep `FloatWalk`; mode "exact" (Fraction weights) runs the dict
+    loop below, the reference the float sweep is tested against.
     """
+    if mode == "float":
+        walk = FloatWalk(measure, dist, support_cap)
+        if restrict is not None:
+            walk.keep(restrict)
+        walk.step()
+        return walk.dist()
     g = measure.group
-    zero = Fraction(0) if mode == "exact" else 0.0
-    steps = [(s, (w if mode == "exact" else float(w)))
-             for s, w in measure.weights]
+    zero = Fraction(0)
     out: Dict[Element, object] = {}
     mul = g.multiply
     for x, px in dist.items():
         if restrict is not None and not restrict(x):
             continue
-        for s, w in steps:
+        for s, w in measure.weights:
             y = mul(x, s)
             out[y] = out.get(y, zero) + px * w
     if support_cap is not None and len(out) > support_cap:
-        if mode == "float":
-            # keep everything above the cap-th largest weight, then break
-            # ties at the threshold canonically by encoding
-            ws = np.fromiter(out.values(), dtype=float, count=len(out))
-            thresh = np.partition(ws, len(ws) - support_cap)[
-                len(ws) - support_cap]
-            keep = {}
-            ties = []
-            for y, wy in out.items():
-                if wy > thresh:
-                    keep[y] = wy
-                elif wy == thresh:
-                    ties.append(y)
-            room = support_cap - len(keep)
-            if room > 0:
-                ties.sort(key=g.encode)
-                for y in ties[:room]:
-                    keep[y] = thresh
-            out = keep
-        else:
-            order = sorted(out.items(),
-                           key=lambda kv: (-kv[1], g.encode(kv[0])))
-            out = dict(order[:support_cap])
+        order = sorted(out.items(), key=lambda kv: (-kv[1], g.encode(kv[0])))
+        out = dict(order[:support_cap])
     return out
+
+
+def _grown(a: np.ndarray, n: int, fill) -> np.ndarray:
+    """a with at least n rows, the new rows set to fill (growing by half)."""
+    if len(a) >= n:
+        return a
+    out = np.full((max(n, len(a) * 3 // 2),) + a.shape[1:], fill, a.dtype)
+    out[: len(a)] = a
+    return out
+
+
+class FloatWalk:
+    """A float distribution stepped by a measure: the sweep core.
+
+    Each element is interned to an int id once, and the step table maps
+    (id, step) to the id of the product, filled the first time an element
+    is a source: a sweep multiplies each element once per step of the
+    measure, however many steps it survives.  The distribution is held as
+    `ids` (distinct) and `p`.  A step scatters p * w with `np.bincount`,
+    which adds in source-major, step-minor order, and orders the new
+    support by first appearance, as a dict loop over sources and steps
+    would, so the values are such a loop's bit for bit.  Pruning to
+    support_cap keeps the entries above the cap-th largest weight and
+    breaks ties at that threshold by `encode`; `dropped` is the total mass
+    pruned so far.  Per-element values (word lengths, predicates) are
+    cached per id by `lookup`.  The tables live as long as the walk.
+    """
+
+    def __init__(self, measure: Measure, start: Dict[Element, object],
+                 support_cap: Optional[int] = DEFAULT_SUPPORT_CAP):
+        self.group = measure.group
+        self.support_cap = support_cap
+        self._steps = [s for s, _ in measure.weights]
+        self._w = np.array([float(w) for _, w in measure.weights])
+        self._elements: List[Element] = list(start)
+        self._index = {x: i for i, x in enumerate(start)}
+        self._table = np.full((0, len(self._steps)), -1, np.int32)
+        self._cache: Dict[Callable, Tuple[np.ndarray, np.ndarray]] = {}
+        self.ids = np.arange(len(start))
+        self.p = np.array([float(v) for v in start.values()])
+        self.dropped = 0.0
+
+    def _targets(self) -> np.ndarray:
+        """Step-table rows of the support, filling the missing ones."""
+        self._table = _grown(self._table, len(self._elements), -1)
+        rows = self._table[self.ids]
+        new = self.ids[rows[:, 0] < 0]
+        if len(new):
+            mul, index, elements = (self.group.multiply, self._index,
+                                    self._elements)
+            known = len(index)
+            # a new product gets the next id, len(index), as its value
+            add = index.setdefault
+            self._table[new] = [[add(mul(elements[i], s), len(index))
+                                 for s in self._steps] for i in new.tolist()]
+            elements.extend(reversed(list(
+                islice(reversed(index), len(index) - known))))
+            rows = self._table[self.ids]
+        return rows
+
+    def step(self) -> None:
+        """dist <- dist * measure, pruned to support_cap."""
+        flat = self._targets().ravel()
+        vals = (self.p[:, None] * self._w).ravel()
+        n = len(self._elements)
+        first = np.full(n, len(flat))
+        np.minimum.at(first, flat, np.arange(len(flat)))
+        ids = np.flatnonzero(first < len(flat))
+        ids = ids[np.argsort(first[ids])]
+        p = np.bincount(flat, weights=vals, minlength=n)[ids]
+        cap = self.support_cap
+        if cap is not None and len(p) > cap:
+            thresh = np.partition(p, len(p) - cap)[len(p) - cap]
+            above = p > thresh
+            # fewer than cap entries lie above thresh, so room >= 1
+            room = cap - int(np.count_nonzero(above))
+            enc, elements = self.group.encode, self._elements
+            ties = sorted(np.flatnonzero(p == thresh).tolist(),
+                          key=lambda t: enc(elements[ids[t]]))[:room]
+            drop = ~above
+            drop[ties] = False
+            self.dropped += float(p[drop].sum())
+            ids = np.concatenate([ids[above], ids[ties]])
+            p = np.concatenate([p[above], p[ties]])
+        self.ids, self.p = ids, p
+
+    def lookup(self, fn: Callable[[Element], object], dtype=np.intp
+               ) -> np.ndarray:
+        """fn of each support element, computed once per element."""
+        values, known = self._cache.get(fn, (np.zeros(0, dtype),
+                                             np.zeros(0, bool)))
+        n = len(self._elements)
+        values, known = _grown(values, n, 0), _grown(known, n, False)
+        new = self.ids[~known[self.ids]]
+        if len(new):
+            values[new] = [fn(self._elements[i]) for i in new.tolist()]
+            known[new] = True
+        self._cache[fn] = values, known
+        return values[self.ids]
+
+    def keep(self, pred: Callable[[Element], bool]) -> None:
+        """Zero the entries whose element fails pred."""
+        mask = self.lookup(pred, bool)
+        self.ids, self.p = self.ids[mask], self.p[mask]
+
+    def take(self, pred: Callable[[Element], bool]
+             ) -> List[Tuple[Element, float]]:
+        """Remove the entries whose element satisfies pred; return them."""
+        mask = self.lookup(pred, bool)
+        hits = [(self._elements[i], v) for i, v in
+                zip(self.ids[mask].tolist(), self.p[mask].tolist())]
+        self.ids, self.p = self.ids[~mask], self.p[~mask]
+        return hits
+
+    def value(self, x: Element) -> float:
+        at = np.flatnonzero(self.ids == self._index.get(x, -1))
+        return float(self.p[at[0]]) if len(at) else 0.0
+
+    def dist(self) -> Dict[Element, float]:
+        return dict(zip([self._elements[i] for i in self.ids.tolist()],
+                        self.p.tolist()))
+
+
+class _ExactWalk:
+    """The interface of FloatWalk over exact Fraction weights, stepped by
+    the dict loop of `convolve`."""
+
+    def __init__(self, measure: Measure, start: Dict[Element, object],
+                 support_cap: Optional[int] = DEFAULT_SUPPORT_CAP):
+        self.measure, self.support_cap = measure, support_cap
+        self._dist = {x: Fraction(v) for x, v in start.items()}
+        self.dropped = Fraction(0)
+
+    def step(self) -> None:
+        before = self._dist
+        self._dist = convolve(before, self.measure, "exact",
+                              self.support_cap)
+        if len(self._dist) == self.support_cap:
+            # the cap may have pruned; the step preserves mass, so what it
+            # pruned is the difference
+            self.dropped += sum(before.values()) - sum(self._dist.values())
+
+    def keep(self, pred: Callable[[Element], bool]) -> None:
+        self._dist = {x: v for x, v in self._dist.items() if pred(x)}
+
+    def take(self, pred: Callable[[Element], bool]
+             ) -> List[Tuple[Element, Fraction]]:
+        hits = [(x, v) for x, v in self._dist.items() if pred(x)]
+        for x, _ in hits:
+            del self._dist[x]
+        return hits
+
+    def value(self, x: Element) -> Fraction:
+        return self._dist.get(x, Fraction(0))
+
+
+def _walk(measure: Measure, start: Dict[Element, object], mode: str,
+          support_cap: Optional[int]):
+    return (_ExactWalk if mode == "exact" else FloatWalk)(
+        measure, start, support_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -515,6 +665,64 @@ def _zd_srw_green(d: int, x: Tuple[int, ...], r: float) -> float:
     return float(val + tail)
 
 
+# a batch rule whose integrand has decayed by e^(-(1 - rs) Te) below this
+# at its last panel edge Te needs no tail beyond it
+ZD_NEGLIGIBLE = 1e-16
+
+
+def _zd_rule(d: int, alpha: float, m_max: int, r: float):
+    """(denom, rs, edges) of the batch rule: the lazy walk's Green function
+    is the simple walk's at rs = r (1 - alpha) / denom, over denom =
+    1 - r alpha, and the panels are geometric from 1 to the first edge past
+    T = max(2e4, 80 m_max^2 / c), c = rs / d, where ive is in its
+    asymptotic range.  No edges at rs = 0, where G = delta_e."""
+    denom = 1.0 - r * alpha
+    rs = r * (1.0 - alpha) / denom
+    if rs == 0.0:
+        return denom, rs, []
+    c = rs / d
+    T = max(2.0e4, 80.0 * m_max * m_max / c)
+    edges = [0.0, 1.0]
+    while edges[-1] < T:
+        edges.append(edges[-1] * 1.25)
+    return denom, rs, edges
+
+
+def zd_batch_cutoff(d: int, alpha: float, m_max: int, r: float) -> float:
+    """e^(-(1 - rs) Te) for the batch rule on classes with coordinates up
+    to m_max: below ZD_NEGLIGIBLE the rule adds no tail past its last panel
+    edge Te, and above it the tail is the local-CLT expansion."""
+    _, rs, edges = _zd_rule(d, alpha, m_max, r)
+    return math.exp(-(1.0 - rs) * edges[-1]) if edges else 0.0
+
+
+def _upper_gamma(s: float, x: float) -> float:
+    """Gamma(s, x) for x > 0 and real s, below s = 0 by the recurrence
+    Gamma(s, x) = (Gamma(s + 1, x) - x^s e^-x) / s."""
+    from scipy.special import exp1, gamma, gammaincc
+
+    if s > 0.0:
+        return float(gammaincc(s, x) * gamma(s))
+    if s == 0.0:
+        return float(exp1(x))
+    return (_upper_gamma(s + 1.0, x) - x ** s * math.exp(-x)) / s
+
+
+def _zd_clt_tail(d: int, c: float, a: float, T: float,
+                 x: Tuple[int, ...]) -> float:
+    """int_T^inf e^(-a s) prod_i ive(x_i, c s) ds from the first two terms
+    of ive(n, z) ~ (2 pi z)^(-1/2) (1 - (4 n^2 - 1) / (8 z)): the local
+    CLT.  With nu = d / 2, int_T^inf e^(-a s) s^(-nu) ds is
+    a^(nu - 1) Gamma(1 - nu, a T), or T^(1 - nu) / (nu - 1) at a = 0."""
+    nu = d / 2.0
+    lead = (2.0 * math.pi * c) ** (-nu)
+    corr = sum(4.0 * xi * xi - 1.0 for xi in x) / (8.0 * c)
+    if a == 0.0:
+        return lead * (T ** (1.0 - nu) / (nu - 1.0) - corr * T ** (-nu) / nu)
+    return lead * (a ** (nu - 1.0) * _upper_gamma(1.0 - nu, a * T)
+                   - corr * a ** nu * _upper_gamma(-nu, a * T))
+
+
 def zd_lazy_green_batch(d: int, alpha: float,
                         classes: Sequence[Tuple[int, ...]], r: float,
                         ) -> Dict[Tuple[int, ...], float]:
@@ -522,9 +730,11 @@ def zd_lazy_green_batch(d: int, alpha: float,
 
     Classes are tuples of coordinate absolute values (order irrelevant).
     Shares one quadrature grid and one Bessel table across all classes,
-    which is what makes sphere sums out to n ~ 30 affordable.  Relative
-    accuracy is ~1e-6 at r = 1 and near machine precision for moderate
-    arguments; only deeply vanishing values (below ~1e-40) degrade.
+    which is what makes sphere sums out to n ~ 30 affordable.  Past the
+    last panel edge the local-CLT tail `_zd_clt_tail` is added unless
+    `zd_batch_cutoff` is below ZD_NEGLIGIBLE.  Relative accuracy is ~1e-6
+    at r = 1 and near machine precision for moderate arguments; only
+    deeply vanishing values (below ~1e-40) degrade.
     """
     from scipy.special import ive
 
@@ -534,19 +744,14 @@ def zd_lazy_green_batch(d: int, alpha: float,
         raise ValueError("Green function at r = 1 needs d >= 3")
     classes = [tuple(sorted(abs(int(v)) for v in x)) for x in classes]
     uniq = sorted(set(classes))
-    denom = 1.0 - r * alpha
-    rs = r * (1.0 - alpha) / denom
+    m_max = max(max(x) for x in uniq)
+    denom, rs, edges = _zd_rule(d, alpha, m_max, r)
     if rs == 0.0:
         return {x: (1.0 if not any(x) else 0.0) / denom for x in uniq}
     c = rs / d
-    m_max = max(max(x) for x in uniq)
-    T = max(2.0e4, 80.0 * m_max * m_max / c)
 
     # composite Gauss-Legendre on geometrically growing panels
     nodes, weights = np.polynomial.legendre.leggauss(24)
-    edges = [0.0, 1.0]
-    while edges[-1] < T:
-        edges.append(edges[-1] * 1.25)
     s = np.concatenate([0.5 * (b - a) * nodes + 0.5 * (a + b)
                         for a, b in zip(edges[:-1], edges[1:])])
     w = np.concatenate([0.5 * (b - a) * weights
@@ -555,18 +760,15 @@ def zd_lazy_green_batch(d: int, alpha: float,
     bessel = ive(np.arange(m_max + 1)[:, None], c * s[None, :])
 
     Te = edges[-1]
-    lead = (2.0 * math.pi * c) ** (-d / 2.0)
+    with_tail = zd_batch_cutoff(d, alpha, m_max, r) >= ZD_NEGLIGIBLE
     out = {}
     for x in uniq:
         prod = base.copy()
         for xi in x:
             prod *= bessel[xi]
         val = float(prod.sum())
-        if rs == 1.0:
-            # analytic local-CLT tail beyond the last panel edge
-            corr = sum(4.0 * xi * xi - 1.0 for xi in x) / (8.0 * c)
-            val += lead * (Te ** (1.0 - d / 2.0) / (d / 2.0 - 1.0)
-                           - corr * Te ** (-d / 2.0) / (d / 2.0))
+        if with_tail:
+            val += _zd_clt_tail(d, c, 1.0 - rs, Te, x)
         out[x] = val / denom
     return out
 
@@ -707,10 +909,11 @@ def green_truncated(measure: Measure, targets: Sequence[Element], r: float,
 
     The truncation order comes from the closed-form spectral radius when
     available with r * rho < 1 (rigorous tail bound), else from max_terms
-    with a heuristic tail estimate, flagged via ``rigorous=False``.  The
-    tree, tree-product, Z^d and Diestel-Leader engines are not step sums
-    and ignore max_terms; n_terms = -1 marks a value that is not a
-    truncation.  The tree engine is a closed form (tail 0); the
+    with a heuristic tail estimate, flagged via ``rigorous=False``; a step
+    sum whose support cap pruned mass M_k by step k adds sum_k r^k M_k to
+    the tail.  The tree, tree-product, Z^d and Diestel-Leader engines are
+    not step sums and ignore max_terms; n_terms = -1 marks a value that is
+    not a truncation.  The tree engine is a closed form (tail 0); the
     tree-product engine's tail bounds its quadrature error, and it raises
     ValueError at r >= R.  Every walk whose spectral radius rho is known
     in closed form (trees, tree products, Z^d, Heisenberg) raises
@@ -749,22 +952,23 @@ def _pick_n(measure, r, tol, max_terms, default=64):
 
 def _green_generic(measure, targets, r, tol, mode, max_terms, support_cap):
     g = measure.group
+    e = g.identity()
     n_max, rigorous, rho = _pick_n(measure, r, tol, max_terms)
-    zero = Fraction(0) if mode == "exact" else 0.0
-    one = Fraction(1) if mode == "exact" else 1.0
+    walk = _walk(measure, {e: 1}, mode, support_cap)
     rr = _frac(r) if mode == "exact" else float(r)
-    dist = {g.identity(): one}
-    acc = {x: dist.get(x, zero) for x in targets}
-    diag_terms = [float(dist.get(g.identity(), zero))]
-    rn = one
+    rn = rr ** 0
+    acc = {x: walk.value(x) for x in targets}
+    diag_terms = [float(walk.value(e))]
+    pruned = 0.0  # sum_k r^k M_k, M_k the mass pruned by step k
     for n in range(1, n_max + 1):
-        dist = convolve(dist, measure, mode=mode, support_cap=support_cap)
+        walk.step()
         rn = rn * rr
         for x in targets:
-            acc[x] = acc[x] + rn * dist.get(x, zero)
-        diag_terms.append(float(rn) * float(dist.get(g.identity(), zero)))
+            acc[x] = acc[x] + rn * walk.value(x)
+        diag_terms.append(float(rn) * float(walk.value(e)))
+        pruned += float(rn) * float(walk.dropped)
     tail = (_geom_tail(r, rho, n_max) if rigorous
-            else _heuristic_tail(diag_terms))
+            else _heuristic_tail(diag_terms)) + pruned
     return {x: GreenEstimate(float(acc[x]), n_max, tail, rigorous)
             for x in targets}
 
@@ -831,19 +1035,16 @@ def restricted_green(measure: Measure, x: Element, y: Element,
     the allowed predicate (endpoints are exempt).  Certified lower bound:
     truncation and any support pruning only drop nonnegative path weights.
     """
-    g = measure.group
-    zero = Fraction(0) if mode == "exact" else 0.0
-    one = Fraction(1) if mode == "exact" else 1.0
+    walk = _walk(measure, {x: 1}, mode, support_cap)
     rr = _frac(r) if mode == "exact" else float(r)
-    total = one if x == y else zero
-    dist = {x: one}
-    rn = one
+    rn = rr ** 0
+    total = walk.value(y)
     for n in range(1, n_max + 1):
-        restrict = None if n == 1 else allowed
-        dist = convolve(dist, measure, mode=mode, support_cap=support_cap,
-                        restrict=restrict)
+        if n > 1:
+            walk.keep(allowed)
+        walk.step()
         rn = rn * rr
-        total = total + rn * dist.get(y, zero)
+        total = total + rn * walk.value(y)
     return float(total)
 
 
@@ -861,24 +1062,17 @@ def first_return_coefficients(measure: Measure,
     supports the mixed-measure first-return quantities of free-product
     transfer.  Values are certified lower bounds under support pruning.
     """
-    g = measure.group
     if first_step is None:
-        dist = {s: float(w) if mode == "float" else w
-                for s, w in measure.weights}
-    else:
-        dist = dict(first_step)
+        first_step = dict(measure.weights)
+    walk = _walk(measure, first_step, mode, support_cap)
     coeffs: Dict[Element, np.ndarray] = {}
     for n in range(1, n_max + 1):
         if n > 1:
-            dist = convolve(dist, measure, mode=mode, support_cap=support_cap)
-        hits = [y for y in dist if member(y)]
-        for y in hits:
+            walk.step()
+        for y, v in walk.take(member):
             if y not in coeffs:
                 coeffs[y] = np.zeros(n_max + 1)
-            coeffs[y][n] += float(dist[y])
-        if n < n_max:
-            for y in hits:
-                del dist[y]
+            coeffs[y][n] += float(v)
     return coeffs
 
 
@@ -925,11 +1119,11 @@ def return_probability(measure: Measure, n: int,
         p1 = tree_distance_law(spec.l1, n, 0)[:, 0]
         p2 = tree_distance_law(spec.l2, n, 0)[::-1, 0]
         return float(b @ (p1 * p2))
-    g = measure.group
-    dist = {g.identity(): 1.0}
+    e = measure.group.identity()
+    walk = FloatWalk(measure, {e: 1.0}, support_cap)
     for _ in range(n):
-        dist = convolve(dist, measure, mode="float", support_cap=support_cap)
-    return float(dist.get(g.identity(), 0.0))
+        walk.step()
+    return walk.value(e)
 
 
 def spectral_radius_lower(measure: Measure, k: int,

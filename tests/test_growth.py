@@ -10,10 +10,12 @@ from greengrowth.groups import (
     DiestelLeader, FreeAbelian, FreeProduct, Heisenberg3, RegularTree,
     TreeProduct, group_for,
 )
-from greengrowth.kernels import green_truncated, standard_measure
+from greengrowth.kernels import (
+    FloatWalk, green_truncated, standard_measure, zd_lazy_green,
+)
 from greengrowth.growth import (
     convergence_diagnostic, dr_distance, h_series, omega_estimate,
-    parabolic_gap_report, theta_partial,
+    parabolic_gap_report, sphere_reduced_sweep, theta_partial,
 )
 
 
@@ -41,6 +43,18 @@ def test_zd_series_matches_direct_sphere_sum():
         direct = sum(v.value for v in
                      green_truncated(m, xs, 0.9, max_terms=40).values())
         assert abs(series.value(n) - direct) < 1e-5
+
+
+def test_zd_series_just_below_one_keeps_the_tail_past_the_panels():
+    # the batch rule's panels end near s = 2.4e4, where the integrand has
+    # decayed only by e^(-(1 - rs) s) = 0.6; the scalar quad runs to inf
+    r = 0.99999
+    series = h_series(FreeAbelian(3), r=r, n_max=2)
+    want = zd_lazy_green(3, 0.5, (0, 0, 0), r)
+    assert abs(want - 3.0223242) < 1e-7
+    assert abs(series.value(0) - want) <= 1e-6 * want
+    assert not series.values[0].rigorous
+    assert h_series(FreeAbelian(3), r=0.999, n_max=2).values[0].rigorous
 
 
 def test_zd_linear_band_at_one():
@@ -86,6 +100,37 @@ def test_heisenberg_generic_engine_frozen():
     for n, want in enumerate(expected):
         assert abs(series.value(n) - want) < 2e-5
         assert series.values[n].rigorous
+
+
+def test_pruning_keeps_the_heisenberg_series_rigorous():
+    spec = Heisenberg3()
+    full = h_series(spec, r=0.1, n_max=3, support_cap=None)
+    # 2845 is the support of the 9-step sweep: landing on the cap prunes
+    # nothing and changes nothing
+    on_cap = h_series(spec, r=0.1, n_max=3, support_cap=2845)
+    cut = h_series(spec, r=0.1, n_max=3, support_cap=100)
+    assert on_cap.values == full.values
+    for n in range(4):
+        assert cut.values[n].rigorous
+        assert cut.value(n) < full.value(n)
+        assert full.value(n) <= cut.value(n) + cut.values[n].tail
+        assert cut.values[n].tail > full.values[n].tail
+
+
+def test_pruned_sweep_plus_dropped_mass_bounds_the_full_sweep():
+    m = standard_measure(FreeProduct(RegularTree(3), FreeAbelian(2)))
+    full, none = sphere_reduced_sweep(m, 4, 6, None, None)
+    cut, dropped = sphere_reduced_sweep(m, 4, 6, None, 200)
+    assert not none.any()
+    assert dropped[0] == 0.0 and dropped[-1] > 0.0
+    assert np.all(np.diff(dropped) >= 0.0)
+    assert np.any(cut < full)
+    # p_k(A) <= (pruned p_k)(A) + M_k on every sphere A
+    assert np.all(full <= cut + dropped + 1e-15)
+    # 1346 is the 4-step support: a sweep that lands on the cap drops nothing
+    S, on_cap = sphere_reduced_sweep(m, 4, 4, None, 1346)
+    assert not on_cap.any()
+    assert np.array_equal(S, full[:, :5])
 
 
 def test_treeprod_slope_matches_phase_solver():
@@ -151,3 +196,22 @@ def test_parabolic_gap_report_tree_factor():
     for n in range(6):
         assert (report.series_factor.value(n)
                 <= report.series_full.value(n) + 1e-12)
+
+
+def test_parabolic_gap_report_runs_one_sweep(monkeypatch):
+    spec = FreeProduct(RegularTree(3), FreeAbelian(2))
+    steps = []
+    step = FloatWalk.step
+    monkeypatch.setattr(FloatWalk, "step",
+                        lambda self: (steps.append(1), step(self))[1])
+    report = parabolic_gap_report(spec, None, 0.9, side=0, n_max=5,
+                                  max_terms=7, support_cap=2000,
+                                  window=(0, 5))
+    assert len(steps) == 7
+    g = group_for(spec)
+    full = h_series(spec, r=0.9, n_max=5, max_terms=7, support_cap=2000)
+    factor = h_series(spec, r=0.9, n_max=5, max_terms=7, support_cap=2000,
+                      restriction=lambda a: g.factor_part(0, a) is not None)
+    assert report.series_full.values == full.values
+    assert report.series_factor.values == factor.values
+    assert report.series_factor.restriction == "factor-0"

@@ -12,8 +12,9 @@ from greengrowth.groups import (
 )
 from greengrowth.growth import h_series
 from greengrowth.kernels import (
-    convolve, dl_class_key, dl_green_classes, first_return_coefficients,
-    first_return_kernel, green_truncated, restricted_green,
+    FloatWalk, convolve, dl_class_key, dl_green_classes,
+    first_return_coefficients, first_return_kernel, green_truncated,
+    restricted_green,
     return_probability, spectral_radius_lower, standard_measure,
     tree_distance_law, tree_green_by_distance, tree_sphere_sizes,
     treeprod_green_by_distance,
@@ -455,6 +456,83 @@ def test_convolve_preserves_mass_without_cap():
     for _ in range(3):
         dist = convolve(dist, m, support_cap=None)
     assert abs(sum(dist.values()) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("spec,cap,steps", [
+    # dyadic weights keep every float sum exact, so ties stay ties; at
+    # cap 40 the second step's cut runs through a class of equal weights
+    (FreeProduct(RegularTree(4), FreeAbelian(2)), 40, 5),
+    (Heisenberg3(), None, 8),
+])
+def test_float_core_matches_the_exact_dict_loop(spec, cap, steps):
+    m = standard_measure(spec)
+    e = m.group.identity()
+    walk = FloatWalk(m, {e: 1.0}, cap)
+    exact = {e: Fraction(1)}
+    cuts_a_tie = False
+    for _ in range(steps):
+        full = sorted(convolve(exact, m, support_cap=None).values())[::-1]
+        cuts_a_tie |= cap is not None and len(full) > cap and (
+            full[cap - 1] == full[cap])
+        walk.step()
+        exact = convolve(exact, m, support_cap=cap)
+        got = walk.dist()
+        assert got.keys() == exact.keys()
+        for x, v in exact.items():
+            assert abs(got[x] - v) <= 1e-14 * v
+        assert walk.dropped == pytest.approx(float(1 - sum(exact.values())),
+                                             rel=1e-14, abs=0.0)
+    assert cuts_a_tie == (cap is not None)
+
+
+def _float_dict_step(dist, m, cap):
+    """The float dict loop the array core replaced: the reference for its
+    order of additions, its support order and its tie-break."""
+    g = m.group
+    out = {}
+    for x, px in dist.items():
+        for s, w in m.weights:
+            y = g.multiply(x, s)
+            out[y] = out.get(y, 0.0) + px * float(w)
+    if cap is not None and len(out) > cap:
+        ws = np.fromiter(out.values(), dtype=float, count=len(out))
+        thresh = np.partition(ws, len(ws) - cap)[len(ws) - cap]
+        keep = {y: w for y, w in out.items() if w > thresh}
+        ties = sorted((y for y, w in out.items() if w == thresh),
+                      key=g.encode)
+        keep.update((y, thresh) for y in ties[: cap - len(keep)])
+        out = keep
+    return out
+
+
+@pytest.mark.parametrize("spec,alpha,cap", [
+    (FreeProduct(TreeProduct(4, 4), FreeAbelian(3)), Fraction(1, 5), 300),
+    # on Heisenberg the first appearance of a product is not the order in
+    # which the step table met it
+    (Heisenberg3(), Fraction(1, 3), None),
+])
+def test_float_core_is_the_float_dict_loop_bit_for_bit(spec, alpha, cap):
+    m = standard_measure(spec, alpha=alpha)
+    e = m.group.identity()
+    walk = FloatWalk(m, {e: 1.0}, cap)
+    ref = {e: 1.0}
+    for _ in range(6):
+        walk.step()
+        ref = _float_dict_step(ref, m, cap)
+        assert list(walk.dist().items()) == list(ref.items())
+
+
+def test_pruned_green_values_plus_tails_bound_the_unpruned_values():
+    m = standard_measure(FreeProduct(RegularTree(3), FreeAbelian(2)))
+    g = m.group
+    xs = [g.identity()] + g.sphere(1)[:3] + g.sphere(2)[:3]
+    full = green_truncated(m, xs, 0.9, max_terms=6, support_cap=None)
+    cut = green_truncated(m, xs, 0.9, max_terms=6, support_cap=200)
+    assert any(cut[x].value < full[x].value for x in xs)
+    for x in xs:
+        assert cut[x].value <= full[x].value
+        assert full[x].value <= cut[x].value + cut[x].tail
+        assert cut[x].tail > full[x].tail
 
 
 def test_restricted_green_monotone_in_restriction():
