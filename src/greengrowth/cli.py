@@ -273,8 +273,8 @@ def _cmd_selftest(args, out) -> int:
     for root in (os.getcwd(), os.path.abspath(os.path.join(here, "..", ".."))):
         path = os.path.join(root, "tests", "test_acceptance.py")
         if os.path.exists(path):
-            return subprocess.call(
-                [sys.executable, "-m", "pytest", "-v", path])
+            return subprocess.call([sys.executable, "-m", "pytest", "-v",
+                                    "--durations=0", path])
     out.write("acceptance suite not found (run from the repository root)\n")
     return 1
 

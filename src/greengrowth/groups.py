@@ -2,8 +2,8 @@
 
 Each supported group comes with a canonical hashable element representation,
 a byte encoding (used for deterministic ordering of enumerations), exact
-multiplication/inversion, the word length for the standard generating set,
-and breadth-first sphere/ball enumeration with a hard element budget.
+multiplication/inversion, the word length for the standard generating set
+in closed form, and breadth-first search only for ball/sphere, with a budget.
 
 Supported groups:
 
@@ -23,7 +23,8 @@ Supported groups:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple, Union
+from math import isqrt
+from typing import Dict, List, Union
 
 DEFAULT_BUDGET = 5_000_000
 
@@ -130,21 +131,19 @@ class Group:
 
     # -- enumeration -------------------------------------------------------
 
-    def neighbors(self, a: Element) -> Iterable[Element]:
-        mul = self.multiply
-        return (mul(a, s) for s in self.generators())
-
     def ball(self, n: int, budget: int = DEFAULT_BUDGET) -> List[List[Element]]:
         """Spheres S_0 .. S_n as lists sorted by canonical encoding."""
         if n < 0:
             raise ValueError("radius must be >= 0")
+        mul, gens = self.multiply, self.generators()
         dist: Dict[Element, int] = {self.identity(): 0}
         layers: List[List[Element]] = [[self.identity()]]
         frontier = [self.identity()]
         for radius in range(1, n + 1):
             nxt = []
             for a in frontier:
-                for b in self.neighbors(a):
+                for s in gens:
+                    b = mul(a, s)
                     if b not in dist:
                         dist[b] = radius
                         nxt.append(b)
@@ -215,9 +214,6 @@ class _HeisenbergGroup(Group):
 
     def __init__(self, spec: Heisenberg3):
         self.spec = spec
-        self._dist: Dict[Tuple[int, int, int], int] = {(0, 0, 0): 0}
-        self._frontier: List[Tuple[int, int, int]] = [(0, 0, 0)]
-        self._layers: List[List[Tuple[int, int, int]]] = [[(0, 0, 0)]]
 
     def identity(self):
         return (0, 0, 0)
@@ -234,31 +230,33 @@ class _HeisenbergGroup(Group):
     def encode(self, a):
         return b"H:" + (",".join(map(str, a))).encode()
 
-    def _grow(self, budget):
-        radius = len(self._layers)
-        nxt = []
-        for a in self._frontier:
-            for b in self.neighbors(a):
-                if b not in self._dist:
-                    self._dist[b] = radius
-                    nxt.append(b)
-                    if len(self._dist) > budget:
-                        raise BudgetExceededError(
-                            f"Heisenberg ball radius {radius} exceeds "
-                            f"budget {budget}")
-        nxt.sort(key=self.encode)
-        self._layers.append(nxt)
-        self._frontier = nxt
+    def word_length(self, a):
+        """Closed-form word length (Blachere, Colloq. Math. 95, 2003).
 
-    def word_length(self, a, budget=DEFAULT_BUDGET):
-        while a not in self._dist:
-            self._grow(budget)
-        return self._dist[a]
-
-    def ball(self, n, budget=DEFAULT_BUDGET):
-        while len(self._layers) <= n:
-            self._grow(budget)
-        return [list(layer) for layer in self._layers[: n + 1]]
+        A word is a lattice path from 0 to (a, b) with c = integral of x dy.
+        Inverting x or y, the inverse word, and swapping x and y make the
+        length invariant under (a,b,c) -> (-a,b,-c), (a,-b,-c), (a,b,ab-c)
+        and (b,a,c), so take 0 <= a <= b, c >= 0.  Then |g| = a + b if
+        c <= ab (a staircase); b - a + 2 ceil(c/b) if c <= b^2 (a b-high
+        strip out and back); else 2s - a - b with s = isqrt(4c - 1) + 1, the
+        least s with s^2 >= 4c: the word closed along y = b and x = 0 (no
+        area) is a loop of length |g| + a + b around area c, a loop of
+        length 2s holds at most s^2/4, and a near-square attains it.
+        """
+        x, y, z = a
+        if x < 0:
+            x, z = -x, -z
+        if y < 0:
+            y, z = -y, -z
+        if z < 0:
+            z = x * y - z
+        if x > y:
+            x, y = y, x
+        if z <= x * y:
+            return x + y
+        if z <= y * y:
+            return y - x + 2 * (-(-z // y))
+        return 2 * (isqrt(4 * z - 1) + 1) - x - y
 
 
 class _FreeGroup(Group):
@@ -511,6 +509,7 @@ _CLASSES = {
     FreeProduct: _FreeProductGroup,
 }
 
+# one group per spec; no group keeps per-element state
 _CACHE: Dict[GroupSpec, Group] = {}
 
 

@@ -190,6 +190,21 @@ def test_budget_error_exit_code(capsys, monkeypatch):
     assert "budget" in err.lower()
 
 
+def test_selftest_prints_criterion_times(capsys, monkeypatch):
+    calls = []
+
+    def call(argv):
+        calls.append(argv)
+        return 0
+
+    monkeypatch.setattr("subprocess.call", call)
+    code, _, _ = run(capsys, "selftest")
+    assert code == 0
+    [argv] = calls
+    assert "--durations=0" in argv
+    assert argv[-1].endswith("test_acceptance.py")
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "out.csv"
     code, out, _ = run(capsys, "--output", str(target), "hr", "--group",

@@ -4,8 +4,8 @@ import pytest
 
 from greengrowth.groups import (
     BudgetExceededError, DiestelLeader, FreeAbelian, FreeGroup, FreeProduct,
-    Heisenberg3, RegularTree, TreeProduct, dl_class_count, dl_sphere_count,
-    dl_sphere_profiles, group_for, tree_level_sphere_count,
+    Group, Heisenberg3, RegularTree, TreeProduct, dl_class_count,
+    dl_sphere_count, dl_sphere_profiles, group_for, tree_level_sphere_count,
 )
 
 
@@ -36,6 +36,47 @@ def test_regular_tree_sphere_sizes():
 def test_heisenberg_ball_sizes():
     # frozen BFS counts for the standard two-generator presentation
     assert sphere_sizes(Heisenberg3(), 5) == [1, 4, 12, 36, 82, 164]
+
+
+def test_heisenberg_closed_form_word_length_matches_bfs():
+    g = group_for(Heisenberg3())
+    radius = 14
+    # the base-class breadth-first search is the independent oracle
+    dist = {x: n for n, layer in enumerate(Group.ball(g, radius))
+            for x in layer}
+    assert all(g.word_length(x) == n for x, n in dist.items())
+    box, area = radius + 1, radius * radius
+    for a in range(-box, box + 1):
+        for b in range(-box, box + 1):
+            for c in range(-area, area + 1):
+                if (a, b, c) not in dist:
+                    assert g.word_length((a, b, c)) > radius, (a, b, c)
+
+
+def test_heisenberg_word_length_symmetries():
+    g = group_for(Heisenberg3())
+    sample = [(a, b, c) for a in range(-6, 7) for b in range(-6, 7)
+              for c in range(-50, 51)]
+    for a, b, c in sample:
+        n = g.word_length((a, b, c))
+        assert g.word_length(g.inverse((a, b, c))) == n
+        assert g.word_length((-a, b, -c)) == n
+        assert g.word_length((a, -b, -c)) == n
+        assert g.word_length((a, b, a * b - c)) == n
+        assert g.word_length((b, a, c)) == n
+
+
+def test_heisenberg_central_word_length():
+    g = group_for(Heisenberg3())
+    s = 0
+    for c in range(1, 10 ** 6 + 1):
+        while s * s < 4 * c:
+            s += 1
+        # s = ceil(2 sqrt(c))
+        assert g.word_length((0, 0, c)) == 2 * s
+    # no search: a far element costs one call
+    assert g.word_length((10 ** 6, 0, 0)) == 10 ** 6
+    assert g.word_length((0, -10 ** 6, 0)) == 10 ** 6
 
 
 def test_tree_product_spheres_are_factor_convolutions():

@@ -7,8 +7,8 @@ import pytest
 
 from greengrowth.bitree import PhaseParams, classify
 from greengrowth.groups import (
-    DiestelLeader, FreeAbelian, FreeProduct, Heisenberg3, RegularTree,
-    TreeProduct, group_for,
+    DiestelLeader, FreeAbelian, FreeProduct, Group, Heisenberg3,
+    RegularTree, TreeProduct, group_for,
 )
 from greengrowth.kernels import (
     FloatWalk, green_truncated, standard_measure, zd_lazy_green,
@@ -100,6 +100,35 @@ def test_heisenberg_generic_engine_frozen():
     for n, want in enumerate(expected):
         assert abs(series.value(n) - want) < 2e-5
         assert series.values[n].rigorous
+
+
+def test_heisenberg_sweep_matches_bfs_word_lengths():
+    # the amenable benchmark call: 16 steps reduced over the spheres n <= 6
+    spec, r, n_max, steps = Heisenberg3(), 0.5, 6, 16
+    series = h_series(spec, r=r, n_max=n_max, max_terms=steps)
+    g = group_for(spec)
+    dist = {x: n for n, layer in enumerate(Group.ball(g, steps))
+            for x in layer}
+    m = standard_measure(spec)
+    walk = FloatWalk(m, {g.identity(): 1.0})
+    want = np.zeros((n_max + 1, steps + 1))
+    for k in range(steps + 1):
+        if k:
+            walk.step()
+        want[:, k] = np.bincount(walk.lookup(dist.__getitem__),
+                                 weights=walk.p,
+                                 minlength=n_max + 1)[: n_max + 1]
+    S, dropped = sphere_reduced_sweep(m, n_max, steps, None)
+    assert not dropped.any()
+    assert np.array_equal(S, want)
+    powers = r ** np.arange(steps + 1)
+    assert [series.value(n) for n in range(n_max + 1)] == [
+        float(row @ powers) for row in want]
+
+
+def test_heisenberg_group_keeps_no_per_element_state():
+    h_series(Heisenberg3(), r=0.5, n_max=4, max_terms=8)
+    assert vars(group_for(Heisenberg3())) == {"spec": Heisenberg3()}
 
 
 def test_pruning_keeps_the_heisenberg_series_rigorous():
