@@ -22,7 +22,7 @@ from .trees import (
 )
 from .bitree import (
     PhaseParams, PhaseReport, capital_R, classify, f_sum_log, find_lambda0,
-    hn_model, hn_model_log, model_window, prefactor_exponent, psi, psi_prime,
+    hn_model_log, model_window, prefactor_exponent, psi, psi_prime,
     solve_t0, solve_t1t2,
 )
 from .growth import (

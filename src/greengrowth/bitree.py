@@ -375,14 +375,6 @@ def hn_model_log(params: PhaseParams, r: float, n: int) -> float:
     return float(m + math.log(np.exp(terms - m).sum()) - 2.5 * math.log(n))
 
 
-def hn_model(params: PhaseParams, r: float, n: int) -> float:
-    """Model sum itself; overflows to inf when n * omega is large."""
-    try:
-        return math.exp(hn_model_log(params, r, n))
-    except OverflowError:
-        return math.inf
-
-
 def f_sum_log(phi_func, n: int) -> float:
     """log f(n) with f(n) = sum_{k=0}^n k (n-k) e^{n Phi((n-k)/k)} for an
     arbitrary rate function Phi (the k = 0 and k = n terms vanish)."""

@@ -7,8 +7,9 @@ in the catalog gets the cheapest correct engine:
   a product, the two factor resolvents integrated over an ellipse by the
   trapezoid rule, with a proved per-sphere error bound) times the
   closed-form sphere counts,
-* Z^d                             -- Bessel-integral Green values summed
-  over coordinate symmetry classes,
+* Z^d                             -- the Bessel-integral Green values of
+  `kernels.zd_green_estimates` summed over coordinate symmetry classes,
+  with the same error rule as `green_truncated`,
 * Diestel-Leader                  -- sphere profile decomposition with the
   closed-form lamplighter range engine (proved range-cutoff tails,
   0 <= r <= 1),
@@ -38,11 +39,11 @@ from .groups import (
     RegularTree, TreeProduct, dl_sphere_profiles,
 )
 from .kernels import (
-    DEFAULT_SUPPORT_CAP, MEMO_SIZE, ZD_NEGLIGIBLE, FloatWalk, Measure,
+    DEFAULT_SUPPORT_CAP, MEMO_SIZE, ZD_TAIL, FloatWalk, Measure,
     _heuristic_tail, _pick_n, check_radius, dl_class_key, dl_class_tail,
     dl_green_classes, green_truncated, standard_measure,
     tree_green_by_distance, tree_sphere_sizes, treeprod_error,
-    treeprod_green_by_distance, zd_batch_cutoff, zd_lazy_green_batch,
+    treeprod_green_by_distance, zd_green_estimates,
 )
 
 
@@ -135,22 +136,17 @@ def _h_zd(spec, measure, r, n_max, tol):
     alpha = float(measure.param("alpha"))
     per_n = [list(_zd_sphere_classes(d, n)) for n in range(n_max + 1)]
     keys = [cls for row in per_n for cls, _ in row]
-    green = zd_lazy_green_batch(d, alpha, keys, r)
-    # past the last panel edge only the local-CLT expansion is added,
-    # unless the integrand has decayed there below ZD_NEGLIGIBLE
-    rigorous = (r < 1.0
-                and zd_batch_cutoff(d, alpha, n_max, r) < ZD_NEGLIGIBLE)
+    green, tails, rigorous = zd_green_estimates(d, alpha, keys, r)
     vals = {}
     for n in range(n_max + 1):
         total = 0.0
         count = 0
+        extra = 0.0
         for cls, mult in per_n[n]:
             total += mult * green[cls]
             count += mult
-        # zd values are converged integrals, not truncations; below r = 1
-        # the quadrature error is dominated by this crude per-point bound
-        vals[n] = HEntry(total, count * 1e-9 if r < 1.0 else float("nan"),
-                         rigorous)
+            extra += mult * tails[cls]
+        vals[n] = HEntry(total, count * ZD_TAIL + extra, rigorous)
     return vals
 
 
@@ -257,9 +253,12 @@ def h_series(spec: GroupSpec, measure: Optional[Measure] = None,
     sums and ignore max_terms.  The tree engine is a closed form (tail 0,
     0 <= r <= R); the tree-product engine picks its node count so that
     every sphere's proved tail is at most tol, and raises ValueError at
-    r >= R or when that count would pass `kernels.MAX_NODES`.  Every walk
-    whose spectral radius rho is known in closed form raises ValueError at
-    r > 1/rho.
+    r >= R or when that count would pass `kernels.MAX_NODES`.  The Z^d
+    engine gives sphere n the tail |S_n| ZD_TAIL plus the multiplicity-
+    weighted last kept local-CLT terms of `kernels.zd_green_estimates`
+    (rigorous only where no such term is added, never at r = 1).  Every
+    walk whose spectral radius rho is known in closed form raises
+    ValueError at r > 1/rho.
     """
     if measure is None:
         measure = standard_measure(spec)
@@ -340,8 +339,7 @@ def dr_distance(spec: GroupSpec, measure: Optional[Measure], r: float,
     ge, gx = est[e], est[x]
     if gx.value <= 0:
         raise ValueError("Green value vanished; element unreachable?")
-    te = ge.tail if math.isfinite(ge.tail) else 0.0
-    tx = gx.tail if math.isfinite(gx.tail) else 0.0
+    te, tx = ge.tail, gx.tail
     base = omega * g.word_length(x)
     value = base - math.log((gx.value + 0.5 * tx) / (ge.value + 0.5 * te))
     lower = base - math.log((gx.value + tx) / ge.value)

@@ -10,7 +10,11 @@ are computed by specialized engines that sum no steps at all:
 * tree products   -- the two factor resolvents multiplied on an ellipse
                      around the first factor's spectrum and integrated by
                      the trapezoid rule, with a proved error bound,
-* Z^d             -- Bessel-integral representation of the Green kernel,
+* Z^d             -- the Bessel integral of the Green kernel on one shared
+                     Gauss-Legendre grid (`zd_lazy_green_batch`), with one
+                     error rule (`zd_green_estimates`) for values and
+                     sphere sums; `zd_lazy_green` is its adaptive-quad
+                     reference and no engine calls it,
 * Diestel-Leader  -- path-range decomposition of the lamplighter walk.
 
 Step sums (the generic convolution engine) run in floats on `FloatWalk`,
@@ -622,10 +626,11 @@ def treeprod_error(l1: int, l2: int, a1: float, r: float, d1_max: int,
 
 
 def zd_lazy_green(d: int, alpha: float, x: Sequence[int], r: float) -> float:
-    """G(e, x | r) for the lazy simple random walk on Z^d via the
-    Bessel-integral representation (converged value, not a truncation).
+    """G(e, x | r) for the lazy simple random walk on Z^d by adaptive
+    quadrature of the Bessel integral, one class at a time.
 
-    Requires r <= 1; at r = 1 convergence needs d >= 3.
+    The independent reference for `zd_lazy_green_batch`: no engine calls
+    it.  Requires r <= 1; at r = 1 convergence needs d >= 3.
     """
     if r > 1.0:
         raise ValueError("Z^d Green function diverges for r > 1")
@@ -652,7 +657,8 @@ def _zd_srw_green(d: int, x: Tuple[int, ...], r: float) -> float:
         return val
 
     if r < 1.0:
-        val, _ = quad(integrand, 0.0, np.inf, limit=400)
+        # epsabs = 0: quad's default 1.5e-8 would swamp far classes
+        val, _ = quad(integrand, 0.0, np.inf, limit=400, epsabs=0.0)
         return float(val)
     # r == 1: split off an analytic tail where ive is in its asymptotic range
     xmax = max(x) if x else 0
@@ -669,31 +675,34 @@ def _zd_srw_green(d: int, x: Tuple[int, ...], r: float) -> float:
 # at its last panel edge Te needs no tail beyond it
 ZD_NEGLIGIBLE = 1e-16
 
+# the error stated for every Z^d Green value on top of the local-CLT
+# term: the batch rule's own error lies far below it wherever it has been
+# checked against closed forms and 30-digit references, but is not proved
+ZD_TAIL = 1e-9
+
+# nodes and weights of the batch rule's Gauss-Legendre panels on [-1, 1]
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
+
 
 def _zd_rule(d: int, alpha: float, m_max: int, r: float):
-    """(denom, rs, edges) of the batch rule: the lazy walk's Green function
-    is the simple walk's at rs = r (1 - alpha) / denom, over denom =
-    1 - r alpha, and the panels are geometric from 1 to the first edge past
-    T = max(2e4, 80 m_max^2 / c), c = rs / d, where ive is in its
-    asymptotic range.  No edges at rs = 0, where G = delta_e."""
+    """(denom, rs, edges, clt) of the batch rule: the lazy walk's Green
+    function is the simple walk's at rs = r (1 - alpha) / denom, over
+    denom = 1 - r alpha, and the panels are geometric from 1 to the first
+    edge Te past T = max(2e4, 80 m_max^2 / c), c = rs / d, where ive is in
+    its asymptotic range.  clt says whether the local-CLT tail is added
+    past Te: unless e^(-(1 - rs) Te) < ZD_NEGLIGIBLE, so always at r = 1.
+    No edges and no tail at rs = 0, where G = delta_e."""
     denom = 1.0 - r * alpha
     rs = r * (1.0 - alpha) / denom
     if rs == 0.0:
-        return denom, rs, []
+        return denom, rs, [], False
     c = rs / d
     T = max(2.0e4, 80.0 * m_max * m_max / c)
     edges = [0.0, 1.0]
     while edges[-1] < T:
         edges.append(edges[-1] * 1.25)
-    return denom, rs, edges
-
-
-def zd_batch_cutoff(d: int, alpha: float, m_max: int, r: float) -> float:
-    """e^(-(1 - rs) Te) for the batch rule on classes with coordinates up
-    to m_max: below ZD_NEGLIGIBLE the rule adds no tail past its last panel
-    edge Te, and above it the tail is the local-CLT expansion."""
-    _, rs, edges = _zd_rule(d, alpha, m_max, r)
-    return math.exp(-(1.0 - rs) * edges[-1]) if edges else 0.0
+    clt = math.exp(-(1.0 - rs) * edges[-1]) >= ZD_NEGLIGIBLE
+    return denom, rs, edges, clt
 
 
 def _upper_gamma(s: float, x: float) -> float:
@@ -709,32 +718,37 @@ def _upper_gamma(s: float, x: float) -> float:
 
 
 def _zd_clt_tail(d: int, c: float, a: float, T: float,
-                 x: Tuple[int, ...]) -> float:
+                 x: Tuple[int, ...]) -> Tuple[float, float]:
     """int_T^inf e^(-a s) prod_i ive(x_i, c s) ds from the first two terms
     of ive(n, z) ~ (2 pi z)^(-1/2) (1 - (4 n^2 - 1) / (8 z)): the local
-    CLT.  With nu = d / 2, int_T^inf e^(-a s) s^(-nu) ds is
-    a^(nu - 1) Gamma(1 - nu, a T), or T^(1 - nu) / (nu - 1) at a = 0."""
+    CLT, and the magnitude of that expansion's last kept term.  With
+    nu = d / 2, int_T^inf e^(-a s) s^(-nu) ds is a^(nu - 1)
+    Gamma(1 - nu, a T), or T^(1 - nu) / (nu - 1) at a = 0."""
     nu = d / 2.0
     lead = (2.0 * math.pi * c) ** (-nu)
     corr = sum(4.0 * xi * xi - 1.0 for xi in x) / (8.0 * c)
     if a == 0.0:
-        return lead * (T ** (1.0 - nu) / (nu - 1.0) - corr * T ** (-nu) / nu)
-    return lead * (a ** (nu - 1.0) * _upper_gamma(1.0 - nu, a * T)
-                   - corr * a ** nu * _upper_gamma(-nu, a * T))
+        head, last = T ** (1.0 - nu) / (nu - 1.0), corr * T ** (-nu) / nu
+    else:
+        head = a ** (nu - 1.0) * _upper_gamma(1.0 - nu, a * T)
+        last = corr * a ** nu * _upper_gamma(-nu, a * T)
+    return lead * (head - last), lead * abs(last)
 
 
 def zd_lazy_green_batch(d: int, alpha: float,
                         classes: Sequence[Tuple[int, ...]], r: float,
                         ) -> Dict[Tuple[int, ...], float]:
-    """Lazy-walk Green values on Z^d for many coordinate classes at once.
+    """Lazy-walk Green values on Z^d for many coordinate classes at once:
+    the Z^d engine of `green_truncated` and `h_series` (through
+    `zd_green_estimates`, which states its error).
 
     Classes are tuples of coordinate absolute values (order irrelevant).
-    Shares one quadrature grid and one Bessel table across all classes,
-    which is what makes sphere sums out to n ~ 30 affordable.  Past the
-    last panel edge the local-CLT tail `_zd_clt_tail` is added unless
-    `zd_batch_cutoff` is below ZD_NEGLIGIBLE.  Relative accuracy is ~1e-6
-    at r = 1 and near machine precision for moderate arguments; only
-    deeply vanishing values (below ~1e-40) degrade.
+    The Bessel integral (Woess, Random Walks on Infinite Graphs and
+    Groups, CUP 2000) runs on one composite Gauss-Legendre grid with one
+    Bessel table shared by all classes, which is what makes sphere sums out
+    to n ~ 30 affordable.  Past the last panel edge the local-CLT tail
+    `_zd_clt_tail` is added wherever `_zd_rule` says so (always at r = 1).
+    Only deeply vanishing values (below ~1e-40) lose relative accuracy.
     """
     from scipy.special import ive
 
@@ -745,32 +759,53 @@ def zd_lazy_green_batch(d: int, alpha: float,
     classes = [tuple(sorted(abs(int(v)) for v in x)) for x in classes]
     uniq = sorted(set(classes))
     m_max = max(max(x) for x in uniq)
-    denom, rs, edges = _zd_rule(d, alpha, m_max, r)
+    denom, rs, edges, clt = _zd_rule(d, alpha, m_max, r)
     if rs == 0.0:
         return {x: (1.0 if not any(x) else 0.0) / denom for x in uniq}
     c = rs / d
 
     # composite Gauss-Legendre on geometrically growing panels
-    nodes, weights = np.polynomial.legendre.leggauss(24)
-    s = np.concatenate([0.5 * (b - a) * nodes + 0.5 * (a + b)
+    s = np.concatenate([0.5 * (b - a) * _GL_NODES + 0.5 * (a + b)
                         for a, b in zip(edges[:-1], edges[1:])])
-    w = np.concatenate([0.5 * (b - a) * weights
+    w = np.concatenate([0.5 * (b - a) * _GL_WEIGHTS
                         for a, b in zip(edges[:-1], edges[1:])])
     base = w * np.exp(-s * (1.0 - rs))
     bessel = ive(np.arange(m_max + 1)[:, None], c * s[None, :])
 
     Te = edges[-1]
-    with_tail = zd_batch_cutoff(d, alpha, m_max, r) >= ZD_NEGLIGIBLE
     out = {}
     for x in uniq:
         prod = base.copy()
         for xi in x:
             prod *= bessel[xi]
         val = float(prod.sum())
-        if with_tail:
-            val += _zd_clt_tail(d, c, 1.0 - rs, Te, x)
+        if clt:
+            val += _zd_clt_tail(d, c, 1.0 - rs, Te, x)[0]
         out[x] = val / denom
     return out
+
+
+def zd_green_estimates(d: int, alpha: float,
+                       classes: Sequence[Tuple[int, ...]], r: float,
+                       ) -> Tuple[Dict[Tuple[int, ...], float],
+                                  Dict[Tuple[int, ...], float], bool]:
+    """(values, tails, rigorous): `zd_lazy_green_batch`'s values and the
+    one Z^d error rule of `green_truncated` and `h_series`.
+
+    Every value carries ZD_TAIL plus tails[class].  Where the batch rule
+    adds no local-CLT tail (r < 1 away from 1), tails are 0 and rigorous
+    is True.  Where it does (always at r = 1), tails[class] is the
+    magnitude of the expansion's last kept term and rigorous is False: the
+    expansion is asymptotic, not a bound.
+    """
+    values = zd_lazy_green_batch(d, alpha, classes, r)
+    denom, rs, edges, clt = _zd_rule(d, alpha, max(max(x) for x in values),
+                                     r)
+    if not clt:
+        return values, dict.fromkeys(values, 0.0), True
+    tails = {x: _zd_clt_tail(d, rs / d, 1.0 - rs, edges[-1], x)[1] / denom
+             for x in values}
+    return values, tails, False
 
 
 # ---------------------------------------------------------------------------
@@ -915,9 +950,12 @@ def green_truncated(measure: Measure, targets: Sequence[Element], r: float,
     not step sums and ignore max_terms; n_terms = -1 marks a value that is
     not a truncation.  The tree engine is a closed form (tail 0); the
     tree-product engine's tail bounds its quadrature error, and it raises
-    ValueError at r >= R.  Every walk whose spectral radius rho is known
-    in closed form (trees, tree products, Z^d, Heisenberg) raises
-    ValueError at r > 1/rho.
+    ValueError at r >= R.  The Z^d engine is `zd_lazy_green_batch`, one
+    call for all targets, and ignores tol: each value's tail is ZD_TAIL,
+    plus the last kept term of the local-CLT tail wherever that tail is
+    added (always at r = 1, then rigorous=False); see `zd_green_estimates`.
+    Every walk whose spectral radius rho is known in closed form (trees,
+    tree products, Z^d, Heisenberg) raises ValueError at r > 1/rho.
     """
     check_radius(measure, r)
     spec, kind = measure.spec, measure.kind
@@ -931,7 +969,7 @@ def green_truncated(measure: Measure, targets: Sequence[Element], r: float,
         if isinstance(spec, TreeProduct) and kind == "product-mix":
             return _green_treeprod(measure, targets, r, tol)
         if isinstance(spec, FreeAbelian) and kind == "lazy-srw":
-            return _green_zd_integral(measure, targets, r, tol)
+            return _green_zd(measure, targets, r)
         if isinstance(spec, DiestelLeader) and kind == "dl-srw":
             return _green_dl(measure, targets, r, tol)
     return _green_generic(measure, targets, r, tol, mode, max_terms,
@@ -994,21 +1032,13 @@ def _green_treeprod(measure, targets, r, tol):
             for x, v, t in zip(targets, G[d1, d2], tails)}
 
 
-def _green_zd_integral(measure, targets, r, tol):
-    spec = measure.spec
-    alpha = float(measure.param("alpha"))
-    rho = 1.0
-    n_rig = _rigorous_n(r, rho, tol)
-    rigorous = n_rig is not None
-    tail = _geom_tail(r, rho, n_rig) if rigorous else 1e-8
-    out = {}
-    cache: Dict[Tuple[int, ...], float] = {}
-    for x in targets:
-        key = tuple(sorted(abs(v) for v in x))
-        if key not in cache:
-            cache[key] = zd_lazy_green(spec.d, alpha, key, r)
-        out[x] = GreenEstimate(cache[key], -1, tail, rigorous)
-    return out
+def _green_zd(measure, targets, r):
+    keys = {x: tuple(sorted(abs(v) for v in x)) for x in targets}
+    values, tails, rigorous = zd_green_estimates(
+        measure.spec.d, float(measure.param("alpha")), list(keys.values()),
+        r)
+    return {x: GreenEstimate(values[k], -1, ZD_TAIL + tails[k], rigorous)
+            for x, k in keys.items()}
 
 
 def _green_dl(measure, targets, r, tol):

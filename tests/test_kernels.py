@@ -274,6 +274,8 @@ ZD_ORACLES = [
     ((2, 1, 1), 0.9, 0.021671802537710654),
     ((3, 2, 0), 0.8, 0.00075130875972887399),
     ((5, 0, 0), 1.0, 0.19321290400727743),
+    # the unpruned 120-step FloatWalk sum, tail below 0.5^120
+    ((0, 0, 8), 0.5, 2.2255591131572e-10),
 ]
 
 
@@ -305,7 +307,75 @@ def test_zd_green_estimate_is_not_a_truncation():
     e = m.group.identity()
     est = green_truncated(m, [e], 0.99)[e]
     assert est.n_terms == -1
-    assert est.value == zd_lazy_green(3, 0.5, (0, 0, 0), 0.99)
+    assert est.value == zd_lazy_green_batch(3, 0.5, [(0, 0, 0)], 0.99)[
+        (0, 0, 0)]
+    # below the local-CLT regime the stated error is 1e-9 per element
+    assert est.tail == 1e-9 and est.rigorous
+
+
+@pytest.mark.parametrize("r", [0.9, 1.0])
+def test_green_truncated_zd_ball_matches_the_scalar_reference(r):
+    m = standard_measure(FreeAbelian(3))
+    ball = [x for layer in m.group.ball(8) for x in layer]
+    est = green_truncated(m, ball, r)
+    ref = {}
+    for x in ball:
+        cls = tuple(sorted(abs(v) for v in x))
+        if cls not in ref:
+            ref[cls] = zd_lazy_green(3, 0.5, cls, r)
+        assert abs(est[x].value - ref[cls]) <= 1e-6 * ref[cls]
+
+
+@pytest.mark.parametrize("r", [0.99999, 0.9999995])
+def test_green_truncated_z_and_z2_near_one_within_tails(r):
+    # lazy walk, alpha = 1/2: G(x | r) = G_srw(x | rs) / (1 - r / 2) with
+    # rs = r / (2 - r), and 1 - rs^2 = (1 - r) / (1 - r / 2) (1 + rs)
+    # computed without cancellation
+    rs = 0.5 * r / (1.0 - 0.5 * r)
+    s = math.sqrt((1.0 - r) / (1.0 - 0.5 * r) * (1.0 + rs))
+    xs = [(k,) for k in (0, 1, 3, 10, 50)]
+    est = green_truncated(standard_measure(FreeAbelian(1)), xs, r)
+    for x in xs:
+        want = (1.0 / s) * ((1.0 - s) / rs) ** x[0] / (1.0 - 0.5 * r)
+        got = est[x]
+        assert math.isfinite(got.value) and got.value > 0.0
+        assert math.isfinite(got.tail) and not got.rigorous
+        assert abs(got.value - want) <= got.tail
+    from scipy.special import ellipk
+
+    e2 = (0, 0)
+    got = green_truncated(standard_measure(FreeAbelian(2)), [e2], r)[e2]
+    want = (2.0 / math.pi) * ellipk(rs * rs) / (1.0 - 0.5 * r)
+    assert math.isfinite(got.value) and got.value > 0.0
+    assert abs(got.value - want) <= got.tail
+
+
+def test_zd_at_one_states_a_finite_heuristic_tail():
+    m = standard_measure(FreeAbelian(3))
+    x = (10, 10, 10)
+    got = green_truncated(m, [x], 1.0)[x]
+    # 30-digit mpmath value of the Bessel integral
+    assert abs(got.value - 0.05510221212327715) <= got.tail
+    assert math.isfinite(got.tail) and not got.rigorous
+    series = h_series(FreeAbelian(3), r=1.0, n_max=30)
+    for entry in series.values.values():
+        assert math.isfinite(entry.tail) and not entry.rigorous
+
+
+def test_no_engine_calls_the_scalar_zd_reference(monkeypatch):
+    from greengrowth import kernels
+    from greengrowth.freeprod import transfer
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("zd_lazy_green is the tests' reference")
+
+    monkeypatch.setattr(kernels, "zd_lazy_green", refuse)
+    for spec, x in ((FreeAbelian(3), (1, 2, 0)), (FreeAbelian(1), (3,))):
+        m = standard_measure(spec)
+        assert green_truncated(m, [x], 0.5)[x].value > 0.0
+    assert h_series(FreeAbelian(3), r=0.5, n_max=5).value(5) > 0.0
+    spec = FreeProduct(TreeProduct(4, 4), FreeAbelian(3))
+    assert transfer(spec, standard_measure(spec, alpha=0.2), 0.5).w0 > 0.0
 
 
 def test_dl_green_engine_matches_convolution_series():
