@@ -13,7 +13,7 @@ from .groups import (
 )
 from .kernels import (
     FirstReturnKernel, GreenEstimate, Measure, first_return_coefficients,
-    first_return_kernel, green_truncated, restricted_green, return_probability,
+    first_return_kernel, green_truncated, return_probability,
     spectral_radius_lower, standard_measure,
 )
 from .trees import (

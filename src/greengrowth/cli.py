@@ -2,9 +2,10 @@
 free-product scans, and branching-walk summaries.
 
 Output conventions: CSV with a header row, comma separators, LF newlines
-and 17-significant-digit floats (byte-stable across runs for exact-mode
-computations); JSON is UTF-8 with a "schema": 1 tag.  A flat
-``key = value`` config file can supply defaults; explicit flags win.
+and 17-significant-digit floats (byte-stable across runs: every engine is
+deterministic, pruned sweeps included); JSON is UTF-8 with a "schema": 1
+tag.  A flat ``key = value`` config file can supply defaults; explicit
+flags win.
 Exit codes: 0 success, 1 validation error, 2 enumeration budget exceeded.
 """
 

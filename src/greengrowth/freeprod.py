@@ -77,7 +77,7 @@ def tagged_return_coefficients(measure: Measure, n_max: int = DEFAULT_N,
                  for x, w in part.weights}
         coeffs = first_return_coefficients(
             measure, lambda y: y == e, n_max, first_step=first,
-            mode="float", support_cap=support_cap)
+            support_cap=support_cap)
         out.append(coeffs.get(e, np.zeros(n_max + 1)))
     return out[0], out[1]
 

@@ -13,11 +13,11 @@ in the catalog gets the cheapest correct engine:
 * Diestel-Leader                  -- sphere profile decomposition with the
   closed-form lamplighter range engine (proved range-cutoff tails,
   0 <= r <= 1),
-* everything else                 -- one float sweep (`kernels.FloatWalk`)
-  reduced per sphere through a per-element word-length array, so the
-  r-dependence is a cheap polynomial evaluation; the mass a support cap
-  prunes enters every tail.  A parabolic-gap report reduces one sweep
-  twice, over the whole spheres and over the factor.
+* everything else                 -- the float step-sum core
+  `kernels.step_sums` binned by word length, so the r-dependence is a
+  cheap polynomial evaluation; the mass a support cap prunes enters every
+  tail.  A parabolic-gap report reduces one sweep twice, over the whole
+  spheres and over the factor.
 
 Also here: growth-rate estimation omega(r) by least-squares slope of
 log H_r(n), partial Poincare sums, the Green-based distance
@@ -39,11 +39,11 @@ from .groups import (
     RegularTree, TreeProduct, dl_sphere_profiles,
 )
 from .kernels import (
-    DEFAULT_SUPPORT_CAP, MEMO_SIZE, ZD_TAIL, FloatWalk, Measure,
-    _heuristic_tail, _pick_n, check_radius, dl_class_key, dl_class_tail,
-    dl_green_classes, green_truncated, standard_measure,
-    tree_green_by_distance, tree_sphere_sizes, treeprod_error,
-    treeprod_green_by_distance, zd_green_estimates,
+    DEFAULT_SUPPORT_CAP, MEMO_SIZE, ZD_TAIL, Measure, _heuristic_tail,
+    _pick_n, check_radius, dl_class_key, dl_class_tail, dl_green_classes,
+    green_truncated, standard_measure, step_sums, tree_green_by_distance,
+    tree_sphere_sizes, treeprod_error, treeprod_green_by_distance,
+    zd_green_estimates,
 )
 
 
@@ -100,8 +100,12 @@ def _sphere_sums(W):
 
 def _h_treeprod(spec, measure, r, n_max, tol):
     a1 = float(measure.param("a1"))
-    counts = np.outer(tree_sphere_sizes(spec.l1, n_max),
-                      tree_sphere_sizes(spec.l2, n_max))
+    # only the cells d1 + d2 <= n_max enter a sphere; the others overflow
+    d = np.arange(n_max + 1)
+    counts = np.multiply.outer(tree_sphere_sizes(spec.l1, n_max),
+                               tree_sphere_sizes(spec.l2, n_max),
+                               out=np.zeros((n_max + 1, n_max + 1)),
+                               where=np.add.outer(d, d) <= n_max)
     n, tails = treeprod_error(spec.l1, spec.l2, a1, r, n_max, n_max, tol,
                               lambda E: _sphere_sums(counts * E))
     G = treeprod_green_by_distance(spec.l1, spec.l2, a1, r, n, n_max,
@@ -203,7 +207,7 @@ def sphere_reduced_sweep(measure: Measure, n_max: int, n_steps: int,
                          support_cap: Optional[int] = DEFAULT_SUPPORT_CAP,
                          ) -> Tuple[np.ndarray, np.ndarray]:
     """Matrix S[n, k] = sum of p_k(e, x) over x in S_n (optionally
-    restricted), from one convolution sweep.  H_r(n) is then the
+    restricted), from one `step_sums` sweep.  H_r(n) is then the
     polynomial sum_k r^k S[n, k] for any r, which is what lets scans
     reuse a single sweep across a whole r-grid.
 
@@ -217,24 +221,10 @@ def sphere_reduced_sweep(measure: Measure, n_max: int, n_steps: int,
 
 
 def _sweep(measure, n_max, n_steps, restrictions, support_cap):
-    """One float sweep reduced per sphere once per restriction: returns
-    the matrices S, one per restriction, then the pruned masses M."""
-    g = measure.group
-    walk = FloatWalk(measure, {g.identity(): 1.0}, support_cap)
-    S = np.zeros((len(restrictions), n_max + 1, n_steps + 1))
-    dropped = np.zeros(n_steps + 1)
-    for k in range(n_steps + 1):
-        if k:
-            walk.step()
-        n = walk.lookup(g.word_length)
-        for Sj, restriction in zip(S, restrictions):
-            inside = (slice(None) if restriction is None
-                      else walk.lookup(restriction, bool))
-            # bincount adds in support order, one entry after another
-            Sj[:, k] = np.bincount(n[inside], weights=walk.p[inside],
-                                   minlength=n_max + 1)[: n_max + 1]
-        dropped[k] = walk.dropped
-    return (*S, dropped)
+    """The `step_sums` core binned by word length: the matrices S, one per
+    restriction, then the pruned masses M."""
+    return step_sums(measure, measure.group.word_length, n_max + 1, n_steps,
+                     restrictions, support_cap)
 
 
 _memo_sweep = lru_cache(maxsize=MEMO_SIZE)(_sweep)

@@ -1,9 +1,8 @@
 """Step distributions, convolution, truncated Green functions.
 
-The generic machinery works on sparse distributions over group elements
-with exact rational weights (mode "exact") or floats (mode "float").
-For groups whose standard kernels have extra structure, Green functions
-are computed by specialized engines that sum no steps at all:
+The generic machinery sums steps of a float distribution over group
+elements.  For groups whose standard kernels have extra structure, Green
+functions are computed by specialized engines that sum no steps at all:
 
 * regular trees   -- the closed-form resolvent F^|x| / (w - F) of the
                      simple random walk on the tree,
@@ -17,16 +16,18 @@ are computed by specialized engines that sum no steps at all:
                      reference and no engine calls it,
 * Diestel-Leader  -- path-range decomposition of the lamplighter walk.
 
-Step sums (the generic convolution engine) run in floats on `FloatWalk`,
-an array-backed sweep over interned elements with a memoized step table,
-and in exact mode on the dict loop of `convolve`.  They bound their tails
-with p_n(x, y) <= rho^n for symmetric kernels; the bounds are rigorous
-whenever the spectral radius rho is known in closed form and r * rho < 1,
-and heuristic (geometric extrapolation, flagged) otherwise.  A support
-cap prunes mass M_k by step k, and p_k(A) <= (pruned p_k)(A) + M_k for
-every set A, so sum_k r^k M_k is added to every tail.  The
-Diestel-Leader engine is exact per range; its range cutoff carries a
-proved tail for 0 <= r <= 1.
+Every other step sum -- Green values, sphere sums, return probabilities --
+reads one core, `step_sums`: a sweep of `FloatWalk` (interned elements, a
+memoized step table) from e, binned by an integer key at every step, so
+that any r-dependence is a polynomial evaluation afterwards.  `convolve`
+is the exact-rational dict loop the float sweep is tested against.  Step
+sums bound their tails with p_n(x, y) <= rho^n for symmetric kernels; the
+bounds are rigorous whenever the spectral radius rho is known in closed
+form and r * rho < 1, and heuristic (geometric extrapolation, flagged)
+otherwise.  A support cap prunes mass M_k by step k, and
+p_k(A) <= (pruned p_k)(A) + M_k for every set A, so sum_k r^k M_k is
+added to every tail.  The Diestel-Leader engine is exact per range; its
+range cutoff carries a proved tail for 0 <= r <= 1.
 """
 
 from __future__ import annotations
@@ -202,32 +203,21 @@ def check_radius(measure: Measure, r: float) -> None:
 
 
 def convolve(dist: Dict[Element, object], measure: Measure,
-             mode: str = "exact",
              support_cap: Optional[int] = DEFAULT_SUPPORT_CAP,
-             restrict: Optional[Callable[[Element], bool]] = None,
              ) -> Dict[Element, object]:
-    """One convolution step dist * measure.
+    """One convolution step dist * measure by a dict loop over sources and
+    steps; Fraction weights keep it exact.  The reference `FloatWalk` is
+    tested against.
 
     With a support cap, only the heaviest cap entries are kept (ties broken
     by canonical encoding); dropped mass makes every later value a certified
-    lower bound.  An optional restrict predicate zeroes the sources outside
-    the allowed set before stepping.  Mode "float" runs one step of the
-    array sweep `FloatWalk`; mode "exact" (Fraction weights) runs the dict
-    loop below, the reference the float sweep is tested against.
+    lower bound.
     """
-    if mode == "float":
-        walk = FloatWalk(measure, dist, support_cap)
-        if restrict is not None:
-            walk.keep(restrict)
-        walk.step()
-        return walk.dist()
     g = measure.group
     zero = Fraction(0)
     out: Dict[Element, object] = {}
     mul = g.multiply
     for x, px in dist.items():
-        if restrict is not None and not restrict(x):
-            continue
         for s, w in measure.weights:
             y = mul(x, s)
             out[y] = out.get(y, zero) + px * w
@@ -247,7 +237,7 @@ def _grown(a: np.ndarray, n: int, fill) -> np.ndarray:
 
 
 class FloatWalk:
-    """A float distribution stepped by a measure: the sweep core.
+    """A float distribution stepped by a measure, the walk of `step_sums`.
 
     Each element is interned to an int id once, and the step table maps
     (id, step) to the id of the product, filled the first time an element
@@ -335,11 +325,6 @@ class FloatWalk:
         self._cache[fn] = values, known
         return values[self.ids]
 
-    def keep(self, pred: Callable[[Element], bool]) -> None:
-        """Zero the entries whose element fails pred."""
-        mask = self.lookup(pred, bool)
-        self.ids, self.p = self.ids[mask], self.p[mask]
-
     def take(self, pred: Callable[[Element], bool]
              ) -> List[Tuple[Element, float]]:
         """Remove the entries whose element satisfies pred; return them."""
@@ -349,52 +334,42 @@ class FloatWalk:
         self.ids, self.p = self.ids[~mask], self.p[~mask]
         return hits
 
-    def value(self, x: Element) -> float:
-        at = np.flatnonzero(self.ids == self._index.get(x, -1))
-        return float(self.p[at[0]]) if len(at) else 0.0
-
     def dist(self) -> Dict[Element, float]:
         return dict(zip([self._elements[i] for i in self.ids.tolist()],
                         self.p.tolist()))
 
 
-class _ExactWalk:
-    """The interface of FloatWalk over exact Fraction weights, stepped by
-    the dict loop of `convolve`."""
+def step_sums(measure: Measure, key: Callable[[Element], int], n_bins: int,
+              n_steps: int,
+              restrictions: Sequence[Optional[Callable[[Element], bool]]]
+              = (None,),
+              support_cap: Optional[int] = DEFAULT_SUPPORT_CAP,
+              ) -> Tuple[np.ndarray, ...]:
+    """The one float step-sum core: S[b, k] = sum of p_k(e, x) over the x
+    with key(x) = b, for 0 <= b < n_bins and 0 <= k <= n_steps, from one
+    `FloatWalk` sweep from e.  Keys at or above n_bins drop out.
 
-    def __init__(self, measure: Measure, start: Dict[Element, object],
-                 support_cap: Optional[int] = DEFAULT_SUPPORT_CAP):
-        self.measure, self.support_cap = measure, support_cap
-        self._dist = {x: Fraction(v) for x, v in start.items()}
-        self.dropped = Fraction(0)
-
-    def step(self) -> None:
-        before = self._dist
-        self._dist = convolve(before, self.measure, "exact",
-                              self.support_cap)
-        if len(self._dist) == self.support_cap:
-            # the cap may have pruned; the step preserves mass, so what it
-            # pruned is the difference
-            self.dropped += sum(before.values()) - sum(self._dist.values())
-
-    def keep(self, pred: Callable[[Element], bool]) -> None:
-        self._dist = {x: v for x, v in self._dist.items() if pred(x)}
-
-    def take(self, pred: Callable[[Element], bool]
-             ) -> List[Tuple[Element, Fraction]]:
-        hits = [(x, v) for x, v in self._dist.items() if pred(x)]
-        for x, _ in hits:
-            del self._dist[x]
-        return hits
-
-    def value(self, x: Element) -> Fraction:
-        return self._dist.get(x, Fraction(0))
-
-
-def _walk(measure: Measure, start: Dict[Element, object], mode: str,
-          support_cap: Optional[int]):
-    return (_ExactWalk if mode == "exact" else FloatWalk)(
-        measure, start, support_cap)
+    Returns one S per restriction (None: every element; else only the
+    elements the predicate accepts), then M, where M[k] is the mass the
+    support cap pruned by step k: each S[b, k] is a lower bound within
+    M[k] of the unpruned value.  A sum sum_k r^k p_k is then S @ r^k for
+    any r.
+    """
+    walk = FloatWalk(measure, {measure.group.identity(): 1.0}, support_cap)
+    S = np.zeros((len(restrictions), n_bins, n_steps + 1))
+    dropped = np.zeros(n_steps + 1)
+    for k in range(n_steps + 1):
+        if k:
+            walk.step()
+        b = walk.lookup(key)
+        for Sj, restriction in zip(S, restrictions):
+            inside = (slice(None) if restriction is None
+                      else walk.lookup(restriction, bool))
+            # bincount adds in support order, one entry after another
+            Sj[:, k] = np.bincount(b[inside], weights=walk.p[inside],
+                                   minlength=n_bins)[:n_bins]
+        dropped[k] = walk.dropped
+    return (*S, dropped)
 
 
 # ---------------------------------------------------------------------------
@@ -685,24 +660,27 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 
 
 def _zd_rule(d: int, alpha: float, m_max: int, r: float):
-    """(denom, rs, edges, clt) of the batch rule: the lazy walk's Green
-    function is the simple walk's at rs = r (1 - alpha) / denom, over
-    denom = 1 - r alpha, and the panels are geometric from 1 to the first
-    edge Te past T = max(2e4, 80 m_max^2 / c), c = rs / d, where ive is in
-    its asymptotic range.  clt says whether the local-CLT tail is added
-    past Te: unless e^(-(1 - rs) Te) < ZD_NEGLIGIBLE, so always at r = 1.
-    No edges and no tail at rs = 0, where G = delta_e."""
+    """(denom, rs, decay, edges, clt) of the batch rule: the lazy walk's
+    Green function is the simple walk's at rs = r (1 - alpha) / denom,
+    over denom = 1 - r alpha, and its integrand decays at the rate
+    decay = 1 - rs, formed as (1 - r) / denom, which does not cancel as
+    rs -> 1.  The panels are geometric from 1 to the first edge Te past
+    T = max(2e4, 80 m_max^2 / c), c = rs / d, where ive is in its
+    asymptotic range.  clt says whether the local-CLT tail is added past
+    Te: unless e^(-decay Te) < ZD_NEGLIGIBLE, so always at r = 1.  No
+    edges and no tail at rs = 0, where G = delta_e."""
     denom = 1.0 - r * alpha
     rs = r * (1.0 - alpha) / denom
+    decay = (1.0 - r) / denom
     if rs == 0.0:
-        return denom, rs, [], False
+        return denom, rs, decay, [], False
     c = rs / d
     T = max(2.0e4, 80.0 * m_max * m_max / c)
     edges = [0.0, 1.0]
     while edges[-1] < T:
         edges.append(edges[-1] * 1.25)
-    clt = math.exp(-(1.0 - rs) * edges[-1]) >= ZD_NEGLIGIBLE
-    return denom, rs, edges, clt
+    clt = math.exp(-decay * edges[-1]) >= ZD_NEGLIGIBLE
+    return denom, rs, decay, edges, clt
 
 
 def _upper_gamma(s: float, x: float) -> float:
@@ -759,7 +737,7 @@ def zd_lazy_green_batch(d: int, alpha: float,
     classes = [tuple(sorted(abs(int(v)) for v in x)) for x in classes]
     uniq = sorted(set(classes))
     m_max = max(max(x) for x in uniq)
-    denom, rs, edges, clt = _zd_rule(d, alpha, m_max, r)
+    denom, rs, decay, edges, clt = _zd_rule(d, alpha, m_max, r)
     if rs == 0.0:
         return {x: (1.0 if not any(x) else 0.0) / denom for x in uniq}
     c = rs / d
@@ -769,7 +747,7 @@ def zd_lazy_green_batch(d: int, alpha: float,
                         for a, b in zip(edges[:-1], edges[1:])])
     w = np.concatenate([0.5 * (b - a) * _GL_WEIGHTS
                         for a, b in zip(edges[:-1], edges[1:])])
-    base = w * np.exp(-s * (1.0 - rs))
+    base = w * np.exp(-s * decay)
     bessel = ive(np.arange(m_max + 1)[:, None], c * s[None, :])
 
     Te = edges[-1]
@@ -780,7 +758,7 @@ def zd_lazy_green_batch(d: int, alpha: float,
             prod *= bessel[xi]
         val = float(prod.sum())
         if clt:
-            val += _zd_clt_tail(d, c, 1.0 - rs, Te, x)[0]
+            val += _zd_clt_tail(d, c, decay, Te, x)[0]
         out[x] = val / denom
     return out
 
@@ -799,11 +777,11 @@ def zd_green_estimates(d: int, alpha: float,
     expansion is asymptotic, not a bound.
     """
     values = zd_lazy_green_batch(d, alpha, classes, r)
-    denom, rs, edges, clt = _zd_rule(d, alpha, max(max(x) for x in values),
-                                     r)
+    denom, rs, decay, edges, clt = _zd_rule(
+        d, alpha, max(max(x) for x in values), r)
     if not clt:
         return values, dict.fromkeys(values, 0.0), True
-    tails = {x: _zd_clt_tail(d, rs / d, 1.0 - rs, edges[-1], x)[1] / denom
+    tails = {x: _zd_clt_tail(d, rs / d, decay, edges[-1], x)[1] / denom
              for x in values}
     return values, tails, False
 
@@ -936,26 +914,28 @@ def _heuristic_tail(terms: List[float]) -> float:
 
 
 def green_truncated(measure: Measure, targets: Sequence[Element], r: float,
-                    tol: float = 1e-9, mode: str = "float",
-                    max_terms: Optional[int] = None,
+                    tol: float = 1e-9, max_terms: Optional[int] = None,
                     support_cap: Optional[int] = DEFAULT_SUPPORT_CAP,
                     ) -> Dict[Element, GreenEstimate]:
     """Truncated Green function G(e, x | r) for each target element.
 
-    The truncation order comes from the closed-form spectral radius when
-    available with r * rho < 1 (rigorous tail bound), else from max_terms
-    with a heuristic tail estimate, flagged via ``rigorous=False``; a step
-    sum whose support cap pruned mass M_k by step k adds sum_k r^k M_k to
-    the tail.  The tree, tree-product, Z^d and Diestel-Leader engines are
-    not step sums and ignore max_terms; n_terms = -1 marks a value that is
-    not a truncation.  The tree engine is a closed form (tail 0); the
+    The tree, tree-product, Z^d and Diestel-Leader engines are not step
+    sums and ignore max_terms; n_terms = -1 marks a value that is not a
+    truncation.  The tree engine is a closed form (tail 0); the
     tree-product engine's tail bounds its quadrature error, and it raises
     ValueError at r >= R.  The Z^d engine is `zd_lazy_green_batch`, one
     call for all targets, and ignores tol: each value's tail is ZD_TAIL,
     plus the last kept term of the local-CLT tail wherever that tail is
     added (always at r = 1, then rigorous=False); see `zd_green_estimates`.
-    Every walk whose spectral radius rho is known in closed form (trees,
-    tree products, Z^d, Heisenberg) raises ValueError at r > 1/rho.
+
+    Every other walk reads one `step_sums` sweep binned by target.  Its
+    truncation order comes from the closed-form spectral radius when
+    available with r * rho < 1 (rigorous tail bound), else from max_terms
+    with a heuristic tail estimate on the return series of e, flagged via
+    ``rigorous=False``; a support cap that pruned mass M_k by step k adds
+    sum_k r^k M_k to the tail.  Every walk whose spectral radius rho is
+    known in closed form (trees, tree products, Z^d, Heisenberg) raises
+    ValueError at r > 1/rho.
     """
     check_radius(measure, r)
     spec, kind = measure.spec, measure.kind
@@ -963,17 +943,15 @@ def green_truncated(measure: Measure, targets: Sequence[Element], r: float,
     if not targets:
         return {}
 
-    if mode == "float":
-        if isinstance(spec, RegularTree) and kind == "tree-lazy":
-            return _green_tree(measure, targets, r)
-        if isinstance(spec, TreeProduct) and kind == "product-mix":
-            return _green_treeprod(measure, targets, r, tol)
-        if isinstance(spec, FreeAbelian) and kind == "lazy-srw":
-            return _green_zd(measure, targets, r)
-        if isinstance(spec, DiestelLeader) and kind == "dl-srw":
-            return _green_dl(measure, targets, r, tol)
-    return _green_generic(measure, targets, r, tol, mode, max_terms,
-                          support_cap)
+    if isinstance(spec, RegularTree) and kind == "tree-lazy":
+        return _green_tree(measure, targets, r)
+    if isinstance(spec, TreeProduct) and kind == "product-mix":
+        return _green_treeprod(measure, targets, r, tol)
+    if isinstance(spec, FreeAbelian) and kind == "lazy-srw":
+        return _green_zd(measure, targets, r)
+    if isinstance(spec, DiestelLeader) and kind == "dl-srw":
+        return _green_dl(measure, targets, r, tol)
+    return _green_generic(measure, targets, r, tol, max_terms, support_cap)
 
 
 def _pick_n(measure, r, tol, max_terms, default=64):
@@ -988,26 +966,21 @@ def _pick_n(measure, r, tol, max_terms, default=64):
     return n_max, rigorous, rho
 
 
-def _green_generic(measure, targets, r, tol, mode, max_terms, support_cap):
-    g = measure.group
-    e = g.identity()
+def _green_generic(measure, targets, r, tol, max_terms, support_cap):
+    """One `step_sums` sweep binned by target; e always gets a bin, since
+    its return series drives the heuristic tail."""
     n_max, rigorous, rho = _pick_n(measure, r, tol, max_terms)
-    walk = _walk(measure, {e: 1}, mode, support_cap)
-    rr = _frac(r) if mode == "exact" else float(r)
-    rn = rr ** 0
-    acc = {x: walk.value(x) for x in targets}
-    diag_terms = [float(walk.value(e))]
-    pruned = 0.0  # sum_k r^k M_k, M_k the mass pruned by step k
-    for n in range(1, n_max + 1):
-        walk.step()
-        rn = rn * rr
-        for x in targets:
-            acc[x] = acc[x] + rn * walk.value(x)
-        diag_terms.append(float(rn) * float(walk.value(e)))
-        pruned += float(rn) * float(walk.dropped)
+    e = measure.group.identity()
+    index = {x: i for i, x in enumerate(dict.fromkeys([*targets, e]))}
+    n_bins = len(index)
+    S, dropped = step_sums(measure, lambda x: index.get(x, n_bins), n_bins,
+                           n_max, support_cap=support_cap)
+    powers = float(r) ** np.arange(n_max + 1)
     tail = (_geom_tail(r, rho, n_max) if rigorous
-            else _heuristic_tail(diag_terms)) + pruned
-    return {x: GreenEstimate(float(acc[x]), n_max, tail, rigorous)
+            else _heuristic_tail(list(S[index[e]] * powers)))
+    tail = float(tail + dropped @ powers)
+    return {x: GreenEstimate(float(S[index[x]] @ powers), n_max, tail,
+                             rigorous)
             for x in targets}
 
 
@@ -1053,36 +1026,13 @@ def _green_dl(measure, targets, r, tol):
 
 
 # ---------------------------------------------------------------------------
-# restricted Green functions and first-return kernels
-
-
-def restricted_green(measure: Measure, x: Element, y: Element,
-                     allowed: Callable[[Element], bool], r: float,
-                     n_max: int, mode: str = "float",
-                     support_cap: Optional[int] = DEFAULT_SUPPORT_CAP,
-                     ) -> float:
-    """Truncated Green function over paths whose interior points satisfy
-    the allowed predicate (endpoints are exempt).  Certified lower bound:
-    truncation and any support pruning only drop nonnegative path weights.
-    """
-    walk = _walk(measure, {x: 1}, mode, support_cap)
-    rr = _frac(r) if mode == "exact" else float(r)
-    rn = rr ** 0
-    total = walk.value(y)
-    for n in range(1, n_max + 1):
-        if n > 1:
-            walk.keep(allowed)
-        walk.step()
-        rn = rn * rr
-        total = total + rn * walk.value(y)
-    return float(total)
+# first-return kernels
 
 
 def first_return_coefficients(measure: Measure,
                               member: Callable[[Element], bool],
                               n_max: int,
                               first_step: Optional[Dict[Element, object]] = None,
-                              mode: str = "float",
                               support_cap: Optional[int] = DEFAULT_SUPPORT_CAP,
                               ) -> Dict[Element, np.ndarray]:
     """Per-step mass of first entries into the member set.
@@ -1094,7 +1044,7 @@ def first_return_coefficients(measure: Measure,
     """
     if first_step is None:
         first_step = dict(measure.weights)
-    walk = _walk(measure, first_step, mode, support_cap)
+    walk = FloatWalk(measure, first_step, support_cap)
     coeffs: Dict[Element, np.ndarray] = {}
     for n in range(1, n_max + 1):
         if n > 1:
@@ -1150,10 +1100,9 @@ def return_probability(measure: Measure, n: int,
         p2 = tree_distance_law(spec.l2, n, 0)[::-1, 0]
         return float(b @ (p1 * p2))
     e = measure.group.identity()
-    walk = FloatWalk(measure, {e: 1.0}, support_cap)
-    for _ in range(n):
-        walk.step()
-    return walk.value(e)
+    S, _ = step_sums(measure, lambda x: 0 if x == e else 1, 1, n,
+                     support_cap=support_cap)
+    return float(S[0, n])
 
 
 def spectral_radius_lower(measure: Measure, k: int,

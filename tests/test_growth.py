@@ -1,6 +1,7 @@
 """Sphere-summed Green series H_r(n) and growth-rate estimation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -170,6 +171,15 @@ def test_treeprod_slope_matches_phase_solver():
     assert abs(est.slope - omega) < 1e-4
 
 
+def test_treeprod_series_to_400_fills_no_overflowing_cell():
+    # only the sphere-count cells with d1 + d2 <= n_max enter a sphere; the
+    # others reach 5^400 3^400 on T_6 x T_4 and overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        series = h_series(TreeProduct(6, 4), r=1.1001627, n_max=400)
+    assert np.all(np.isfinite(series.array()))
+
+
 def test_theta_partial_tree_geometric():
     # Theta(r, s) = sum H_r(n) e^{-sn}; on the tree H is geometric, so the
     # partial sums track the closed geometric series
@@ -225,6 +235,22 @@ def test_parabolic_gap_report_tree_factor():
     for n in range(6):
         assert (report.series_factor.value(n)
                 <= report.series_full.value(n) + 1e-12)
+
+
+def test_green_values_and_sphere_sums_read_one_sweep():
+    # the gap report's settings: a pruned sweep with a heuristic tail
+    spec = FreeProduct(RegularTree(3), FreeAbelian(2))
+    m = standard_measure(spec)
+    g = m.group
+    kw = dict(max_terms=7, support_cap=2000)
+    series = h_series(spec, m, 0.9, n_max=3, **kw)
+    for n in range(4):
+        sphere = g.sphere(n)
+        est = green_truncated(m, sphere, 0.9, **kw)
+        total = sum(est[x].value for x in sphere)
+        assert abs(total - series.value(n)) <= 1e-14 * series.value(n)
+    e = g.identity()
+    assert green_truncated(m, [e], 0.9, **kw)[e].tail == series.values[0].tail
 
 
 def test_parabolic_gap_report_runs_one_sweep(monkeypatch):

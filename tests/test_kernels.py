@@ -14,7 +14,6 @@ from greengrowth.growth import h_series
 from greengrowth.kernels import (
     FloatWalk, convolve, dl_class_key, dl_green_classes,
     first_return_coefficients, first_return_kernel, green_truncated,
-    restricted_green,
     return_probability, spectral_radius_lower, standard_measure,
     tree_distance_law, tree_green_by_distance, tree_sphere_sizes,
     treeprod_green_by_distance,
@@ -103,22 +102,34 @@ def test_treeprod_engine_matches_2d_distance_chain():
             got[x].tail + chain_tail + 1e-12 * expected)
 
 
+def _exact_green_series(m, xs, r, n_terms):
+    """sum_{k <= n_terms} r^k p_k(e, x) for each x in exact rationals: the
+    dict loop of `convolve`, unpruned, iterated from e (r a Fraction)."""
+    dist = {m.group.identity(): Fraction(1)}
+    acc = dict.fromkeys(xs, Fraction(0))
+    for k in range(n_terms + 1):
+        if k:
+            dist = convolve(dist, m, support_cap=None)
+        for x in xs:
+            acc[x] += r ** k * dist.get(x, 0)
+    return acc
+
+
 def test_treeprod_engine_matches_exact_sweep():
     # l1 != l2 and a1 != 1/2, so swapping the factors or their weights
     # fails; at r = 0.1 the ten exact terms leave a tail below 1e-11
     m = standard_measure(TreeProduct(4, 3), a1=Fraction(1, 3))
     r = 0.1
     xs = [((), ()), ((0,), ()), ((), (0,)), ((0, 1), (2,)), ((1,), (0, 1, 0))]
-    exact = green_truncated(m, xs, r, tol=1e-14, mode="exact",
-                            max_terms=10, support_cap=None)
+    exact = _exact_green_series(m, xs, Fraction(1, 10), 10)
     x = r * _treeprod_rho(4, 3, 1 / 3)
     exact_tail = x ** 11 / (1 - x)
     assert exact_tail < 1e-11
     fast = green_truncated(m, xs, r, tol=1e-14)
     for y in xs:
-        assert exact[y].n_terms == 10 and fast[y].n_terms == -1
+        assert fast[y].n_terms == -1
         assert fast[y].tail <= 1e-14
-        diff = fast[y].value - float(exact[y].value)
+        diff = fast[y].value - float(exact[y])
         assert -fast[y].tail - 1e-15 <= diff
         assert diff <= exact_tail + fast[y].tail + 1e-15
 
@@ -242,8 +253,6 @@ def test_amenable_walks_refuse_r_beyond_one():
             with pytest.raises(ValueError, match="diverges"):
                 green_truncated(m, [e], r)
             with pytest.raises(ValueError, match="diverges"):
-                green_truncated(m, [e], r, mode="exact")
-            with pytest.raises(ValueError, match="diverges"):
                 h_series(spec, m, r, n_max=4)
 
 
@@ -350,6 +359,17 @@ def test_green_truncated_z_and_z2_near_one_within_tails(r):
     assert abs(got.value - want) <= got.tail
 
 
+@pytest.mark.parametrize("alpha,r", [
+    (0.5, 1 - 1e-8), (0.5, 1 - 1e-9), (0.25, 1 - 1e-8), (0.25, 1 - 1e-9)])
+def test_zd_batch_rule_keeps_its_digits_near_one(alpha, r):
+    # on Z, G(e, e | r) = 1 / sqrt((1 - r alpha)^2 - r^2 (1 - alpha)^2),
+    # whose radicand is (1 - r)(1 + r - 2 r alpha) without cancellation;
+    # a rule that forms 1 - rs after rounding rs loses digits here
+    want = 1.0 / math.sqrt((1.0 - r) * (1.0 + r - 2.0 * r * alpha))
+    got = zd_lazy_green_batch(1, alpha, [(0,)], r)[(0,)]
+    assert abs(got - want) <= 1e-11 * want
+
+
 def test_zd_at_one_states_a_finite_heuristic_tail():
     m = standard_measure(FreeAbelian(3))
     x = (10, 10, 10)
@@ -386,8 +406,7 @@ def test_dl_green_engine_matches_convolution_series():
     engine = dl_green_classes(2, [key], 0.3)[key]
     # independent route: exact-rational convolution series (untruncated
     # support), remaining tail below 0.3^13 / 0.7
-    series = green_truncated(m, [e], 0.3, mode="exact", max_terms=12,
-                             support_cap=None)[e].value
+    series = float(_exact_green_series(m, [e], Fraction(3, 10), 12)[e])
     assert series <= engine + 1e-12
     assert abs(engine - series) < 1e-6
     frozen = dl_green_classes(2, [key], 0.5)[key]
@@ -493,8 +512,11 @@ def test_green_truncated_generic_vs_tree_engine():
     g = group_for(spec)
     x = g.sphere(2)[0]
     fast = green_truncated(m, [x], 0.7)[x]
-    slow = green_truncated(m, [x], 0.7, mode="exact", max_terms=12)[x]
-    assert abs(fast.value - slow.value) <= fast.tail + slow.tail + 1e-12
+    slow = float(_exact_green_series(m, [x], Fraction(7, 10), 12)[x])
+    # p_k(e, x) <= rho^k bounds the terms past the twelfth
+    y = 0.7 * tree_closed_form(3, 1.0).rho
+    slow_tail = y ** 13 / (1 - y)
+    assert abs(fast.value - slow) <= fast.tail + slow_tail + 1e-12
 
 
 def test_green_truncated_generic_repeated_target():
@@ -603,21 +625,6 @@ def test_pruned_green_values_plus_tails_bound_the_unpruned_values():
         assert cut[x].value <= full[x].value
         assert full[x].value <= cut[x].value + cut[x].tail
         assert cut[x].tail > full[x].tail
-
-
-def test_restricted_green_monotone_in_restriction():
-    spec = FreeAbelian(3)
-    m = standard_measure(spec)
-    g = m.group
-    e = g.identity()
-    free = restricted_green(m, e, e, lambda a: True, 0.8, 20)
-    blocked = restricted_green(
-        m, e, e, lambda a: g.word_length(a) <= 1, 0.8, 20)
-    assert blocked <= free + 1e-12
-    # against the (untruncated) integral engine: the 20-term restricted sum
-    # is a lower bound within the geometric tail of the remaining terms
-    direct = green_truncated(m, [e], 0.8)[e].value
-    assert 0.0 <= direct - free < 1e-3
 
 
 def test_first_return_relation_on_tree():
