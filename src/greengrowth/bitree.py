@@ -10,6 +10,9 @@ where Psi is the constrained exponent built from the implicit system
 
     a1 t1 + a2 t2 = t,      a2 sqrt(t2^2 - beta2^2) = lambda a1 sqrt(t1^2 - beta1^2).
 
+Squared, the system is a quadratic in t1 with one admissible root, which
+`_saddle_t1` takes in closed form for one lambda or a whole grid.
+
 For l1 > l2 there is a threshold r0 in (1, R): below it the prefactor of
 e^{n omega(r)} is of constant order, above it the order is n^{-3/2}; at r0
 the maximizer of Psi sits exactly on the boundary lambda = 0.
@@ -107,14 +110,33 @@ def t_feasible_min(params: PhaseParams) -> float:
     return params.a1 * params.beta1 + params.a2 * params.beta2
 
 
-def solve_t1t2(params: PhaseParams, t: float, lam: float,
-               tol: float = 1e-12) -> Tuple[float, float, float]:
+def _saddle_t1(params: PhaseParams, t: float, lam):
+    """Admissible t1 of the saddle system, elementwise in lambda > 0.
+
+    Squaring the square-root equation with a2 t2 = t - a1 t1 leaves
+    A t1^2 - 2 t a1 t1 + C = 0 with A = a1^2 (1 - lambda^2) and
+    C = t^2 - (a2 beta2)^2 + (lambda a1 beta1)^2 > 0.  The root in
+    [beta1, (t - a2 beta2)/a1] is C / (t a1 + sqrt(t^2 a1^2 - A C)): both
+    terms of the denominator are positive, so nothing cancels, and the
+    form needs no special case at lambda = 1, where A = 0.  The clip only
+    absorbs rounding at the interval's ends.
+    """
+    a1, a2 = params.a1, params.a2
+    b1, b2 = params.beta1, params.beta2
+    A = a1 * a1 * (1.0 - lam * lam)
+    C = t * t - (a2 * b2) ** 2 + (lam * a1 * b1) ** 2
+    root = np.sqrt(np.maximum(t * t * a1 * a1 - A * C, 0.0))
+    return np.clip(C / (t * a1 + root), b1, (t - a2 * b2) / a1)
+
+
+def solve_t1t2(params: PhaseParams, t: float, lam: float
+               ) -> Tuple[float, float, float]:
     """Solve the implicit system for (t1, t2) at multiplier lambda >= 0.
 
     Returns (t1, t2, residual) with residual the absolute defect of the
     square-root equation; the linear constraint holds exactly by
-    construction.  Bisection on the monotone defect, so the residual is at
-    machine-precision level everywhere in the feasible region.
+    construction.  t1 is the closed form of `_saddle_t1`; the defect is
+    strictly decreasing in t1, so it has no other root.
     """
     a1, a2 = params.a1, params.a2
     b1, b2 = params.beta1, params.beta2
@@ -122,47 +144,15 @@ def solve_t1t2(params: PhaseParams, t: float, lam: float,
         raise ValueError("t must exceed a1 beta1 + a2 beta2")
     if lam < 0:
         raise ValueError("lambda must be >= 0")
-    t1_hi = (t - a2 * b2) / a1  # where t2 = beta2
     if lam == 0.0:
-        return t1_hi, b2, 0.0
-
-    def defect(t1):
-        t2 = (t - a1 * t1) / a2
-        return (a2 * math.sqrt(max(t2 * t2 - b2 * b2, 0.0))
-                - lam * a1 * math.sqrt(max(t1 * t1 - b1 * b1, 0.0)))
-
-    lo, hi = b1, t1_hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if defect(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    t1 = 0.5 * (lo + hi)
+        # t2 = beta2 exactly: the closed form can miss it by an ulp, and
+        # the defect's slope is infinite there
+        return (t - a2 * b2) / a1, b2, 0.0
+    t1 = float(_saddle_t1(params, t, lam))
     t2 = (t - a1 * t1) / a2
-    return t1, t2, abs(defect(t1))
-
-
-def _solve_t1_grid(params: PhaseParams, t: float, lams: np.ndarray
-                   ) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorized bisection for the whole lambda grid at once."""
-    a1, a2 = params.a1, params.a2
-    b1, b2 = params.beta1, params.beta2
-    t1_hi = (t - a2 * b2) / a1
-    lo = np.full_like(lams, b1, dtype=float)
-    hi = np.full_like(lams, t1_hi, dtype=float)
-    for _ in range(110):
-        mid = 0.5 * (lo + hi)
-        t2 = (t - a1 * mid) / a2
-        d = (a2 * np.sqrt(np.maximum(t2 * t2 - b2 * b2, 0.0))
-             - lams * a1 * np.sqrt(np.maximum(mid * mid - b1 * b1, 0.0)))
-        take = d > 0.0
-        lo = np.where(take, mid, lo)
-        hi = np.where(take, hi, mid)
-    t1 = 0.5 * (lo + hi)
-    return t1, (t - a1 * t1) / a2
+    residual = (a2 * math.sqrt(max(t2 * t2 - b2 * b2, 0.0))
+                - lam * a1 * math.sqrt(max(t1 * t1 - b1 * b1, 0.0)))
+    return t1, t2, abs(residual)
 
 
 def t_derivatives(params: PhaseParams, t: float, lam: float
@@ -232,14 +222,14 @@ def find_lambda0(params: PhaseParams, t: float,
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if gap(mid) > 0.0:
+        g = gap(mid)
+        if abs(g) / (1.0 + mid) ** 2 < tol * 1e-3:
+            break
+        if g > 0.0:
             lo = mid
         else:
             hi = mid
-        if abs(gap(0.5 * (lo + hi))) / (1.0 + 0.5 * (lo + hi)) ** 2 < tol * 1e-3:
-            break
-    lam0 = 0.5 * (lo + hi)
-    return lam0, True
+    return 0.5 * (lo + hi), True
 
 
 def solve_t0(params: PhaseParams, method: str = "algebraic"
@@ -348,7 +338,8 @@ def _psi_on_ks(params: PhaseParams, t: float, n: int) -> np.ndarray:
     out = np.empty(n + 1)
     ks = np.arange(1, n)
     lams = (n - ks) / ks
-    t1, t2 = _solve_t1_grid(params, t, lams)
+    t1 = _saddle_t1(params, t, lams)
+    t2 = (t - params.a1 * t1) / params.a2
     phis = (_phi(params.l1, t1) + lams * _phi(params.l2, t2)) / (1.0 + lams)
     out[1:n] = phis
     out[n] = float(_phi(params.l1, (t - params.a2 * params.beta2) / params.a1))

@@ -28,8 +28,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bitree import PhaseParams, capital_R, classify, model_window, \
-    prefactor_exponent, solve_t0
+from .bitree import PhaseParams, PhaseReport, capital_R, classify, \
+    model_window, prefactor_exponent, solve_t0
 from .groups import FreeAbelian, FreeProduct, TreeProduct
 from .growth import h_series, omega_estimate
 from .kernels import (
@@ -155,13 +155,22 @@ def transfer_consistency(spec: FreeProduct, measure: Optional[Measure],
     return rows
 
 
+def _factor_phase(params: PhaseParams, zeta0: float
+                  ) -> Optional[PhaseReport]:
+    """The factor's phase report at zeta0, or None outside (0, R0]."""
+    if not (0.0 < zeta0 <= capital_R(params)):
+        return None
+    return classify(params, zeta0)
+
+
 def induced_omega_P(params: PhaseParams, point: TransferPoint) -> float:
     """Growth rate of the parabolic (factor) sphere series: the factor's
     own omega evaluated at the shifted parameter zeta_0."""
-    R0 = capital_R(params)
-    if not (0.0 < point.zeta0 <= R0):
-        raise ValueError(f"zeta0 = {point.zeta0} outside (0, {R0}]")
-    return classify(params, point.zeta0).omega
+    rep = _factor_phase(params, point.zeta0)
+    if rep is None:
+        raise ValueError(
+            f"zeta0 = {point.zeta0} outside (0, {capital_R(params)}]")
+    return rep.omega
 
 
 @dataclass(frozen=True)
@@ -193,13 +202,12 @@ class ConstructionReport:
     transition_index: Optional[int]
 
 
-def _factor_diagnostic(params: PhaseParams, zeta0: float
+def _factor_diagnostic(rep: Optional[PhaseReport]
                        ) -> Tuple[Optional[float], str]:
-    """Prefactor exponent of the factor's model series at zeta0."""
-    if not (1.0 < zeta0 <= capital_R(params)):
+    """Prefactor exponent of the factor's model series at rep.r."""
+    if rep is None or rep.r <= 1.0:
         return None, "out-of-range"
-    rep = classify(params, zeta0)
-    ns, vals = model_window(params, zeta0)
+    ns, vals = model_window(rep.params, rep.r)
     expo, _ = prefactor_exponent(vals, ns, rep.omega)
     return expo, ("convergent-type" if expo < -1.0 else "divergent-type")
 
@@ -254,11 +262,9 @@ def scan_construction(factor_params: PhaseParams, d: int, alpha: float,
     prev_label = None
     for i, r in enumerate(r_grid):
         tp = transfer(spec, measure, float(r))
-        try:
-            om_p = induced_omega_P(factor_params, tp)
-        except ValueError:
-            om_p = None
-        expo, label = _factor_diagnostic(factor_params, tp.zeta0)
+        rep = _factor_phase(factor_params, tp.zeta0)
+        om_p = None if rep is None else rep.omega
+        expo, label = _factor_diagnostic(rep)
         om_full = None
         gap = None
         if full_series_n and full_series_n >= 10:

@@ -196,7 +196,7 @@ def _h_generic(measure, r, n_max, tol, restrictions, max_terms, support_cap):
                 tail = r ** (n_steps + 1) / (1.0 - r)
             else:
                 tail = _heuristic_tail(list(row * powers))
-            vals[n] = HEntry(total, tail + pruned, rigorous)
+            vals[n] = HEntry(total, float(tail + pruned), rigorous)
         out.append(vals)
     return out
 

@@ -5,13 +5,59 @@ import math
 import numpy as np
 import pytest
 
+from greengrowth import bitree
 from greengrowth.bitree import (
     PhaseParams, capital_R, classify, f_sum_log, find_lambda0, hn_model_log,
     model_window, prefactor_exponent, psi, psi_prime, psi_second, r_of_t,
-    solve_t0, solve_t1t2, t_derivatives, t_of_r,
+    solve_t0, solve_t1t2, t_derivatives, t_feasible_min, t_of_r,
 )
 
 P64 = PhaseParams(6, 4, 0.5, 0.5)
+
+
+def _bisect_t1(params, t, lams):
+    """Reference for `bitree._saddle_t1`: 110 vector bisection steps on
+    the defect, which is decreasing in t1 on [beta1, (t - a2 beta2)/a1]."""
+    a1, a2 = params.a1, params.a2
+    b1, b2 = params.beta1, params.beta2
+    lams = np.asarray(lams, dtype=float)
+    lo = np.full_like(lams, b1)
+    hi = np.full_like(lams, (t - a2 * b2) / a1)
+    for _ in range(110):
+        mid = 0.5 * (lo + hi)
+        t2 = (t - a1 * mid) / a2
+        d = (a2 * np.sqrt(np.maximum(t2 * t2 - b2 * b2, 0.0))
+             - lams * a1 * np.sqrt(np.maximum(mid * mid - b1 * b1, 0.0)))
+        take = d > 0.0
+        lo = np.where(take, mid, lo)
+        hi = np.where(take, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def test_closed_form_saddle_root_matches_bisection():
+    # the model sum's lambdas (n - k)/k up to n = 64000, and lambda = 1,
+    # where the quadratic degenerates to a linear equation
+    lams = np.concatenate([
+        (n - np.arange(1, n)) / np.arange(1, n) for n in (2000, 64000)]
+        + [[1.0]])
+    worst = 0.0
+    for params in (P64, PhaseParams(4, 4, 0.5, 0.5),
+                   PhaseParams(5, 3, 0.3, 0.7)):
+        for t in np.linspace(t_feasible_min(params) + 1e-12, t_of_r(0.5), 5):
+            closed = bitree._saddle_t1(params, t, lams)
+            ref = _bisect_t1(params, t, lams)
+            worst = max(worst, float(np.max(np.abs(closed - ref) / ref)))
+            t1, _, _ = solve_t1t2(params, t, 1.0)
+            worst = max(worst, abs(t1 - ref[-1]) / ref[-1])
+    assert worst < 1e-14
+
+
+def test_model_window_matches_bisection(monkeypatch):
+    _, r0 = solve_t0(P64)
+    closed = [model_window(P64, r)[1] for r in (1.05, r0, 1.106)]
+    monkeypatch.setattr(bitree, "_saddle_t1", _bisect_t1)
+    for r, vals in zip((1.05, r0, 1.106), closed):
+        assert np.max(np.abs(vals - model_window(P64, r)[1])) < 1e-12
 
 
 def test_capital_r_frozen():

@@ -10,8 +10,8 @@ the acceptance suite.
 import numpy as np
 import pytest
 
-from greengrowth import growth
-from greengrowth.bitree import PhaseParams, capital_R, solve_t0
+from greengrowth import freeprod, growth
+from greengrowth.bitree import PhaseParams, capital_R, classify, solve_t0
 from greengrowth.groups import FreeAbelian, FreeProduct, TreeProduct
 from greengrowth.kernels import MEMO_SIZE, green_truncated, standard_measure
 from greengrowth.freeprod import (
@@ -162,14 +162,21 @@ def test_r_independent_sweeps_share_a_bounded_memo():
     assert growth._memo_sweep.cache_info().currsize == size
 
 
-def test_scan_construction_fast():
+def test_scan_construction_fast(monkeypatch):
     params = PhaseParams(6, 4, 0.5, 0.5)
     _, r0 = solve_t0(params)
+    calls = []
+    monkeypatch.setattr(freeprod, "classify",
+                        lambda p, r: calls.append(r) or classify(p, r))
     report = scan_construction(params, 3, 0.05,
                                r_grid=np.linspace(1.0, 1.13, 5),
                                n_max=10, support_cap=5_000,
                                full_series_n=0)
     assert report.r0 == pytest.approx(r0)
+    # one phase report per grid point in the factor's range serves both
+    # omega_P and the diagnostic
+    assert calls == [p.zeta0 for p in report.points
+                     if 0.0 < p.zeta0 <= capital_R(params)]
     zs = [p.zeta0 for p in report.points]
     assert all(a < b for a, b in zip(zs, zs[1:]))
     if report.crossing_r is not None:

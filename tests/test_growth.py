@@ -270,3 +270,20 @@ def test_parabolic_gap_report_runs_one_sweep(monkeypatch):
     assert report.series_full.values == full.values
     assert report.series_factor.values == factor.values
     assert report.series_factor.restriction == "factor-0"
+
+
+def test_series_entries_are_plain_floats():
+    # generic (heuristic and rigorous tails), tree, tree-product, Z^d, DL
+    cases = [
+        (FreeProduct(RegularTree(3), FreeAbelian(2)),
+         dict(r=0.9, n_max=3, max_terms=7, support_cap=2000)),
+        (Heisenberg3(), dict(r=0.5, n_max=3, max_terms=10)),
+        (RegularTree(4), dict(r=1.0, n_max=5)),
+        (TreeProduct(4, 4), dict(r=1.0, n_max=5)),
+        (FreeAbelian(3), dict(r=0.9, n_max=4)),
+        (DiestelLeader(3), dict(r=1.0, n_max=4)),
+    ]
+    for spec, kw in cases:
+        for e in h_series(spec, **kw).values.values():
+            assert type(e.value) is float and type(e.tail) is float, (spec, e)
+            assert type(e.rigorous) is bool, (spec, e)
