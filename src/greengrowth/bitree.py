@@ -50,6 +50,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from .kernels import tree_first_passage, treeprod_rho
+
 
 @dataclass(frozen=True)
 class PhaseParams:
@@ -85,9 +87,7 @@ class PhaseParams:
 
 def capital_R(params: PhaseParams) -> float:
     """Radius of convergence R = 1/rho of the mixed walk."""
-    rho1 = 0.5 + params.beta1
-    rho2 = 0.5 + params.beta2
-    return 1.0 / (params.a1 * rho1 + params.a2 * rho2)
+    return 1.0 / treeprod_rho(params.l1, params.l2, params.a1)
 
 
 def t_of_r(r: float) -> float:
@@ -98,11 +98,10 @@ def r_of_t(t: float) -> float:
     return 1.0 / (t + 0.5)
 
 
-def _phi(l: int, tau) :
-    """phi(tau) = log l + log(tau - sqrt(tau^2 - beta^2)), vector-safe."""
-    beta2 = (l - 1.0) / (l * l)
-    disc = np.maximum(np.asarray(tau) ** 2 - beta2, 0.0)
-    return np.log(l) + np.log(np.asarray(tau) - np.sqrt(disc))
+def _phi(l: int, tau):
+    """phi(tau) = log((l - 1) F), F the first-passage value of the tree
+    resolvent at w = 2 tau (`kernels.tree_first_passage`); vector-safe."""
+    return np.log((l - 1.0) * tree_first_passage(l, 2.0 * tau))
 
 
 def t_feasible_min(params: PhaseParams) -> float:
@@ -232,44 +231,19 @@ def find_lambda0(params: PhaseParams, t: float,
     return 0.5 * (lo + hi), True
 
 
-def solve_t0(params: PhaseParams, method: str = "algebraic"
-             ) -> Tuple[float, float]:
+def solve_t0(params: PhaseParams) -> Tuple[float, float]:
     """Threshold (t0, r0) where phi1(t1(0)) = phi2(beta2).
 
     Algebraic inversion: with u = sqrt(l2 - 1)/l1 the equation
     phi1(s) = (1/2) log(l2 - 1) solves to s = (u^2 + beta1^2) / (2u),
-    and t0 = a1 s + a2 beta2.  The bisection route solves the same
-    equation numerically for cross-validation.
+    and t0 = a1 s + a2 beta2.
     """
     if params.l1 <= params.l2:
         raise ValueError("threshold needs l1 > l2")
-    a1, a2 = params.a1, params.a2
     b1, b2 = params.beta1, params.beta2
-    if method == "algebraic":
-        u = math.sqrt(params.l2 - 1.0) / params.l1
-        s = (u * u + b1 * b1) / (2.0 * u)
-        t0 = a1 * s + a2 * b2
-    elif method == "bisect":
-        target = 0.5 * math.log(params.l2 - 1.0)
-
-        def h(t):
-            return float(_phi(params.l1, (t - a2 * b2) / a1)) - target
-
-        lo, hi = t_feasible_min(params) + 1e-15, 0.5
-        # h is decreasing in t; extend hi until a sign change
-        while h(hi) > 0.0:
-            hi *= 2.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            if h(mid) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        t0 = 0.5 * (lo + hi)
-    else:
-        raise ValueError("method must be 'algebraic' or 'bisect'")
+    u = math.sqrt(params.l2 - 1.0) / params.l1
+    s = (u * u + b1 * b1) / (2.0 * u)
+    t0 = params.a1 * s + params.a2 * b2
     return t0, r_of_t(t0)
 
 
@@ -292,8 +266,11 @@ class PhaseReport:
     omega: float
 
 
-def classify(params: PhaseParams, r: float,
-             r0_window: float = 1e-9) -> PhaseReport:
+# |r - r0| at most this counts as the threshold itself
+R0_WINDOW = 1e-9
+
+
+def classify(params: PhaseParams, r: float) -> PhaseReport:
     """Regime of the sphere-sum prefactor at parameter r in (0, R].
 
     For r below the threshold r0 the maximizer of Psi is interior and the
@@ -317,7 +294,7 @@ def classify(params: PhaseParams, r: float,
                           else find_lambda0(params, t))
     else:
         t0, r0 = solve_t0(params)
-        if abs(r - r0) <= r0_window:
+        if abs(r - r0) <= R0_WINDOW:
             regime, lam0, interior = REGIME_CRITICAL, 0.0, False
         elif r < r0:
             lam0, interior = find_lambda0(params, t)

@@ -178,10 +178,9 @@ def known_spectral_radius(measure: Measure) -> Optional[float]:
     """Closed-form spectral radius, or None when unavailable."""
     spec, kind = measure.spec, measure.kind
     if kind == "tree-lazy":
-        return _tree_rho(spec.l)
+        return tree_rho(spec.l)
     if kind == "product-mix":
-        a1 = float(measure.param("a1"))
-        return a1 * _tree_rho(spec.l1) + (1.0 - a1) * _tree_rho(spec.l2)
+        return treeprod_rho(spec.l1, spec.l2, float(measure.param("a1")))
     if kind == "lazy-srw":
         return 1.0  # Z^d and Heisenberg are amenable
     return None  # DL (its engine needs none) and free products
@@ -410,6 +409,19 @@ def tree_sphere_sizes(l: int, n_max: int) -> np.ndarray:
     return sizes
 
 
+def tree_first_passage(l: int, w):
+    """The first-passage value F = l (w - s) / (2 (l - 1)) of
+    `tree_resolvent` (c and s as there), computed as 2 / (l (w + s)): the
+    same value without the cancellation in w - s at large w, i.e. small r.
+    Elementwise in w, real or complex."""
+    c = 2.0 * math.sqrt(l - 1) / l
+    if np.iscomplexobj(w):
+        s = np.sqrt(w - c) * np.sqrt(w + c)
+    else:
+        s = np.sqrt(np.maximum(w - c, 0.0)) * np.sqrt(w + c)
+    return 2.0 / (l * (w + s))
+
+
 def tree_resolvent(l: int, w, d_max: int) -> np.ndarray:
     """(w - S)^(-1)(e, x) for |x| = 0..d_max along a new last axis, S the
     simple random walk operator on T_l.
@@ -418,23 +430,23 @@ def tree_resolvent(l: int, w, d_max: int) -> np.ndarray:
     s = sqrt(w - c) sqrt(w + c), F = l (w - s) / (2 (l - 1)) is the
     first-passage value to a neighbour and (w - S)^(-1)(e, x) =
     F^|x| / (w - F) (Woess, Random Walks on Infinite Graphs and Groups,
-    CUP 2000).  F is computed as 2 / (l (w + s)), the same value without
-    the cancellation in w - s at large w.  w may be a complex array off
+    CUP 2000); F is `tree_first_passage`.  w may be a complex array off
     [-c, c]; real w must be >= c, and w = c (up to rounding) is the edge.
     """
     w = np.asarray(w)
-    c = 2.0 * math.sqrt(l - 1) / l
-    if np.iscomplexobj(w):
-        s = np.sqrt(w - c) * np.sqrt(w + c)
-    else:
-        s = np.sqrt(np.maximum(w - c, 0.0)) * np.sqrt(w + c)
-    F = 2.0 / (l * (w + s))
+    F = tree_first_passage(l, w)
     return F[..., None] ** np.arange(d_max + 1) / (w - F)[..., None]
 
 
-def _tree_rho(l: int) -> float:
+def tree_rho(l: int) -> float:
     """Spectral radius 1/2 + c/2 of the lazy walk 1/2 + S/2 on T_l."""
     return 0.5 + math.sqrt(l - 1) / l
+
+
+def treeprod_rho(l1: int, l2: int, a1: float) -> float:
+    """Spectral radius a1 rho1 + (1 - a1) rho2 of the product-mix walk on
+    T_l1 x T_l2; its radius of convergence is R = 1 / rho."""
+    return a1 * tree_rho(l1) + (1.0 - a1) * tree_rho(l2)
 
 
 def _delta(*shape) -> np.ndarray:
@@ -450,7 +462,7 @@ def tree_green_by_distance(l: int, r: float, d_max: int) -> np.ndarray:
     w = 2 / r - 1, read from `tree_resolvent`: a closed form, exact up to
     rounding, for 0 <= r <= R = 1 / rho.
     """
-    R = 1.0 / _tree_rho(l)
+    R = 1.0 / tree_rho(l)
     if not 0.0 <= r <= R:
         raise ValueError(f"the tree engine needs 0 <= r <= R = {R!r}, "
                          f"got r = {r}")
@@ -490,7 +502,7 @@ _BOUND_FRACTIONS = (0.25, 0.5, 0.75, 0.9)
 def _treeprod_contour(l1: int, l2: int, a1: float, r: float
                       ) -> Tuple[float, float, float]:
     """(rho0, rho_in, rho_out) of the contour for 0 < r < R."""
-    R = 1.0 / (a1 * _tree_rho(l1) + (1.0 - a1) * _tree_rho(l2))
+    R = 1.0 / treeprod_rho(l1, l2, a1)
     if not 0.0 < r < R:
         raise ValueError(f"the tree-product engine needs 0 <= r < R = "
                          f"{R!r}, got r = {r}")

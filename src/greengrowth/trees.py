@@ -2,7 +2,8 @@
 Diestel-Leader Green-function shape with its sphere-sum model.
 
 All formulas are for the lazy kernel with mass 1/2 at the identity and
-1/(2l) on each neighbor of the l-regular tree, at series parameter r.
+1/(2l) on each neighbor of the l-regular tree, at series parameter r, and
+read from the tree formulas of `kernels` (F, rho and the sphere sizes).
 """
 
 from __future__ import annotations
@@ -12,7 +13,10 @@ from dataclasses import dataclass
 from typing import Dict, Sequence
 
 from .groups import DLProfile, dl_class_count
-from .kernels import dl_class_key, dl_green_classes
+from .kernels import (
+    dl_class_key, dl_green_classes, tree_first_passage, tree_rho,
+    tree_sphere_sizes,
+)
 
 
 @dataclass(frozen=True)
@@ -36,16 +40,16 @@ class TreeClosedForm:
 def tree_closed_form(l: int, r: float) -> TreeClosedForm:
     if l < 3:
         raise ValueError("need l >= 3")
-    beta = math.sqrt(l - 1) / l
-    rho = 0.5 + beta
+    rho = tree_rho(l)
     R = 1.0 / rho
     if not (0.0 < r <= R * (1 + 1e-14)):
         raise ValueError(f"r must lie in (0, {R}]")
-    t = 1.0 / r - 0.5
-    disc = max(t * t - beta * beta, 0.0)
-    F = (l / (l - 1.0)) * (t - math.sqrt(disc))
-    G = (1.0 / r) / (1.0 / r - 0.5 * (1.0 + F))
-    return TreeClosedForm(l=l, r=r, beta=beta, rho=rho, R=R, t=t, F=F, G=G)
+    w = 2.0 / r - 1.0
+    F = float(tree_first_passage(l, w))
+    # G(e, e | r) = (2 / r) (w - S)^(-1)(e, e), as in `tree_green_by_distance`
+    G = (2.0 / r) / (w - F)
+    return TreeClosedForm(l=l, r=r, beta=math.sqrt(l - 1) / l, rho=rho, R=R,
+                          t=1.0 / r - 0.5, F=F, G=G)
 
 
 def tree_green(l: int, r: float, d: int) -> float:
@@ -58,10 +62,10 @@ def tree_green(l: int, r: float, d: int) -> float:
 
 def tree_sphere_green_sum(l: int, r: float, n: int) -> float:
     """H_r(n) = #S_n * G(r) F(r)^n on the l-regular tree."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
     cf = tree_closed_form(l, r)
-    if n == 0:
-        return cf.G
-    return l * (l - 1.0) ** (n - 1) * cf.G * cf.F ** n
+    return float(tree_sphere_sizes(l, n)[n]) * cf.G * cf.F ** n
 
 
 def tree_omega(l: int, r: float) -> float:

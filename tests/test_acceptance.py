@@ -30,8 +30,10 @@ from greengrowth.kernels import (
 )
 from greengrowth.freeprod import scan_construction, transfer, transfer_consistency
 from greengrowth.trees import (
-    lamplighter_h1_model, tree_green, tree_omega, tree_sphere_green_sum,
+    lamplighter_h1_model, tree_omega, tree_sphere_green_sum,
 )
+from test_bitree import _bisect_t0
+from test_kernels import _tree_chain_green
 
 P64 = PhaseParams(6, 4, 0.5, 0.5)
 
@@ -91,14 +93,16 @@ def test_criterion_2_tree_closed_forms():
         for r in (0.8, 1.0):
             xs = [g.sphere(n)[0] for n in range(7)]
             est = green_truncated(m, xs, r, tol=1e-9)
+            chain = _tree_chain_green(l, r, 6)
             for n, x in enumerate(xs):
                 e = est[x]
-                diff = abs(e.value - tree_green(l, r, n))
+                diff = abs(e.value - chain[n])
                 worst = max(worst, diff)
                 if not (e.rigorous and e.tail <= 1e-9 and diff <= 1e-9):
                     checks.append(
                         (False, f"l={l} r={r} n={n} diff={diff:.2e}"))
-    checks.append((worst <= 1e-9, f"series vs closed form, worst {worst:.2e}"))
+    checks.append((worst <= 1e-9,
+                   f"engine vs distance chain, worst {worst:.2e}"))
     hs = [tree_sphere_green_sum(4, 1.0, n) for n in range(1, 11)]
     checks.append((all(abs(h - 4.0) < 1e-12 for h in hs),
                    "H_n(T4, r=1) = 4 for n=1..10"))
@@ -156,8 +160,8 @@ def test_criterion_4_symmetric_case():
 
 
 def test_criterion_5_threshold():
-    t0a, r0a = solve_t0(P64, method="algebraic")
-    t0b, r0b = solve_t0(P64, method="bisect")
+    t0a, r0a = solve_t0(P64)
+    t0b, r0b = _bisect_t0(P64)
     exact_t = 17.0 * math.sqrt(3.0) / 72.0
     exact_r = 72.0 / (17.0 * math.sqrt(3.0) + 36.0)
     R = capital_R(P64)

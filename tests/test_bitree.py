@@ -1,6 +1,7 @@
 """Phase solver for mixed walks on products of two regular trees."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -108,9 +109,38 @@ def test_symmetric_case_lambda0_is_one():
         assert abs(psi(params, t, lam0) - closed) < 1e-10
 
 
+def _bisect_t0(params):
+    """Reference for `solve_t0`: bisection on phi1((t - a2 beta2)/a1) =
+    (1/2) log(l2 - 1), with phi(tau) = log l + log(tau - sqrt(tau^2 -
+    beta^2)) spelled out here rather than read from the kernel."""
+    a1, a2, l1 = params.a1, params.a2, params.l1
+    beta1_sq = (l1 - 1.0) / (l1 * l1)
+    target = 0.5 * math.log(params.l2 - 1.0)
+
+    def h(t):
+        tau = (t - a2 * params.beta2) / a1
+        disc = max(tau ** 2 - beta1_sq, 0.0)
+        return math.log(l1) + math.log(tau - math.sqrt(disc)) - target
+
+    lo, hi = t_feasible_min(params) + 1e-15, 0.5
+    # h is decreasing in t; extend hi until a sign change
+    while h(hi) > 0.0:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if h(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    t0 = 0.5 * (lo + hi)
+    return t0, r_of_t(t0)
+
+
 def test_threshold_t0_and_r0_frozen():
-    t0a, r0a = solve_t0(P64, method="algebraic")
-    t0b, r0b = solve_t0(P64, method="bisect")
+    t0a, r0a = solve_t0(P64)
+    t0b, r0b = _bisect_t0(P64)
     exact = 17.0 * math.sqrt(3.0) / 72.0
     assert abs(t0a - exact) < 1e-12
     assert abs(t0b - exact) < 1e-10
@@ -185,6 +215,28 @@ def test_classify_at_capital_r():
     assert rep.regime == "over-n-3-2"
     assert abs(rep.omega - 0.5 * math.log(5.0)) < 1e-12
     assert 0.0 < rep.omega - classify(P64, R * (1.0 - 1e-9)).omega < 1e-3
+
+
+def test_classify_symmetric_at_small_r():
+    # symmetry gives lambda0 = 1 and t1 = t2 = t, so omega = log(3 F) with
+    # F the tree's first-passage value at w = 2 t; the phi formula
+    # log l + log(t - sqrt(t^2 - beta^2)) loses most of its digits here
+    mp = pytest.importorskip("mpmath").mp
+    params = PhaseParams(4, 4, 0.5, 0.5)
+    rep = classify(params, 1e-6)
+    with mp.workdps(50):
+        t = 1 / mp.mpf(1e-6) - mp.mpf(1) / 2
+        F = 4 * (t - mp.sqrt(t * t - mp.mpf(3) / 16)) / 3
+        omega = float(mp.log(3 * F))
+    assert abs(rep.lambda0 - 1.0) < 1e-8
+    assert abs(rep.omega - omega) < 1e-13
+
+
+def test_classify_small_r_emits_no_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = classify(PhaseParams(4, 4, 0.5, 0.5), 1e-8)
+    assert math.isfinite(rep.omega)
 
 
 def test_classify_validates_range():

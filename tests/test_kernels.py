@@ -19,7 +19,7 @@ from greengrowth.kernels import (
     treeprod_green_by_distance,
     zd_lazy_green, zd_lazy_green_batch,
 )
-from greengrowth.trees import tree_closed_form, tree_green
+from greengrowth.trees import tree_closed_form
 
 
 def test_standard_measures_are_probability_measures():
@@ -37,15 +37,19 @@ def _geometric_steps(x, tail):
     return math.ceil(math.log(tail * (1.0 - x)) / math.log(x))
 
 
+def _tree_chain_green(l, r, d_max, tail=1e-13):
+    """G(e, x | r) at |x| = 0..d_max from the stepped distance chain: a
+    lower bound, and p_n(e, x) <= rho^n bounds what it leaves out by
+    `tail`.  The reference for the closed-form tree engine."""
+    n = _geometric_steps(r * tree_closed_form(l, 1.0).rho, tail)
+    return (r ** np.arange(n + 1) @ tree_distance_law(l, n, d_max)
+            / tree_sphere_sizes(l, d_max))
+
+
 @pytest.mark.parametrize("l,r", [(4, 0.8), (4, 1.0), (6, 0.9)])
 def test_tree_chain_matches_closed_form(l, r):
-    # the stepped distance chain is a lower bound; p_n(e, x) <= rho^n
-    # bounds what it leaves out after N steps
-    rho = tree_closed_form(l, r).rho
     tail = 1e-13
-    n = _geometric_steps(r * rho, tail)
-    chain = (r ** np.arange(n + 1) @ tree_distance_law(l, n, 6)
-             / tree_sphere_sizes(l, 6))
+    chain = _tree_chain_green(l, r, 6, tail)
     G = tree_green_by_distance(l, r, 6)
     assert np.all(chain <= G * (1 + 1e-13))
     assert np.all(G - chain <= tail + 1e-13 * G)
@@ -503,7 +507,8 @@ def test_green_truncated_tree_is_certified():
     x = g.sphere(3)[0]
     est = green_truncated(m, [x], 0.8)[x]
     assert est.rigorous
-    assert abs(est.value - tree_green(4, 0.8, 3)) <= est.tail + 1e-12
+    chain = _tree_chain_green(4, 0.8, 3)
+    assert abs(est.value - chain[3]) <= est.tail + 1e-12
 
 
 def test_green_truncated_generic_vs_tree_engine():

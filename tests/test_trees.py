@@ -38,11 +38,34 @@ def test_tree_omega_signs():
     assert tree_omega(4, cf.R) > 0                  # at the radius
 
 
+@pytest.mark.parametrize("l", [3, 4, 6])
+@pytest.mark.parametrize("r", [1e-6, 1e-8])
+def test_closed_form_at_small_r(l, r):
+    # F ~ r / (2 l) here, and t - sqrt(t^2 - beta^2) cancels to a few
+    # digits, or to 0, in double precision; the reference is 50 digits
+    mp = pytest.importorskip("mpmath").mp
+    with mp.workdps(50):
+        x = 1 / mp.mpf(r)
+        t = x - mp.mpf(1) / 2
+        F = l * (t - mp.sqrt(t * t - mp.mpf(l - 1) / l ** 2)) / (l - 1)
+        G = x / (x - (1 + F) / 2)
+        want = {"F": F, "G": G, "omega": mp.log(l - 1) + mp.log(F),
+                "H0": G, "H3": l * (l - 1) ** 2 * G * F ** 3}
+    cf = tree_closed_form(l, r)
+    got = {"F": cf.F, "G": cf.G, "omega": tree_omega(l, r),
+           "H0": tree_sphere_green_sum(l, r, 0),
+           "H3": tree_sphere_green_sum(l, r, 3)}
+    for key, value in want.items():
+        assert abs(got[key] / float(value) - 1.0) < 1e-13, key
+
+
 def test_tree_closed_form_validation():
     with pytest.raises(ValueError):
         tree_closed_form(2, 1.0)
     with pytest.raises(ValueError):
         tree_closed_form(4, 1.2)  # beyond the radius of convergence
+    with pytest.raises(ValueError):
+        tree_sphere_green_sum(4, 1.0, -1)
 
 
 def test_bw_shape_swap_symmetry():
