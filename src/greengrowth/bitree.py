@@ -13,6 +13,16 @@ where Psi is the constrained exponent built from the implicit system
 Squared, the system is a quadratic in t1 with one admissible root, which
 `_saddle_t1` takes in closed form for one lambda or a whole grid.
 
+A factor's rate is phi(tau) = log g, g = (l - 1) F with F the tree's
+first-passage value at w = 2 tau.  The tree equation
+(l - 1) F^2 - 2 tau l F + 1 = 0 inverts it to
+tau_l(g) = (g/l + (l - 1)/(l g)) / 2 on g <= sqrt(l - 1), with
+tau_l(sqrt(l - 1)) = beta.  An interior maximum of Psi has
+phi1(t1) = phi2(t2), one shared g, so a1 tau_l1(g) + a2 tau_l2(g) = t is the
+quadratic A g^2 - 2 t g + B = 0 with A = a1/l1 + a2/l2 and
+B = a1 (l1 - 1)/l1 + a2 (l2 - 1)/l2.  Its smaller root gives omega = log g
+and lambda0 (`find_lambda0`); g = sqrt(l2 - 1) gives t0 (`solve_t0`).
+
 For l1 > l2 there is a threshold r0 in (1, R): below it the prefactor of
 e^{n omega(r)} is of constant order, above it the order is n^{-3/2}; at r0
 the maximizer of Psi sits exactly on the boundary lambda = 0.
@@ -50,7 +60,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .kernels import tree_first_passage, treeprod_rho
+from .kernels import _tree_c, tree_first_passage, treeprod_rho
 
 
 @dataclass(frozen=True)
@@ -70,11 +80,11 @@ class PhaseParams:
 
     @property
     def beta1(self) -> float:
-        return math.sqrt(self.l1 - 1) / self.l1
+        return _tree_c(self.l1) / 2
 
     @property
     def beta2(self) -> float:
-        return math.sqrt(self.l2 - 1) / self.l2
+        return _tree_c(self.l2) / 2
 
     @property
     def kappa1(self) -> float:
@@ -166,9 +176,9 @@ def t_derivatives(params: PhaseParams, t: float, lam: float
 
 def psi(params: PhaseParams, t: float, lam: float) -> float:
     """Psi(lambda) = (phi1(t1) + lambda phi2(t2)) / (1 + lambda)."""
-    if math.isinf(lam):
-        _, t2 = _endpoint_infinity(params, t)
-        return float(_phi(params.l2, t2))
+    if math.isinf(lam):  # the limit t1 = beta1
+        return float(_phi(params.l2, (t - params.a1 * params.beta1)
+                          / params.a2))
     t1, t2, _ = solve_t1t2(params, t, lam)
     return float((_phi(params.l1, t1) + lam * _phi(params.l2, t2))
                  / (1.0 + lam))
@@ -189,61 +199,55 @@ def psi_second(params: PhaseParams, t: float, lam: float) -> float:
     return -2.0 * gap / (1.0 + lam) ** 3 - a1 * root / denom
 
 
-def _endpoint_infinity(params: PhaseParams, t: float) -> Tuple[float, float]:
-    """(t1, t2) limits as lambda -> infinity."""
-    t1 = params.beta1
-    t2 = (t - params.a1 * params.beta1) / params.a2
-    return t1, t2
+def _tau(l: int, g):
+    """The inverse of `_phi` on 0 < g <= sqrt(l - 1)."""
+    return (g / l + (l - 1.0) / (l * g)) / 2.0
 
 
-def find_lambda0(params: PhaseParams, t: float,
-                 tol: float = 1e-10) -> Tuple[float, bool]:
+def _shared_g(params: PhaseParams, t: float) -> float:
+    """The g of an interior maximum: the smaller root of A g^2 - 2 t g + B
+    = 0, as B / (t + sqrt(t^2 - A B)), which does not cancel."""
+    a1, a2, l1, l2 = params.a1, params.a2, params.l1, params.l2
+    A = a1 / l1 + a2 / l2
+    B = a1 * (l1 - 1.0) / l1 + a2 * (l2 - 1.0) / l2
+    return B / (t + math.sqrt(max(t * t - A * B, 0.0)))
+
+
+def find_lambda0(params: PhaseParams, t: float) -> Tuple[float, bool]:
     """Maximizer of Psi: returns (lambda0, interior).
 
     interior is False when the maximum sits on the boundary lambda = 0
-    (then Psi'(0) <= 0).  Uses the strict monotonicity of
-    phi2(t2) - phi1(t1) in lambda.
+    (then Psi'(0) <= 0): when the shared g reaches sqrt(l2 - 1).  Else
+    lambda0 = a2 sqrt(t2^2 - beta2^2) / (a1 sqrt(t1^2 - beta1^2)) at
+    t_i = tau_li(g), with t_i - beta_i = (g - sqrt(l_i - 1))^2 / (2 l_i g)
+    free of cancellation.
     """
-    def gap(lam):
-        t1, t2, _ = solve_t1t2(params, t, lam)
-        return float(_phi(params.l2, t2) - _phi(params.l1, t1))
-
-    if gap(0.0) <= 0.0:
+    if t <= t_feasible_min(params):
+        raise ValueError("t must exceed a1 beta1 + a2 beta2")
+    if params.l1 == params.l2:  # t1 = t2 = t
+        return params.a2 / params.a1, True
+    g = _shared_g(params, t)
+    if not g < math.sqrt(params.l2 - 1.0):
         return 0.0, False
-    hi = 1.0
-    while gap(hi) > 0.0:
-        hi *= 2.0
-        if hi > 1e12:
-            raise RuntimeError("Psi has no interior critical point "
-                               "below lambda = 1e12")
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        g = gap(mid)
-        if abs(g) / (1.0 + mid) ** 2 < tol * 1e-3:
-            break
-        if g > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi), True
+
+    def root(l, beta):  # sqrt(t^2 - beta^2) at t = tau_l(g)
+        return math.sqrt((g - math.sqrt(l - 1.0)) ** 2 / (2.0 * l * g)
+                         * (_tau(l, g) + beta))
+
+    return (params.a2 * root(params.l2, params.beta2)
+            / (params.a1 * root(params.l1, params.beta1))), True
 
 
 def solve_t0(params: PhaseParams) -> Tuple[float, float]:
-    """Threshold (t0, r0) where phi1(t1(0)) = phi2(beta2).
+    """Threshold (t0, r0) where phi1(t1(0)) = phi2(beta2) = log sqrt(l2 - 1).
 
-    Algebraic inversion: with u = sqrt(l2 - 1)/l1 the equation
-    phi1(s) = (1/2) log(l2 - 1) solves to s = (u^2 + beta1^2) / (2u),
-    and t0 = a1 s + a2 beta2.
+    There g = sqrt(l2 - 1), so t1 = tau1(sqrt(l2 - 1)), t2 = beta2 and
+    t0 = a1 tau1(sqrt(l2 - 1)) + a2 beta2.
     """
     if params.l1 <= params.l2:
         raise ValueError("threshold needs l1 > l2")
-    b1, b2 = params.beta1, params.beta2
-    u = math.sqrt(params.l2 - 1.0) / params.l1
-    s = (u * u + b1 * b1) / (2.0 * u)
-    t0 = params.a1 * s + params.a2 * b2
+    t0 = (params.a1 * _tau(params.l1, math.sqrt(params.l2 - 1.0))
+          + params.a2 * params.beta2)
     return t0, r_of_t(t0)
 
 
@@ -284,25 +288,26 @@ def classify(params: PhaseParams, r: float) -> PhaseReport:
     if not (0.0 < r <= R * (1 + 1e-12)):
         raise ValueError(f"r must lie in (0, {R}]")
     t = t_of_r(min(r, R))
-    # at R, t sits at the edge of the feasible range, where psi is not
-    # defined; the constraint pins t1 = beta1 there, so omega = phi1(beta1)
-    at_R = t <= t_feasible_min(params) + 1e-15
+    t0 = r0 = None
     if params.l1 == params.l2:
-        t0 = r0 = None
         regime = REGIME_PURE_EXPONENTIAL
-        lam0, interior = ((params.a2 / params.a1, True) if at_R
-                          else find_lambda0(params, t))
     else:
         t0, r0 = solve_t0(params)
-        if abs(r - r0) <= R0_WINDOW:
-            regime, lam0, interior = REGIME_CRITICAL, 0.0, False
-        elif r < r0:
-            lam0, interior = find_lambda0(params, t)
-            regime = REGIME_PURE_EXPONENTIAL
-        else:
-            regime, lam0, interior = REGIME_OVER_N32, 0.0, False
-    omega = (float(_phi(params.l1, params.beta1)) if at_R
-             else psi(params, t, lam0))
+        regime = (REGIME_CRITICAL if abs(r - r0) <= R0_WINDOW
+                  else REGIME_PURE_EXPONENTIAL if r < r0 else REGIME_OVER_N32)
+    at_R = t <= t_feasible_min(params) + 1e-15
+    if regime == REGIME_PURE_EXPONENTIAL and not at_R:
+        lam0, interior = find_lambda0(params, t)
+        omega = math.log(_shared_g(params, t))
+    else:
+        # on the boundary lambda0 = 0 and t2 = beta2.  At R, t sits at the
+        # edge of the feasible range, where the quadratic's root is
+        # ill-conditioned; the constraint pins t1 = beta1 there
+        interior = regime == REGIME_PURE_EXPONENTIAL
+        lam0 = params.a2 / params.a1 if interior else 0.0
+        t1 = (params.beta1 if at_R
+              else (t - params.a2 * params.beta2) / params.a1)
+        omega = float(_phi(params.l1, t1))
     return PhaseReport(params, r, t, R, t0, r0, regime, lam0, interior, omega)
 
 
@@ -320,8 +325,7 @@ def _psi_on_ks(params: PhaseParams, t: float, n: int) -> np.ndarray:
     phis = (_phi(params.l1, t1) + lams * _phi(params.l2, t2)) / (1.0 + lams)
     out[1:n] = phis
     out[n] = float(_phi(params.l1, (t - params.a2 * params.beta2) / params.a1))
-    _, t2inf = _endpoint_infinity(params, t)
-    out[0] = float(_phi(params.l2, t2inf))
+    out[0] = float(_phi(params.l2, (t - params.a1 * params.beta1) / params.a2))
     return out
 
 
@@ -362,9 +366,9 @@ def prefactor_exponent(log_values, ns, omega: float) -> Tuple[float, float]:
     x = np.log(ns)
     A = np.vstack([x, np.ones_like(x)]).T
     coef, res, _, _ = np.linalg.lstsq(A, y, rcond=None)
-    dof = max(len(ns) - 2, 1)
-    s2 = (res[0] / dof) if len(res) else 0.0
-    cov = s2 * np.linalg.inv(A.T @ A)
+    if not len(res):  # under three points or one distinct n: no residual
+        return float(coef[0]), 0.0
+    cov = (res[0] / (len(ns) - 2)) * np.linalg.inv(A.T @ A)
     return float(coef[0]), float(math.sqrt(max(cov[0, 0], 0.0)))
 
 

@@ -171,8 +171,7 @@ def _cmd_bitree_phase(args, out) -> int:
         for i in range(args.grid):
             r = lo + (hi - lo) * i / max(args.grid - 1, 1)
             rep = classify(params, r)
-            rows.append([r, rep.regime, rep.omega,
-                         rep.lambda0 if rep.lambda0 is not None else "nan"])
+            rows.append([r, rep.regime, rep.omega, rep.lambda0])
         _csv(rows, ["r", "regime", "omega", "lambda0"], out)
         return 0
     payload = {"l1": args.l1, "l2": args.l2, "a1": args.a1, "R": R}

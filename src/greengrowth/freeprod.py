@@ -31,7 +31,7 @@ import numpy as np
 from .bitree import PhaseParams, PhaseReport, capital_R, classify, \
     model_window, prefactor_exponent, solve_t0
 from .groups import FreeAbelian, FreeProduct, TreeProduct
-from .growth import h_series, omega_estimate
+from .growth import _convergence_label, h_series, omega_estimate
 from .kernels import (
     Measure, first_return_coefficients, green_truncated, standard_measure,
 )
@@ -209,7 +209,7 @@ def _factor_diagnostic(rep: Optional[PhaseReport]
         return None, "out-of-range"
     ns, vals = model_window(rep.params, rep.r)
     expo, _ = prefactor_exponent(vals, ns, rep.omega)
-    return expo, ("convergent-type" if expo < -1.0 else "divergent-type")
+    return expo, _convergence_label(expo)
 
 
 def scan_construction(factor_params: PhaseParams, d: int, alpha: float,

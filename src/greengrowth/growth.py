@@ -34,6 +34,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from .bitree import prefactor_exponent
 from .groups import (
     DiestelLeader, Element, FreeAbelian, FreeProduct, GroupSpec,
     RegularTree, TreeProduct, dl_sphere_profiles,
@@ -357,26 +358,27 @@ class GapReport:
     series_factor: GrowthSeries
 
 
+def _convergence_label(exponent: float) -> str:
+    """Exponent < -1 suggests a convergent-type Poincare series at
+    s = omega; this is a finite-data heuristic, reported but never a proof.
+    """
+    return "convergent-type" if exponent < -1.0 else "divergent-type"
+
+
 def convergence_diagnostic(series: GrowthSeries, omega: float,
                            window: Optional[Tuple[int, int]] = None,
                            ) -> Tuple[float, str]:
-    """Fitted exponent of H_r(n) e^{-n omega} against log n.
-
-    Exponent < -1 suggests a convergent-type Poincare series at s = omega;
-    this is a finite-data heuristic, reported but never a proof.
-    """
+    """Fitted exponent of H_r(n) e^{-n omega} against log n
+    (`bitree.prefactor_exponent`), and its `_convergence_label`."""
     if window is None:
         window = (max(1, (series.n_max + 1) // 2), series.n_max)
     lo, hi = max(window[0], 1), window[1]  # log n needs n >= 1
-    ns = np.arange(lo, hi + 1, dtype=float)
+    ns = np.arange(lo, hi + 1)
     vals = np.array([series.value(int(n)) for n in ns])
     if np.any(vals <= 0):
         return float("nan"), "undetermined"
-    y = np.log(vals) - omega * ns
-    A = np.vstack([np.log(ns), np.ones_like(ns)]).T
-    coef, _, _, _ = np.linalg.lstsq(A, y, rcond=None)
-    expo = float(coef[0])
-    return expo, ("convergent-type" if expo < -1.0 else "divergent-type")
+    expo, _ = prefactor_exponent(np.log(vals), ns, omega)
+    return expo, _convergence_label(expo)
 
 
 def parabolic_gap_report(spec: FreeProduct, measure: Optional[Measure],

@@ -409,12 +409,17 @@ def tree_sphere_sizes(l: int, n_max: int) -> np.ndarray:
     return sizes
 
 
+def _tree_c(l: int) -> float:
+    """c = 2 sqrt(l - 1) / l, the simple walk's spectral radius on T_l."""
+    return 2.0 * math.sqrt(l - 1) / l
+
+
 def tree_first_passage(l: int, w):
     """The first-passage value F = l (w - s) / (2 (l - 1)) of
     `tree_resolvent` (c and s as there), computed as 2 / (l (w + s)): the
     same value without the cancellation in w - s at large w, i.e. small r.
     Elementwise in w, real or complex."""
-    c = 2.0 * math.sqrt(l - 1) / l
+    c = _tree_c(l)
     if np.iscomplexobj(w):
         s = np.sqrt(w - c) * np.sqrt(w + c)
     else:
@@ -440,7 +445,7 @@ def tree_resolvent(l: int, w, d_max: int) -> np.ndarray:
 
 def tree_rho(l: int) -> float:
     """Spectral radius 1/2 + c/2 of the lazy walk 1/2 + S/2 on T_l."""
-    return 0.5 + math.sqrt(l - 1) / l
+    return 0.5 + _tree_c(l) / 2
 
 
 def treeprod_rho(l1: int, l2: int, a1: float) -> float:
@@ -506,8 +511,7 @@ def _treeprod_contour(l1: int, l2: int, a1: float, r: float
     if not 0.0 < r < R:
         raise ValueError(f"the tree-product engine needs 0 <= r < R = "
                          f"{R!r}, got r = {r}")
-    c1 = 2.0 * math.sqrt(l1 - 1) / l1
-    c2 = 2.0 * math.sqrt(l2 - 1) / l2
+    c1, c2 = _tree_c(l1), _tree_c(l2)
     kappa = (1.0 - r / 2 - r * (1.0 - a1) * c2 / 2) / (r * a1 * c1 / 2)
     k0 = (1.0 + kappa) / 2
     rho0 = k0 + math.sqrt(max(k0 * k0 - 1.0, 0.0))
@@ -535,7 +539,7 @@ def treeprod_green_by_distance(l1: int, l2: int, a1: float, r: float,
     if r == 0.0:
         return _delta(d1_max + 1, d2_max + 1)  # G = delta_e
     rho0 = _treeprod_contour(l1, l2, a1, r)[0]
-    c1 = 2.0 * math.sqrt(l1 - 1) / l1
+    c1 = _tree_c(l1)
     u = rho0 * np.exp(2j * math.pi * np.arange(n) / n)
     w1 = (c1 / 2) * (u + 1.0 / u)
     z = r / 4 + (r * a1 / 2) * w1
@@ -557,7 +561,7 @@ def _treeprod_circle(l1, l2, a1, r, rho):
     vertex (an ellipse with its foci at the ends of 1 - spec(rB)) right of
     it, so |F2| <= q and |w2 - F2| >= L2, their values at the vertex.
     """
-    c1 = 2.0 * math.sqrt(l1 - 1) / l1
+    c1 = _tree_c(l1)
     k = math.sqrt(l1 - 1)
     p = 1.0 / (k * rho)
     L1 = (k / l1) * (rho * rho - 1.0 / (l1 - 1)) / rho
@@ -897,24 +901,6 @@ class GreenEstimate:
     rigorous: bool
 
 
-def _rigorous_n(r: float, rho: Optional[float], tol: float) -> Optional[int]:
-    """Smallest N with sum_{n>N} (r rho)^n <= tol, or None if unavailable."""
-    if rho is None:
-        return None
-    x = r * rho
-    if x >= 1.0:
-        return None
-    if x == 0.0:
-        return 0
-    n = math.log(tol * (1.0 - x)) / math.log(x) - 1.0
-    return max(0, math.ceil(n))
-
-
-def _geom_tail(r: float, rho: float, n: int) -> float:
-    x = r * rho
-    return x ** (n + 1) / (1.0 - x)
-
-
 def _heuristic_tail(terms: List[float]) -> float:
     tail_terms = [t for t in terms[-8:] if t > 0]
     if len(tail_terms) < 2:
@@ -967,15 +953,16 @@ def green_truncated(measure: Measure, targets: Sequence[Element], r: float,
 
 
 def _pick_n(measure, r, tol, max_terms, default=64):
+    """(n_max, rigorous, rho): the smallest N with sum_{n>N} (r rho)^n <=
+    tol, cut to max_terms, or else max_terms (default) unproved steps."""
     rho = known_spectral_radius(measure)
-    n_rig = _rigorous_n(r, rho, tol)
-    if n_rig is not None:
-        n_max = n_rig if max_terms is None else min(n_rig, max_terms)
-        rigorous = n_max >= n_rig
-    else:
-        n_max = max_terms if max_terms is not None else default
-        rigorous = False
-    return n_max, rigorous, rho
+    if rho is None or r * rho >= 1.0:
+        return (max_terms if max_terms is not None else default), False, rho
+    x = r * rho
+    n_rig = (0 if x == 0.0 else
+             max(0, math.ceil(math.log(tol * (1.0 - x)) / math.log(x) - 1.0)))
+    n_max = n_rig if max_terms is None else min(n_rig, max_terms)
+    return n_max, n_max >= n_rig, rho
 
 
 def _green_generic(measure, targets, r, tol, max_terms, support_cap):
@@ -988,7 +975,8 @@ def _green_generic(measure, targets, r, tol, max_terms, support_cap):
     S, dropped = step_sums(measure, lambda x: index.get(x, n_bins), n_bins,
                            n_max, support_cap=support_cap)
     powers = float(r) ** np.arange(n_max + 1)
-    tail = (_geom_tail(r, rho, n_max) if rigorous
+    # p_n(e, x) <= rho^n: each tail is at most sum_{n > n_max} (r rho)^n
+    tail = ((r * rho) ** (n_max + 1) / (1.0 - r * rho) if rigorous
             else _heuristic_tail(list(S[index[e]] * powers)))
     tail = float(tail + dropped @ powers)
     return {x: GreenEstimate(float(S[index[x]] @ powers), n_max, tail,

@@ -14,7 +14,7 @@ from typing import Dict, Sequence
 
 from .groups import DLProfile, dl_class_count
 from .kernels import (
-    dl_class_key, dl_green_classes, tree_first_passage, tree_rho,
+    _tree_c, dl_class_key, dl_green_classes, tree_first_passage, tree_rho,
     tree_sphere_sizes,
 )
 
@@ -48,7 +48,7 @@ def tree_closed_form(l: int, r: float) -> TreeClosedForm:
     F = float(tree_first_passage(l, w))
     # G(e, e | r) = (2 / r) (w - S)^(-1)(e, e), as in `tree_green_by_distance`
     G = (2.0 / r) / (w - F)
-    return TreeClosedForm(l=l, r=r, beta=math.sqrt(l - 1) / l, rho=rho, R=R,
+    return TreeClosedForm(l=l, r=r, beta=_tree_c(l) / 2, rho=rho, R=R,
                           t=1.0 / r - 0.5, F=F, G=G)
 
 

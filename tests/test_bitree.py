@@ -109,6 +109,111 @@ def test_symmetric_case_lambda0_is_one():
         assert abs(psi(params, t, lam0) - closed) < 1e-10
 
 
+def _bisect_lambda0(params, t, tol=1e-10):
+    """Reference for `find_lambda0`: bisection on phi2(t2) - phi1(t1),
+    which is strictly decreasing in lambda."""
+    def gap(lam):
+        t1, t2, _ = solve_t1t2(params, t, lam)
+        return float(bitree._phi(params.l2, t2) - bitree._phi(params.l1, t1))
+
+    if gap(0.0) <= 0.0:
+        return 0.0, False
+    hi = 1.0
+    while gap(hi) > 0.0:
+        hi *= 2.0
+        if hi > 1e12:
+            raise RuntimeError("Psi has no interior critical point "
+                               "below lambda = 1e12")
+    lo = 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        g = gap(mid)
+        if abs(g) / (1.0 + mid) ** 2 < tol * 1e-3:
+            break
+        if g > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi), True
+
+
+def test_tau_inverts_phi():
+    for l in (3, 4, 6):
+        for g in (1e-6, 0.3, 1.0, 0.9 * math.sqrt(l - 1.0)):
+            assert abs(bitree._phi(l, bitree._tau(l, g)) - math.log(g)) \
+                < 1e-14 * max(1.0, abs(math.log(g)))
+        # g = sqrt(l - 1) is the spectral edge, tau = beta
+        assert abs(bitree._tau(l, math.sqrt(l - 1.0))
+                   - math.sqrt(l - 1.0) / l) < 1e-16
+
+
+def test_closed_form_lambda0_matches_bisection():
+    # the benchmark's 40-point grid from 1 to R, for three parameter sets
+    for params in (P64, PhaseParams(4, 4, 0.5, 0.5),
+                   PhaseParams(5, 3, 0.3, 0.7)):
+        R = capital_R(params)
+        r0 = solve_t0(params)[1] if params.l1 != params.l2 else None
+        for r in (1.0 + (R - 1.0) * i / 40 for i in range(40)):
+            t = t_of_r(r)
+            lam0, interior = find_lambda0(params, t)
+            ref, ref_interior = _bisect_lambda0(params, t)
+            assert interior == ref_interior
+            if r0 is None or abs(r - r0) >= 1e-2 * r0:
+                assert abs(lam0 - ref) <= 1e-10 * ref
+            if interior:
+                omega = classify(params, r).omega
+                assert abs(omega - psi(params, t, ref)) \
+                    <= 1e-13 * max(1.0, abs(omega))
+
+
+def _mp_saddle(params, r, mp):
+    """(lambda0, omega) of the interior maximum at r to the working
+    precision: bisection on phi1(t1) = phi2(t2) in t1, with
+    phi(tau) = log(l (tau - sqrt(tau^2 - beta^2)))."""
+    l1, l2 = params.l1, params.l2
+    a1, a2 = mp.mpf(params.a1), mp.mpf(params.a2)
+    t = 1 / mp.mpf(r) - mp.mpf(1) / 2
+    b1, b2 = mp.sqrt(l1 - 1) / l1, mp.sqrt(l2 - 1) / l2
+
+    def phi(l, b, tau):
+        return mp.log(l * (tau - mp.sqrt(max(tau * tau - b * b, 0))))
+
+    lo, hi = b1, (t - a2 * b2) / a1
+    for _ in range(220):
+        mid = (lo + hi) / 2
+        if phi(l1, b1, mid) > phi(l2, b2, (t - a1 * mid) / a2):
+            lo = mid
+        else:
+            hi = mid
+    t1 = (lo + hi) / 2
+    t2 = (t - a1 * t1) / a2
+    lam0 = (a2 * mp.sqrt(t2 * t2 - b2 * b2)
+            / (a1 * mp.sqrt(t1 * t1 - b1 * b1)))
+    return float(lam0), float(phi(l1, b1, t1))
+
+
+def test_lambda0_near_threshold_matches_mpmath():
+    # at r0 (1 - 1e-6) the saddle sits 1e-6 from the boundary; the closed
+    # form keeps lambda0's digits there
+    mp = pytest.importorskip("mpmath").mp
+    for params in (P64, PhaseParams(7, 3, 0.8, 0.2),
+                   PhaseParams(5, 3, 0.3, 0.7)):
+        r = solve_t0(params)[1] * (1.0 - 1e-6)
+        rep = classify(params, r)
+        with mp.workdps(60):
+            lam0, omega = _mp_saddle(params, r, mp)
+        assert rep.interior
+        assert abs(rep.lambda0 - lam0) <= 1e-9 * lam0
+        assert abs(rep.omega - omega) <= 1e-13 * abs(omega)
+
+
+def test_find_lambda0_validates_t():
+    with pytest.raises(ValueError):
+        find_lambda0(P64, t_feasible_min(P64))
+
+
 def _bisect_t0(params):
     """Reference for `solve_t0`: bisection on phi1((t - a2 beta2)/a1) =
     (1/2) log(l2 - 1), with phi(tau) = log l + log(tau - sqrt(tau^2 -
