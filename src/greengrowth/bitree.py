@@ -360,13 +360,16 @@ def f_sum_log(phi_func, n: int) -> float:
 
 def prefactor_exponent(log_values, ns, omega: float) -> Tuple[float, float]:
     """Least-squares slope (and standard error) of log values minus
-    n * omega against log n: the polynomial correction exponent."""
+    n * omega against log n: the polynomial correction exponent.  A slope
+    needs at least two distinct n; fewer raise ValueError."""
     ns = np.asarray(ns, dtype=float)
+    if len(np.unique(ns)) < 2:
+        raise ValueError("a prefactor exponent needs at least two distinct n")
     y = np.asarray(log_values, dtype=float) - ns * omega
     x = np.log(ns)
     A = np.vstack([x, np.ones_like(x)]).T
     coef, res, _, _ = np.linalg.lstsq(A, y, rcond=None)
-    if not len(res):  # under three points or one distinct n: no residual
+    if not len(res):  # two points: no residual
         return float(coef[0]), 0.0
     cov = (res[0] / (len(ns) - 2)) * np.linalg.inv(A.T @ A)
     return float(coef[0]), float(math.sqrt(max(cov[0, 0], 0.0)))

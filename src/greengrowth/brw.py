@@ -8,11 +8,26 @@ M_n = #(visited, word length n), and for free products the induced
 process of returns to a factor, whose empirical offspring mean estimates
 the first-return mass t_{r,P}.
 
+State.  Particles are int ids of elements interned in a
+`kernels.StepTable` over the kernel's steps, shared by the runs of one
+call, so the product of an element and a step is computed once, the
+first time a child draws that pair.  A generation is array work on ids:
+`np.repeat` of the parents by their offspring counts, then one table
+read for the drawn steps.  A product of trees is walked one factor at a
+time: one table per factor over that factor's step components (a
+component equal to the identity keeps the id), visited states told apart
+as id pairs, and the word length the sum of the factor lengths.  Every
+other group is a walk of one coordinate on the same code.  Word lengths
+and other per-element values are computed once per element.
+
 Randomness comes from a counter-based Philox generator keyed by
 (seed, run index), so runs are reproducible individually and the
-aggregate is independent of scheduling.  The population cap drops
-children breadth-first (flagged); dropping can only shrink the trace, so
-positive-growth conclusions survive truncation.
+aggregate is independent of scheduling.  Each generation draws its
+offspring counts, then one step per birth, before the population cap
+applies, so the random stream does not depend on the cap or on how the
+state is stored.  The cap drops children breadth-first (flagged);
+dropping can only shrink the trace, so positive-growth conclusions
+survive truncation.
 """
 
 from __future__ import annotations
@@ -24,8 +39,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .groups import Element, FreeProduct, GroupSpec
-from .kernels import Measure, standard_measure
+from .groups import Element, FreeProduct, GroupSpec, TreeProduct
+from .kernels import Measure, StepTable, standard_measure
 
 
 @dataclass(frozen=True)
@@ -92,53 +107,83 @@ def _run_rng(seed: int, run: int) -> np.random.Generator:
                                                       run]))
 
 
-def _law_table(pairs) -> Tuple[list, np.ndarray]:
-    """Values and cumulative weights of a finite law, for inverse-CDF draws."""
+def _cumulative(pairs) -> np.ndarray:
+    """Cumulative weights of a finite law, for inverse-CDF draws."""
     cum = np.cumsum([float(w) for _, w in pairs])
     cum[-1] = 1.0
-    return [v for v, _ in pairs], cum
+    return cum
 
 
-def _generation(parents, steps, offspring, cap, rng):
-    """One generation's births: (parent, step) for each child kept under
-    the population cap, in breadth-first order, and whether the cap
-    dropped any.  Every offspring count and every step is drawn before
-    the cap applies, so the random stream does not depend on the cap."""
-    step_values, step_cum = steps
-    off_values, off_cum = offspring
-    counts = np.searchsorted(off_cum, rng.random(len(parents)), side="right")
-    births = int(sum(off_values[c] for c in counts))
-    drawn = np.searchsorted(step_cum, rng.random(births), side="right")
-    kept = []
-    j = 0
-    for parent, c in zip(parents, counts):
-        for _ in range(off_values[c]):
-            if j == cap:
-                return kept, True
-            kept.append((parent, step_values[drawn[j]]))
-            j += 1
-    return kept, False
+class _Walk:
+    """The branching random walk of one measure and offspring law.
 
+    A state is one id per coordinate: two for a product of trees (one per
+    factor), one for every other group.  Each coordinate has its
+    `StepTable` over the distinct components of the steps, and
+    `cols[k][j]` is the table column of step j's component in coordinate
+    k.
+    """
 
-def _single_run(g, steps, offspring, config, rng):
-    mul = g.multiply
-    particles = [g.identity()]
-    visited = set(particles)
-    population = [1]
-    truncated = False
-    for _ in range(config.max_generation):
-        kept, dropped = _generation(particles, steps, offspring,
-                                    config.population_cap, rng)
-        truncated |= dropped
-        particles = [mul(x, s) for x, s in kept]
-        visited.update(particles)
-        population.append(len(particles))
-    m = np.zeros(config.max_generation + 1, dtype=np.int64)
-    for x in visited:
-        n = g.word_length(x)
-        if n <= config.max_generation:
-            m[n] += 1
-    return RunTrace(m, np.array(population), len(visited), truncated)
+    def __init__(self, measure: Measure, config: BrwConfig):
+        g = measure.group
+        steps = [s for s, _ in measure.weights]
+        if isinstance(measure.spec, TreeProduct):
+            parts = [(g.g1, [s[0] for s in steps]),
+                     (g.g2, [s[1] for s in steps])]
+        else:
+            parts = [(g, steps)]
+        self.tables, self.cols = [], []
+        for group, comps in parts:
+            distinct = list(dict.fromkeys(comps))
+            self.tables.append(StepTable(group, distinct, [group.identity()]))
+            self.cols.append(np.array([distinct.index(c) for c in comps]))
+        self.step_cum = _cumulative(measure.weights)
+        self.kids = np.array([k for k, _ in config.offspring])
+        self.kids_cum = _cumulative(config.offspring)
+        self.config = config
+
+    def run(self, index: int) -> Tuple[List[List[np.ndarray]], bool]:
+        """Run `index` from e: the particles of generations
+        0..max_generation, each as one id array per coordinate, and
+        whether the cap dropped any child.  Offspring counts and every
+        birth's step are drawn before the cap applies."""
+        rng = _run_rng(self.config.seed, index)
+        cap = self.config.population_cap
+        kids, kids_cum, step_cum = self.kids, self.kids_cum, self.step_cum
+        particles = [np.zeros(1, np.int32) for _ in self.tables]
+        generations = [particles]
+        truncated = False
+        for _ in range(self.config.max_generation):
+            counts = kids[kids_cum.searchsorted(rng.random(len(particles[0])),
+                                                side="right")]
+            parents = [ids.repeat(counts) for ids in particles]
+            births = len(parents[0])
+            drawn = step_cum.searchsorted(rng.random(births),
+                                          side="right")[:cap]
+            truncated |= births > cap
+            particles = [table.at(ids[:cap], col[drawn]) for table, col, ids
+                         in zip(self.tables, self.cols, parents)]
+            generations.append(particles)
+        return generations, truncated
+
+    def visited(self, generations: List[List[np.ndarray]]
+                ) -> List[np.ndarray]:
+        """The distinct states among the generations, one id array per
+        coordinate; states are told apart by the key id1 * n2 + id2."""
+        sizes = [len(t.elements) for t in self.tables]
+        key = np.zeros(1, np.int64)
+        for k, n in enumerate(sizes):
+            key = key * n + np.concatenate([gen[k] for gen in generations])
+        key = np.unique(key)
+        ids = []
+        for n in reversed(sizes):
+            key, part = np.divmod(key, n)
+            ids.append(part)
+        return ids[::-1]
+
+    def word_length(self, ids: List[np.ndarray]) -> np.ndarray:
+        return sum(t.values(t.group.word_length, i)
+                   for t, i in zip(self.tables, ids))
 
 
 def simulate(spec: GroupSpec, measure: Optional[Measure], config: BrwConfig,
@@ -146,19 +191,24 @@ def simulate(spec: GroupSpec, measure: Optional[Measure], config: BrwConfig,
     """Run the branching random walk `config.runs` times and aggregate
     trace growth at the given sphere radius (default: the largest radius
     where the median run still has visited elements)."""
+    if radius is not None and not 0 <= radius <= config.max_generation:
+        raise ValueError(f"radius {radius} outside 0..max_generation "
+                         f"({config.max_generation})")
     if measure is None:
         measure = standard_measure(spec)
-    steps = _law_table(measure.weights)
-    offspring = _law_table(config.offspring)
-    runs = [_single_run(measure.group, steps, offspring, config,
-                        _run_rng(config.seed, i))
-            for i in range(config.runs)]
+    walk = _Walk(measure, config)
+    n_bins = config.max_generation + 1
+    runs = []
+    for i in range(config.runs):
+        generations, truncated = walk.run(i)
+        visited = walk.visited(generations)
+        m = np.bincount(walk.word_length(visited), minlength=n_bins)[:n_bins]
+        runs.append(RunTrace(m, np.array([len(gen[0]) for gen in generations]),
+                             len(visited[0]), truncated))
     if radius is None:
         med = np.median(np.array([t.m_counts for t in runs]), axis=0)
         nz = np.nonzero(med > 0)[0]
         radius = int(nz[-1]) if nz.size else 0
-    if radius > config.max_generation:
-        raise ValueError("radius exceeds max_generation")
     rates = np.array([
         (math.log(t.m_counts[radius]) / radius
          if t.m_counts[radius] > 0 and radius > 0 else -math.inf)
@@ -189,7 +239,7 @@ class CosetReport:
     truncated_runs: int = 0
 
 
-def _coset_key(g, side: int, x: Element):
+def _coset_key(side: int, x: Element):
     """Canonical representative of the coset x P, P the side factor."""
     if x and x[-1][0] == side:
         return x[:-1]
@@ -203,47 +253,39 @@ def coset_hits(spec: FreeProduct, measure: Optional[Measure],
     Per run: the number of distinct cosets gP visited, the largest number
     of distinct elements seen in one coset, and the empirical offspring
     mean of the collection process (first entries to P per progenitor in
-    P) -- an estimator of the first-return mass t_{r,P}.  Children the
-    population cap drops count neither as returns nor as visits;
-    `truncated_runs` counts the runs in which the cap dropped any.
+    P) -- an estimator of the first-return mass t_{r,P}.  Every return
+    founds a progenitor, and so does e, so a run with k returns has mean
+    k / (1 + k).  Children the population cap drops count neither as
+    returns nor as visits; `truncated_runs` counts the runs in which the
+    cap dropped any.
     """
     if not isinstance(spec, FreeProduct):
         raise ValueError("coset statistics need a free product")
     if measure is None:
         measure = standard_measure(spec)
     g = measure.group
-    in_p = lambda x: g.factor_part(side, x) is not None
-    steps = _law_table(measure.weights)
-    offspring = _law_table(config.offspring)
+    walk = _Walk(measure, config)
+    table = walk.tables[0]
+    cosets: Dict[Element, int] = {}
+
+    def in_p(x):
+        return g.factor_part(side, x) is not None
+
+    def coset_id(x):
+        return cosets.setdefault(_coset_key(side, x), len(cosets))
 
     distinct, max_visits, means = [], [], []
     truncated_runs = 0
     for run in range(config.runs):
-        rng = _run_rng(config.seed, run)
-        # particle state: (position, progenitor id of nearest P-ancestor)
-        particles = [(g.identity(), 0)]
-        progenitors = 1
-        returns = 0
-        truncated = False
-        coset_elems: Dict[Element, set] = {(): {g.identity()}}
-        for _ in range(config.max_generation):
-            kept, dropped = _generation(particles, steps, offspring,
-                                        config.population_cap, rng)
-            truncated |= dropped
-            particles = []
-            for (pos, prog), s in kept:
-                y = g.multiply(pos, s)
-                if in_p(y):
-                    returns += 1
-                    particles.append((y, progenitors))
-                    progenitors += 1
-                else:
-                    particles.append((y, prog))
-                coset_elems.setdefault(_coset_key(g, side, y), set()).add(y)
+        generations, truncated = walk.run(run)
         truncated_runs += truncated
-        distinct.append(len(coset_elems))
-        max_visits.append(max(len(v) for v in coset_elems.values()))
-        means.append(returns / progenitors)
+        (visited,) = walk.visited(generations)
+        per_coset = np.bincount(table.values(coset_id, visited))
+        distinct.append(int(np.count_nonzero(per_coset)))
+        max_visits.append(int(per_coset.max()))
+        children = np.concatenate([gen[0] for gen in generations[1:]])
+        returns = int(np.count_nonzero(table.values(in_p, children, bool)))
+        means.append(returns / (1 + returns))
     means = np.array(means, dtype=float)
     est = float(means.mean())
     ci = float(1.96 * means.std(ddof=1) / math.sqrt(len(means))

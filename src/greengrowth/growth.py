@@ -369,7 +369,8 @@ def convergence_diagnostic(series: GrowthSeries, omega: float,
                            window: Optional[Tuple[int, int]] = None,
                            ) -> Tuple[float, str]:
     """Fitted exponent of H_r(n) e^{-n omega} against log n
-    (`bitree.prefactor_exponent`), and its `_convergence_label`."""
+    (`bitree.prefactor_exponent`), and its `_convergence_label`.  A window
+    with fewer than two n raises ValueError."""
     if window is None:
         window = (max(1, (series.n_max + 1) // 2), series.n_max)
     lo, hi = max(window[0], 1), window[1]  # log n needs n >= 1

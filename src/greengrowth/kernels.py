@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, repeat
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -235,60 +235,125 @@ def _grown(a: np.ndarray, n: int, fill) -> np.ndarray:
     return out
 
 
+class StepTable:
+    """Interned elements of a group and their products by a fixed list of
+    steps: the state of the array-backed walks, `FloatWalk` and the
+    branching random walk of `brw`.
+
+    `elements[i]` is the element with id i.  The table maps (id, step
+    index) to the id of the product.  A step equal to the identity maps
+    every id to itself; any other pair is filled the first time it is
+    asked for, by one `multiply`, and a new product gets the next id.
+    Per-element values (word lengths, predicates) are cached per id by
+    `values`.  Nothing is evicted: the table lives as long as its owner.
+    """
+
+    def __init__(self, group: Group, steps: Sequence[Element],
+                 start: Sequence[Element]):
+        self.group = group
+        self.steps = list(steps)
+        self.elements: List[Element] = list(start)
+        self._index = {x: i for i, x in enumerate(self.elements)}
+        e = group.identity()
+        self._stay = [j for j, s in enumerate(self.steps) if s == e]
+        self._table = np.full((0, len(self.steps)), -1, np.int32)
+        self._cache: Dict[Callable, Tuple[np.ndarray, np.ndarray]] = {}
+
+    def _grow(self) -> None:
+        """A table row for every element."""
+        old = len(self._table)
+        if old < len(self.elements):
+            self._table = _grown(self._table, len(self.elements), -1)
+            self._table[old:, self._stay] = np.arange(
+                old, len(self._table))[:, None]
+
+    def rows(self, ids: np.ndarray) -> np.ndarray:
+        """Table rows of the distinct ids, filling their missing pairs in
+        source-major, step-minor order."""
+        self._grow()
+        rows = self._table[ids]
+        miss = np.flatnonzero(rows < 0)
+        if len(miss):
+            m = len(self.steps)
+            self._fill((ids[miss // m] * m + miss % m).tolist())
+            rows = self._table[ids]
+        return rows
+
+    def at(self, ids: np.ndarray, steps: np.ndarray) -> np.ndarray:
+        """Product ids of the pairs (ids[k], steps[k]), filling each
+        missing pair once, in order of first appearance."""
+        self._grow()
+        flat = self._table.reshape(-1)
+        keys = ids * len(self.steps) + steps
+        out = flat[keys]
+        miss = keys[out < 0]
+        if len(miss):
+            self._fill(list(dict.fromkeys(miss.tolist())))
+            out = flat[keys]
+        return out
+
+    def _fill(self, keys: List[int]) -> None:
+        """Fill the distinct pairs keys = id * len(steps) + step index."""
+        mul, index, elements, step = (self.group.multiply, self._index,
+                                      self.elements, self.steps)
+        known = len(index)
+        # a new product gets the next id, len(index), as its value
+        add = index.setdefault
+        np.put(self._table, keys, [
+            add(mul(elements[i], step[s]), len(index))
+            for i, s in map(divmod, keys, repeat(len(step)))])
+        elements.extend(reversed(list(
+            islice(reversed(index), len(index) - known))))
+
+    def values(self, fn: Callable[[Element], object], ids: np.ndarray,
+               dtype=np.intp) -> np.ndarray:
+        """fn of the elements ids, computed once per element."""
+        values, known = self._cache.get(fn, (np.zeros(0, dtype),
+                                             np.zeros(0, bool)))
+        n = len(self.elements)
+        values, known = _grown(values, n, 0), _grown(known, n, False)
+        new = np.unique(ids[~known[ids]])
+        if len(new):
+            values[new] = [fn(self.elements[i]) for i in new.tolist()]
+            known[new] = True
+        self._cache[fn] = values, known
+        return values[ids]
+
+
 class FloatWalk:
     """A float distribution stepped by a measure, the walk of `step_sums`.
 
-    Each element is interned to an int id once, and the step table maps
+    Each element is interned to an int id once, and the `StepTable` maps
     (id, step) to the id of the product, filled the first time an element
     is a source: a sweep multiplies each element once per step of the
-    measure, however many steps it survives.  The distribution is held as
-    `ids` (distinct) and `p`.  A step scatters p * w with `np.bincount`,
-    which adds in source-major, step-minor order, and orders the new
-    support by first appearance, as a dict loop over sources and steps
-    would, so the values are such a loop's bit for bit.  Pruning to
-    support_cap keeps the entries above the cap-th largest weight and
-    breaks ties at that threshold by `encode`; `dropped` is the total mass
-    pruned so far.  Per-element values (word lengths, predicates) are
-    cached per id by `lookup`.  The tables live as long as the walk.
+    measure other than e, however many steps it survives.  The
+    distribution is held as `ids` (distinct) and `p`.  A step scatters
+    p * w with `np.bincount`, which adds in source-major, step-minor
+    order, and orders the new support by first appearance, as a dict loop
+    over sources and steps would, so the values are such a loop's bit for
+    bit.  Pruning to support_cap keeps the entries above the cap-th
+    largest weight and breaks ties at that threshold by `encode`;
+    `dropped` is the total mass pruned so far.  Per-element values (word
+    lengths, predicates) are cached per id by `lookup`.  The tables live
+    as long as the walk.
     """
 
     def __init__(self, measure: Measure, start: Dict[Element, object],
                  support_cap: Optional[int] = DEFAULT_SUPPORT_CAP):
         self.group = measure.group
         self.support_cap = support_cap
-        self._steps = [s for s, _ in measure.weights]
         self._w = np.array([float(w) for _, w in measure.weights])
-        self._elements: List[Element] = list(start)
-        self._index = {x: i for i, x in enumerate(start)}
-        self._table = np.full((0, len(self._steps)), -1, np.int32)
-        self._cache: Dict[Callable, Tuple[np.ndarray, np.ndarray]] = {}
+        self._table = StepTable(self.group, [s for s, _ in measure.weights],
+                                list(start))
         self.ids = np.arange(len(start))
         self.p = np.array([float(v) for v in start.values()])
         self.dropped = 0.0
 
-    def _targets(self) -> np.ndarray:
-        """Step-table rows of the support, filling the missing ones."""
-        self._table = _grown(self._table, len(self._elements), -1)
-        rows = self._table[self.ids]
-        new = self.ids[rows[:, 0] < 0]
-        if len(new):
-            mul, index, elements = (self.group.multiply, self._index,
-                                    self._elements)
-            known = len(index)
-            # a new product gets the next id, len(index), as its value
-            add = index.setdefault
-            self._table[new] = [[add(mul(elements[i], s), len(index))
-                                 for s in self._steps] for i in new.tolist()]
-            elements.extend(reversed(list(
-                islice(reversed(index), len(index) - known))))
-            rows = self._table[self.ids]
-        return rows
-
     def step(self) -> None:
         """dist <- dist * measure, pruned to support_cap."""
-        flat = self._targets().ravel()
+        flat = self._table.rows(self.ids).ravel()
         vals = (self.p[:, None] * self._w).ravel()
-        n = len(self._elements)
+        n = len(self._table.elements)
         first = np.full(n, len(flat))
         np.minimum.at(first, flat, np.arange(len(flat)))
         ids = np.flatnonzero(first < len(flat))
@@ -300,7 +365,7 @@ class FloatWalk:
             above = p > thresh
             # fewer than cap entries lie above thresh, so room >= 1
             room = cap - int(np.count_nonzero(above))
-            enc, elements = self.group.encode, self._elements
+            enc, elements = self.group.encode, self._table.elements
             ties = sorted(np.flatnonzero(p == thresh).tolist(),
                           key=lambda t: enc(elements[ids[t]]))[:room]
             drop = ~above
@@ -313,28 +378,21 @@ class FloatWalk:
     def lookup(self, fn: Callable[[Element], object], dtype=np.intp
                ) -> np.ndarray:
         """fn of each support element, computed once per element."""
-        values, known = self._cache.get(fn, (np.zeros(0, dtype),
-                                             np.zeros(0, bool)))
-        n = len(self._elements)
-        values, known = _grown(values, n, 0), _grown(known, n, False)
-        new = self.ids[~known[self.ids]]
-        if len(new):
-            values[new] = [fn(self._elements[i]) for i in new.tolist()]
-            known[new] = True
-        self._cache[fn] = values, known
-        return values[self.ids]
+        return self._table.values(fn, self.ids, dtype)
 
     def take(self, pred: Callable[[Element], bool]
              ) -> List[Tuple[Element, float]]:
         """Remove the entries whose element satisfies pred; return them."""
         mask = self.lookup(pred, bool)
-        hits = [(self._elements[i], v) for i, v in
+        elements = self._table.elements
+        hits = [(elements[i], v) for i, v in
                 zip(self.ids[mask].tolist(), self.p[mask].tolist())]
         self.ids, self.p = self.ids[~mask], self.p[~mask]
         return hits
 
     def dist(self) -> Dict[Element, float]:
-        return dict(zip([self._elements[i] for i in self.ids.tolist()],
+        elements = self._table.elements
+        return dict(zip([elements[i] for i in self.ids.tolist()],
                         self.p.tolist()))
 
 

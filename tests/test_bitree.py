@@ -279,6 +279,15 @@ def test_model_window_slopes():
     assert abs(_window_slope(r0) + 0.4122) < 0.01
 
 
+@pytest.mark.parametrize("ns", [[], [3], [3, 3, 3]])
+def test_prefactor_exponent_needs_two_distinct_n(ns):
+    with pytest.raises(ValueError):
+        prefactor_exponent([0.5] * len(ns), ns, 0.1)
+    # two distinct n: the exact slope, with no residual to give an error
+    slope, se = prefactor_exponent([0.0, math.log(4.0)], [2, 4], 0.0)
+    assert slope == pytest.approx(2.0, rel=1e-12) and se == 0.0
+
+
 def test_f_sum_synthetic_exponents():
     ns = np.arange(200, 2001, 75)
 

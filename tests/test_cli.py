@@ -1,5 +1,6 @@
 """Command-line interface: formats, config handling, exit codes."""
 
+import hashlib
 import json
 import re
 import shlex
@@ -98,6 +99,29 @@ def test_brw_json(capsys):
     assert payload["schema"] == 1
     assert len(payload["m_counts"]) == 4
     assert payload["offspring_mean"] == pytest.approx(1.05)
+
+
+@pytest.mark.parametrize("argv, digest", [
+    # the README example
+    ("brw --group tree --l 4 --mean 1.05 --runs 50 --seed 12345",
+     "9a2c63d179268a121e6b39e905f4643dbbd9d6c7acd34c4ce42187ed2342ab05"),
+    ("brw --group treeprod --l1 6 --l2 4 --mean 2 --maxgen 30 --popcap 2000 "
+     "--seed 1 --runs 1",
+     "cf7c0862c8488bfdd0b7e65025a79436be941ebe7df9f07ee4817d4442978ff5"),
+])
+def test_brw_output_is_byte_stable(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("radius", ["-1", "11"])
+def test_brw_refuses_radius_outside_walk(capsys, radius):
+    code, out, err = run(capsys, "brw", "--group", "tree", "--l", "4",
+                         "--radius", radius, "--maxgen", "10")
+    assert code == 1
+    assert out == ""
+    assert "radius" in err
 
 
 def test_config_file_defaults(tmp_path, capsys):

@@ -219,6 +219,13 @@ def test_convergence_diagnostic_labels():
     assert label == "convergent-type"       # geometric decay below radius
 
 
+@pytest.mark.parametrize("window", [(3, 3), (5, 4)])
+def test_convergence_diagnostic_refuses_a_window_without_a_slope(window):
+    tree = h_series(RegularTree(4), r=1.0, n_max=12)
+    with pytest.raises(ValueError):
+        convergence_diagnostic(tree, 0.1, window=window)
+
+
 def test_omega_estimate_needs_a_window():
     series = h_series(RegularTree(4), r=1.0, n_max=4)
     with pytest.raises(ValueError):

@@ -12,7 +12,7 @@ from greengrowth.groups import (
 )
 from greengrowth.growth import h_series
 from greengrowth.kernels import (
-    FloatWalk, convolve, dl_class_key, dl_green_classes,
+    FloatWalk, StepTable, convolve, dl_class_key, dl_green_classes,
     first_return_coefficients, first_return_kernel, green_truncated,
     return_probability, spectral_radius_lower, standard_measure,
     tree_distance_law, tree_green_by_distance, tree_sphere_sizes,
@@ -580,6 +580,31 @@ def test_float_core_matches_the_exact_dict_loop(spec, cap, steps):
         assert walk.dropped == pytest.approx(float(1 - sum(exact.values())),
                                              rel=1e-14, abs=0.0)
     assert cuts_a_tie == (cap is not None)
+
+
+def test_step_table_multiplies_each_missing_pair_once(monkeypatch):
+    g = group_for(RegularTree(3))
+    cls = type(g)
+    mul = cls.multiply
+    calls = []
+
+    def recorded(self, a, b):
+        calls.append((a, b))
+        return mul(self, a, b)
+
+    monkeypatch.setattr(cls, "multiply", recorded)
+    e = g.identity()
+    steps = [e, (0,), (1,), (2,)]
+    table = StepTable(g, steps, [e])
+    out = table.at(np.array([0, 0, 0, 0]), np.array([1, 1, 0, 2]))
+    assert [table.elements[i] for i in out] == [(0,), (0,), e, (1,)]
+    # a repeated pair is multiplied once, a step by e never
+    assert calls == [(e, (0,)), (e, (1,))]
+    rows = table.rows(np.array([0, 1]))
+    # the rows fill only the pairs the reads above left missing
+    assert calls[2:] == [(e, (2,)), ((0,), (0,)), ((0,), (1,)), ((0,), (2,))]
+    assert [[table.elements[i] for i in row] for row in rows] == [
+        [mul(g, x, s) for s in steps] for x in (e, (0,))]
 
 
 def _float_dict_step(dist, m, cap):
