@@ -204,13 +204,30 @@ def _tau(l: int, g):
     return (g / l + (l - 1.0) / (l * g)) / 2.0
 
 
+def _two_product(x: float, y: float) -> Tuple[float, float]:
+    """(p, e) with p = fl(x y) and p + e = x y exactly: Dekker's product
+    on Veltkamp's splits of x and y into 26-bit halves."""
+    def split(v):
+        c = 134217729.0 * v  # 2^27 + 1
+        hi = c - (c - v)
+        return hi, v - hi
+
+    p = x * y
+    xh, xl = split(x)
+    yh, yl = split(y)
+    return p, ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
+
+
 def _shared_g(params: PhaseParams, t: float) -> float:
     """The g of an interior maximum: the smaller root of A g^2 - 2 t g + B
-    = 0, as B / (t + sqrt(t^2 - A B)), which does not cancel."""
+    = 0, as B / (t + sqrt(t^2 - A B)), which does not cancel.  Near R, t^2
+    and A B agree in most digits, so both products are formed exactly."""
     a1, a2, l1, l2 = params.a1, params.a2, params.l1, params.l2
     A = a1 / l1 + a2 / l2
     B = a1 * (l1 - 1.0) / l1 + a2 * (l2 - 1.0) / l2
-    return B / (t + math.sqrt(max(t * t - A * B, 0.0)))
+    tt, tt_err = _two_product(t, t)
+    ab, ab_err = _two_product(A, B)
+    return B / (t + math.sqrt(max((tt - ab) + (tt_err - ab_err), 0.0)))
 
 
 def find_lambda0(params: PhaseParams, t: float) -> Tuple[float, bool]:

@@ -261,6 +261,8 @@ def coset_hits(spec: FreeProduct, measure: Optional[Measure],
     """
     if not isinstance(spec, FreeProduct):
         raise ValueError("coset statistics need a free product")
+    if side not in (0, 1):
+        raise ValueError(f"side must be 0 or 1, got {side!r}")
     if measure is None:
         measure = standard_measure(spec)
     g = measure.group

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
-from typing import Dict, List, Union
+from typing import Callable, Dict, List, Sequence, Tuple, Union
 
 DEFAULT_BUDGET = 5_000_000
 
@@ -107,9 +107,19 @@ Element = object  # per-variant hashable tuples, see the classes below
 
 
 class Group:
-    """Common interface; concrete subclasses fill in the group law."""
+    """Common interface; concrete subclasses fill in the group law.
+
+    `symmetries` lists automorphisms that permute `generators()`, so they
+    fix e and the word length; they generate a finite group, whose orbits
+    the generic step sums may walk on.  `canonical` picks one element of
+    each orbit.  By default there is no symmetry.
+    """
 
     spec: GroupSpec
+    symmetries: Tuple[Callable[[Element], Element], ...] = ()
+
+    def canonical(self, a: Element) -> Element:
+        return a
 
     def identity(self) -> Element:
         raise NotImplementedError
@@ -210,10 +220,35 @@ class _ZdGroup(Group):
 
 
 class _HeisenbergGroup(Group):
-    """Coordinates (a, b, c) for the matrix [[1,a,c],[0,1,b],[0,0,1]]."""
+    """Coordinates (a, b, c) for the matrix [[1,a,c],[0,1,b],[0,0,1]].
+
+    The symmetries x -> x^-1, y -> y^-1 and x <-> y generate the dihedral
+    group of order 8, acting on (a, b) as the signed permutations.
+    """
+
+    symmetries = (lambda x: (-x[0], x[1], -x[2]),
+                  lambda x: (x[0], -x[1], -x[2]),
+                  lambda x: (x[1], x[0], x[0] * x[1] - x[2]))
 
     def __init__(self, spec: Heisenberg3):
         self.spec = spec
+
+    def canonical(self, x):
+        """The orbit's element with 0 <= a <= b, unique when 0 < a < b;
+        of the two sharing (a, b) otherwise, the one with c >= 0 if a = 0
+        and with c <= a^2 / 2 if a = b."""
+        a, b, c = x
+        if a < 0:
+            a, c = -a, -c
+        if b < 0:
+            b, c = -b, -c
+        if a > b:
+            a, b, c = b, a, a * b - c
+        if a == 0:
+            c = abs(c)
+        elif a == b:
+            c = min(c, a * a - c)
+        return (a, b, c)
 
     def identity(self):
         return (0, 0, 0)
@@ -497,6 +532,19 @@ class DLProfile:
     u1: int
     d2: int
     s: int
+
+
+def orbit(maps: Sequence[Callable], x) -> set:
+    """The orbit of x under the group that maps generate."""
+    seen, todo = {x}, [x]
+    while todo:
+        y = todo.pop()
+        for f in maps:
+            z = f(y)
+            if z not in seen:
+                seen.add(z)
+                todo.append(z)
+    return seen
 
 
 _CLASSES = {

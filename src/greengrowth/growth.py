@@ -16,8 +16,10 @@ in the catalog gets the cheapest correct engine:
 * everything else                 -- the float step-sum core
   `kernels.step_sums` binned by word length, so the r-dependence is a
   cheap polynomial evaluation; the mass a support cap prunes enters every
-  tail.  A parabolic-gap report reduces one sweep twice, over the whole
-  spheres and over the factor.
+  tail.  Unrestricted sweeps walk symmetry orbits where the group has
+  them (the Heisenberg group's dihedral group of order 8).  A
+  parabolic-gap report reduces one sweep twice, over the whole spheres
+  and over the factor.
 
 Also here: growth-rate estimation omega(r) by least-squares slope of
 log H_r(n), partial Poincare sums, the Green-based distance
@@ -223,9 +225,11 @@ def sphere_reduced_sweep(measure: Measure, n_max: int, n_steps: int,
 
 def _sweep(measure, n_max, n_steps, restrictions, support_cap):
     """The `step_sums` core binned by word length: the matrices S, one per
-    restriction, then the pruned masses M."""
+    restriction, then the pruned masses M.  Word length is constant on
+    symmetry orbits, so an unrestricted sweep walks orbits."""
     return step_sums(measure, measure.group.word_length, n_max + 1, n_steps,
-                     restrictions, support_cap)
+                     restrictions, support_cap,
+                     lump=restrictions == (None,))
 
 
 _memo_sweep = lru_cache(maxsize=MEMO_SIZE)(_sweep)

@@ -19,7 +19,9 @@ functions are computed by specialized engines that sum no steps at all:
 Every other step sum -- Green values, sphere sums, return probabilities --
 reads one core, `step_sums`: a sweep of `FloatWalk` (interned elements, a
 memoized step table) from e, binned by an integer key at every step, so
-that any r-dependence is a polynomial evaluation afterwards.  `convolve`
+that any r-dependence is a polynomial evaluation afterwards.  Where the
+key is constant on the orbits of the group's symmetries and the measure
+is invariant, the sweep walks orbits instead of elements.  `convolve`
 is the exact-rational dict loop the float sweep is tested against.  Step
 sums bound their tails with p_n(x, y) <= rho^n for symmetric kernels; the
 bounds are rigorous whenever the spectral radius rho is known in closed
@@ -42,7 +44,7 @@ import numpy as np
 
 from .groups import (
     DiestelLeader, Element, FreeAbelian, FreeProduct, GroupSpec, Group,
-    Heisenberg3, RegularTree, TreeProduct, group_for,
+    Heisenberg3, RegularTree, TreeProduct, group_for, orbit,
 )
 
 DEFAULT_SUPPORT_CAP = 1_000_000
@@ -244,16 +246,21 @@ class StepTable:
     index) to the id of the product.  A step equal to the identity maps
     every id to itself; any other pair is filled the first time it is
     asked for, by one `multiply`, and a new product gets the next id.
-    Per-element values (word lengths, predicates) are cached per id by
-    `values`.  Nothing is evicted: the table lives as long as its owner.
+    With a `canonical` map the table interns canonical(product) instead,
+    so that an id stands for a whole symmetry orbit; the start elements
+    must then be canonical already.  Per-element values (word lengths,
+    predicates) are cached per id by `values`.  Nothing is evicted: the
+    table lives as long as its owner.
     """
 
     def __init__(self, group: Group, steps: Sequence[Element],
-                 start: Sequence[Element]):
+                 start: Sequence[Element],
+                 canonical: Optional[Callable[[Element], Element]] = None):
         self.group = group
         self.steps = list(steps)
         self.elements: List[Element] = list(start)
         self._index = {x: i for i, x in enumerate(self.elements)}
+        self._canonical = canonical
         e = group.identity()
         self._stay = [j for j, s in enumerate(self.steps) if s == e]
         self._table = np.full((0, len(self.steps)), -1, np.int32)
@@ -296,12 +303,18 @@ class StepTable:
         """Fill the distinct pairs keys = id * len(steps) + step index."""
         mul, index, elements, step = (self.group.multiply, self._index,
                                       self.elements, self.steps)
+        canon = self._canonical
         known = len(index)
+        pairs = map(divmod, keys, repeat(len(step)))
         # a new product gets the next id, len(index), as its value
         add = index.setdefault
-        np.put(self._table, keys, [
-            add(mul(elements[i], step[s]), len(index))
-            for i, s in map(divmod, keys, repeat(len(step)))])
+        if canon is None:
+            ids = [add(mul(elements[i], step[s]), len(index))
+                   for i, s in pairs]
+        else:
+            ids = [add(canon(mul(elements[i], step[s])), len(index))
+                   for i, s in pairs]
+        np.put(self._table, keys, ids)
         elements.extend(reversed(list(
             islice(reversed(index), len(index) - known))))
 
@@ -320,6 +333,15 @@ class StepTable:
         return values[ids]
 
 
+def _invariant(measure: Measure) -> bool:
+    """Whether the group declares symmetries and each sends every step of
+    the measure to a step of equal weight."""
+    maps = measure.group.symmetries
+    w = dict(measure.weights)
+    return bool(maps) and all(w.get(f(s)) == ws
+                              for f in maps for s, ws in w.items())
+
+
 class FloatWalk:
     """A float distribution stepped by a measure, the walk of `step_sums`.
 
@@ -336,18 +358,42 @@ class FloatWalk:
     `dropped` is the total mass pruned so far.  Per-element values (word
     lengths, predicates) are cached per id by `lookup`.  The tables live
     as long as the walk.
+
+    With `lump`, the caller promises to read only values constant on the
+    orbits of the group's symmetries (sphere sums, the mass at e) and to
+    start from orbit masses on canonical elements.  If the group declares
+    symmetries and the measure is invariant under them (checked here,
+    once), the walk is `lumped`: the automorphisms fix e and the measure,
+    so the walk projected to orbits is again a Markov chain, and each id
+    is an orbit, held by its canonical element, with p its total mass.
+    The cap still counts group elements: whole orbits are pruned in order
+    of mass per element p / |orbit|, ties broken by `encode`, keeping the
+    longest such prefix whose orbits hold at most support_cap elements.
+    Orbit sizes are computed only when the cap could bind.
     """
 
     def __init__(self, measure: Measure, start: Dict[Element, object],
-                 support_cap: Optional[int] = DEFAULT_SUPPORT_CAP):
-        self.group = measure.group
+                 support_cap: Optional[int] = DEFAULT_SUPPORT_CAP,
+                 lump: bool = False):
+        self.group = g = measure.group
         self.support_cap = support_cap
+        self.lumped = lump and _invariant(measure)
         self._w = np.array([float(w) for _, w in measure.weights])
-        self._table = StepTable(self.group, [s for s, _ in measure.weights],
-                                list(start))
+        self._table = StepTable(g, [s for s, _ in measure.weights],
+                                list(start),
+                                g.canonical if self.lumped else None)
         self.ids = np.arange(len(start))
         self.p = np.array([float(v) for v in start.values()])
         self.dropped = 0.0
+        self._largest_orbit = 1
+        if self.lumped:
+            maps = g.symmetries
+            self._orbit_size = lambda x: len(orbit(maps, x))
+            # an automorphism is fixed by the images of the generators, so
+            # their orbit as a tuple counts the symmetry group
+            self._largest_orbit = len(orbit(
+                [lambda t, f=f: tuple(map(f, t)) for f in maps],
+                tuple(g.generators())))
 
     def step(self) -> None:
         """dist <- dist * measure, pruned to support_cap."""
@@ -360,20 +406,52 @@ class FloatWalk:
         ids = ids[np.argsort(first[ids])]
         p = np.bincount(flat, weights=vals, minlength=n)[ids]
         cap = self.support_cap
-        if cap is not None and len(p) > cap:
-            thresh = np.partition(p, len(p) - cap)[len(p) - cap]
-            above = p > thresh
-            # fewer than cap entries lie above thresh, so room >= 1
-            room = cap - int(np.count_nonzero(above))
-            enc, elements = self.group.encode, self._table.elements
-            ties = sorted(np.flatnonzero(p == thresh).tolist(),
-                          key=lambda t: enc(elements[ids[t]]))[:room]
-            drop = ~above
-            drop[ties] = False
-            self.dropped += float(p[drop].sum())
-            ids = np.concatenate([ids[above], ids[ties]])
-            p = np.concatenate([p[above], p[ties]])
+        if cap is not None and len(p) * self._largest_orbit > cap:
+            ids, p = self._prune(ids, p, cap)
         self.ids, self.p = ids, p
+
+    def _prune(self, ids: np.ndarray, p: np.ndarray, cap: int
+               ) -> Tuple[np.ndarray, np.ndarray]:
+        """The kept entries: those whose mass per element lies above a
+        threshold, in support order, then the ties at it in `encode` order,
+        while the kept elements number at most cap."""
+        enc, elements = self.group.encode, self._table.elements
+
+        def by_encode(ts):
+            return sorted(ts.tolist(), key=lambda t: enc(elements[ids[t]]))
+
+        sizes, w = None, p
+        if self.lumped:
+            sizes = self._table.values(self._orbit_size, ids)
+            w = p / sizes
+            order = np.argsort(-w, kind="stable")
+            # orbits 0..k-1 of this order (support order within a class)
+            # fit under the cap; the cut runs through the class of the k-th
+            k = int(np.searchsorted(np.cumsum(sizes[order]), cap, "right"))
+            if k == len(w):
+                return ids, p
+            thresh = w[order[k]]
+            first = by_encode(np.flatnonzero(w == thresh))[0]
+            if sizes[first] > cap - sizes[w > thresh].sum():
+                # not even its first orbit by encode fits: the cut lies
+                # above the class
+                thresh = w[order[k - 1]] if k else np.inf
+        else:
+            thresh = np.partition(p, len(p) - cap)[len(p) - cap]
+        above = w > thresh
+        ties = by_encode(np.flatnonzero(w == thresh))
+        if sizes is None:
+            # fewer than cap entries lie above thresh, so room >= 1
+            ties = ties[:cap - int(np.count_nonzero(above))]
+        else:
+            room = cap - sizes[above].sum()
+            ties = ties[:int(np.searchsorted(np.cumsum(sizes[ties]), room,
+                                             "right"))]
+        drop = ~above
+        drop[ties] = False
+        self.dropped += float(p[drop].sum())
+        return (np.concatenate([ids[above], ids[ties]]),
+                np.concatenate([p[above], p[ties]]))
 
     def lookup(self, fn: Callable[[Element], object], dtype=np.intp
                ) -> np.ndarray:
@@ -401,6 +479,7 @@ def step_sums(measure: Measure, key: Callable[[Element], int], n_bins: int,
               restrictions: Sequence[Optional[Callable[[Element], bool]]]
               = (None,),
               support_cap: Optional[int] = DEFAULT_SUPPORT_CAP,
+              lump: bool = False,
               ) -> Tuple[np.ndarray, ...]:
     """The one float step-sum core: S[b, k] = sum of p_k(e, x) over the x
     with key(x) = b, for 0 <= b < n_bins and 0 <= k <= n_steps, from one
@@ -410,9 +489,12 @@ def step_sums(measure: Measure, key: Callable[[Element], int], n_bins: int,
     elements the predicate accepts), then M, where M[k] is the mass the
     support cap pruned by step k: each S[b, k] is a lower bound within
     M[k] of the unpruned value.  A sum sum_k r^k p_k is then S @ r^k for
-    any r.
+    any r.  Pass lump when the key and every restriction are constant on
+    the orbits of the group's symmetries: the walk may then run on orbits
+    (see `FloatWalk`).
     """
-    walk = FloatWalk(measure, {measure.group.identity(): 1.0}, support_cap)
+    walk = FloatWalk(measure, {measure.group.identity(): 1.0}, support_cap,
+                     lump)
     S = np.zeros((len(restrictions), n_bins, n_steps + 1))
     dropped = np.zeros(n_steps + 1)
     for k in range(n_steps + 1):
@@ -1159,7 +1241,7 @@ def return_probability(measure: Measure, n: int,
         return float(b @ (p1 * p2))
     e = measure.group.identity()
     S, _ = step_sums(measure, lambda x: 0 if x == e else 1, 1, n,
-                     support_cap=support_cap)
+                     support_cap=support_cap, lump=True)
     return float(S[0, n])
 
 

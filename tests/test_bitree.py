@@ -331,6 +331,20 @@ def test_classify_at_capital_r():
     assert 0.0 < rep.omega - classify(P64, R * (1.0 - 1e-9)).omega < 1e-3
 
 
+@pytest.mark.parametrize("eps", [1e-6, 1e-9, 1e-11])
+def test_classify_symmetric_near_capital_r_matches_mpmath(eps):
+    # near R, t^2 and A B = 3/16 agree in all but their last digits, so
+    # omega = log(B / (t + sqrt(t^2 - A B))) needs t^2 - A B exactly
+    mp = pytest.importorskip("mpmath").mp
+    params = PhaseParams(4, 4, 0.5, 0.5)
+    rep = classify(params, capital_R(params) * (1.0 - eps))
+    with mp.workdps(60):
+        t = mp.mpf(rep.t)
+        omega = mp.log(mp.mpf(3) / 4 / (t + mp.sqrt(t * t - mp.mpf(3) / 16)))
+        err = float(abs(rep.omega - omega) / abs(omega))
+    assert err <= 1e-15
+
+
 def test_classify_symmetric_at_small_r():
     # symmetry gives lambda0 = 1 and t1 = t2 = t, so omega = log(3 F) with
     # F the tree's first-passage value at w = 2 t; the phi formula

@@ -132,6 +132,18 @@ def test_coset_hits_multiplies_each_drawn_pair_once(monkeypatch):
     assert calls and len(set(calls)) == len(calls)
 
 
+@pytest.mark.parametrize("side", [-1, 2])
+def test_coset_hits_refuses_a_side_outside_the_product(monkeypatch, side):
+    # factors[-1] is the right factor, so side -1 used to run and count
+    # e alone as in P; side 2 failed with an IndexError mid-walk
+    calls = _recorded_multiplies(monkeypatch, FP)
+    m = standard_measure(FP, alpha=Fraction(1, 5))
+    cfg = BrwConfig(mean_offspring(1.5), 10, 100, seed=1, runs=3)
+    with pytest.raises(ValueError, match="side"):
+        coset_hits(FP, m, cfg, side=side)
+    assert not calls
+
+
 def test_coset_hits_report():
     spec = FreeProduct(TreeProduct(4, 4), FreeAbelian(3))
     cfg = BrwConfig(offspring_law({1: Fraction(1)}), 40, 500, seed=99,

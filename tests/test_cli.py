@@ -47,6 +47,21 @@ def test_hr_output_is_byte_stable(capsys):
     assert "\r" not in first
 
 
+def test_hr_heisenberg_output_is_pinned(capsys):
+    # the rigorous 30-step sweep on D4-orbits prints the digits of the
+    # sweep over elements
+    code, out, _ = run(capsys, "hr", "--group", "heisenberg", "--r", "0.5",
+                       "--nmax", "6")
+    assert code == 0
+    tail = "9.3132257461547852e-10,true"
+    assert out.splitlines() == ["n,H,tail,rigorous"] + [
+        f"{n},{h},{tail}" for n, h in enumerate([
+            "1.3722815741899075", "0.4673788903141548",
+            "0.11942038713228711", "0.030907974931004889",
+            "0.0079400638430225969", "0.0016485349452124995",
+            "0.00034654186839393777"])]
+
+
 def test_omega_json_schema(capsys):
     code, out, _ = run(capsys, "omega", "--group", "tree", "--l", "4",
                        "--r", "1.05", "--nmax", "12")

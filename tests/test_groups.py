@@ -1,11 +1,14 @@
 """Group engines: BFS balls, word lengths, and counting formulas."""
 
+import random
+
 import pytest
 
 from greengrowth.groups import (
     BudgetExceededError, DiestelLeader, FreeAbelian, FreeGroup, FreeProduct,
     Group, Heisenberg3, RegularTree, TreeProduct, dl_class_count,
-    dl_sphere_count, dl_sphere_profiles, group_for, tree_level_sphere_count,
+    dl_sphere_count, dl_sphere_profiles, group_for, orbit,
+    tree_level_sphere_count,
 )
 
 
@@ -64,6 +67,48 @@ def test_heisenberg_word_length_symmetries():
         assert g.word_length((a, -b, -c)) == n
         assert g.word_length((a, b, a * b - c)) == n
         assert g.word_length((b, a, c)) == n
+
+
+def test_heisenberg_symmetries_are_automorphisms_of_the_word_metric():
+    g = group_for(Heisenberg3())
+    assert len(g.symmetries) == 3
+    rnd = random.Random(16)
+    gens = g.generators()
+    for f in g.symmetries:
+        assert sorted(map(f, gens)) == sorted(gens)
+        assert f(g.identity()) == g.identity()
+        for _ in range(2000):
+            x, y = (tuple(rnd.randint(-9, 9) for _ in range(3))
+                    for _ in range(2))
+            assert f(g.multiply(x, y)) == g.multiply(f(x), f(y))
+            assert g.word_length(f(x)) == g.word_length(x)
+    # the maps generate the dihedral group of order 8
+    assert max(len(orbit(g.symmetries, (a, b, 0))) for a in range(3)
+               for b in range(3)) == 8
+
+
+def test_heisenberg_canonical_form_picks_one_element_per_orbit():
+    g = group_for(Heisenberg3())
+    rnd = random.Random(8)
+    sample = [tuple(rnd.randint(-6, 6) for _ in range(3))
+              for _ in range(5000)]
+    # the special cases a = 0, b = 0 and |a| = |b|, densely
+    sample += [(a, b, c) for a in range(-3, 4) for b in (0, a, -a, 2)
+               for c in range(-10, 11)]
+    for x in sample:
+        xs = orbit(g.symmetries, x)
+        assert {g.canonical(y) for y in xs} == {g.canonical(x)}
+        assert g.canonical(x) in xs
+
+
+def test_groups_without_symmetries_declare_none():
+    for spec in (FreeAbelian(2), FreeGroup(2), RegularTree(3),
+                 TreeProduct(3, 4), DiestelLeader(2),
+                 FreeProduct(RegularTree(3), FreeAbelian(1))):
+        g = group_for(spec)
+        assert g.symmetries == ()
+        x = g.generators()[0]
+        assert g.canonical(x) is x
 
 
 def test_heisenberg_central_word_length():

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from greengrowth import growth
 from greengrowth.bitree import PhaseParams, classify
 from greengrowth.groups import (
     DiestelLeader, FreeAbelian, FreeProduct, Group, Heisenberg3,
@@ -125,6 +126,25 @@ def test_heisenberg_sweep_matches_bfs_word_lengths():
     powers = r ** np.arange(steps + 1)
     assert [series.value(n) for n in range(n_max + 1)] == [
         float(row @ powers) for row in want]
+
+
+def test_heisenberg_sweep_walks_dihedral_orbits(monkeypatch):
+    # the same call walks 3,511 orbits instead of 27,905 elements, and
+    # multiplies each orbit's element once per step other than e
+    spec = Heisenberg3()
+    g = group_for(spec)
+    cls, products = type(g), []
+    mul = cls.multiply
+
+    def recorded(self, a, b):
+        products.append(mul(self, a, b))
+        return products[-1]
+
+    monkeypatch.setattr(cls, "multiply", recorded)
+    growth._memo_sweep.cache_clear()
+    sphere_reduced_sweep(standard_measure(spec), 6, 16, None)
+    assert len(products) == 10_860
+    assert len({g.identity()} | set(map(g.canonical, products))) == 3_511
 
 
 def test_heisenberg_group_keeps_no_per_element_state():

@@ -8,13 +8,13 @@ import pytest
 
 from greengrowth.groups import (
     DiestelLeader, FreeAbelian, FreeProduct, Heisenberg3, RegularTree,
-    TreeProduct, dl_sphere_profiles, group_for,
+    TreeProduct, dl_sphere_profiles, group_for, orbit,
 )
-from greengrowth.growth import h_series
+from greengrowth.growth import h_series, sphere_reduced_sweep
 from greengrowth.kernels import (
-    FloatWalk, StepTable, convolve, dl_class_key, dl_green_classes,
+    FloatWalk, Measure, StepTable, convolve, dl_class_key, dl_green_classes,
     first_return_coefficients, first_return_kernel, green_truncated,
-    return_probability, spectral_radius_lower, standard_measure,
+    return_probability, spectral_radius_lower, standard_measure, step_sums,
     tree_distance_law, tree_green_by_distance, tree_sphere_sizes,
     treeprod_green_by_distance,
     zd_lazy_green, zd_lazy_green_batch,
@@ -642,6 +642,89 @@ def test_float_core_is_the_float_dict_loop_bit_for_bit(spec, alpha, cap):
         walk.step()
         ref = _float_dict_step(ref, m, cap)
         assert list(walk.dist().items()) == list(ref.items())
+
+
+def _lumped_dict_step(dist, m, cap):
+    """The dict loop on orbits: the mass of each canonical product, then
+    whole orbits kept in order of mass per element, ties by encode, while
+    they hold at most cap elements, in the walk's order: the kept orbits
+    above the last one's mass per element in support order, then the ties
+    at it by encode."""
+    g = m.group
+    out = {}
+    for x, px in dist.items():
+        for s, w in m.weights:
+            y = g.canonical(g.multiply(x, s))
+            out[y] = out.get(y, 0.0) + px * float(w)
+    size = {y: len(orbit(g.symmetries, y)) for y in out}
+    if cap is None or sum(size.values()) <= cap:
+        return out
+    per = {y: v / size[y] for y, v in out.items()}
+    kept, used = [], 0
+    for y in sorted(out, key=lambda y: (-per[y], g.encode(y))):
+        if used + size[y] > cap:
+            break
+        kept.append(y)
+        used += size[y]
+    last = per[kept[-1]] if kept else math.inf
+    order = ([y for y in out if y in kept and per[y] > last]
+             + sorted((y for y in kept if per[y] == last), key=g.encode))
+    return {y: out[y] for y in order}
+
+
+@pytest.mark.parametrize("alpha,cap", [
+    (Fraction(1, 2), None), (Fraction(1, 2), 100), (Fraction(1, 2), 37),
+    (Fraction(1, 2), 7),
+    # the first step's heaviest orbit per element, x^+-1 and y^+-1, has 4
+    # elements: the cut lies above it, and nothing is kept
+    (0, 3), (Fraction(1, 100), 3),
+])
+def test_lumped_walk_is_the_orbit_dict_loop(alpha, cap):
+    m = standard_measure(Heisenberg3(), alpha=alpha)
+    e = m.group.identity()
+    walk = FloatWalk(m, {e: 1.0}, cap, lump=True)
+    assert walk.lumped
+    ref = {e: 1.0}
+    for _ in range(8):
+        walk.step()
+        ref = _lumped_dict_step(ref, m, cap)
+        assert list(walk.dist().items()) == list(ref.items())
+        assert walk.dropped == pytest.approx(1.0 - sum(ref.values()),
+                                             rel=1e-14, abs=1e-16)
+
+
+@pytest.mark.parametrize("spec,cap,steps", [
+    (FreeProduct(RegularTree(4), FreeAbelian(2)), 40, 5),
+    (FreeProduct(TreeProduct(4, 4), FreeAbelian(3)), 300, 6),
+])
+def test_lumping_by_a_trivial_symmetry_is_the_per_element_walk(
+        monkeypatch, spec, cap, steps):
+    m = standard_measure(spec)
+    monkeypatch.setattr(type(m.group), "symmetries", (lambda x: x,))
+    e = m.group.identity()
+    lumped = FloatWalk(m, {e: 1.0}, cap, lump=True)
+    plain = FloatWalk(m, {e: 1.0}, cap)
+    assert lumped.lumped and not plain.lumped
+    for _ in range(steps):
+        lumped.step()
+        plain.step()
+        assert list(lumped.dist().items()) == list(plain.dist().items())
+        assert lumped.dropped == plain.dropped
+
+
+def test_a_measure_the_symmetries_move_walks_per_element():
+    spec = Heisenberg3()
+    g = group_for(spec)
+    # x-steps outweigh y-steps, so swapping x and y does not fix it
+    w = {g.identity(): Fraction(1, 2), (1, 0, 0): Fraction(3, 16),
+         (-1, 0, 0): Fraction(3, 16), (0, 1, 0): Fraction(1, 16),
+         (0, -1, 0): Fraction(1, 16)}
+    m = Measure(spec, "skewed", (),
+                tuple(sorted(w.items(), key=lambda kv: g.encode(kv[0]))))
+    assert not FloatWalk(m, {g.identity(): 1.0}, lump=True).lumped
+    swept = sphere_reduced_sweep(m, 6, 12, None, None)
+    plain = step_sums(m, g.word_length, 7, 12, support_cap=None)
+    assert all(np.array_equal(a, b) for a, b in zip(swept, plain))
 
 
 def test_pruned_green_values_plus_tails_bound_the_unpruned_values():
