@@ -80,6 +80,13 @@ def _measure_from_args(args, spec):
     return standard_measure(spec, **params)
 
 
+def _range(lo, hi, flags: str):
+    """(lo, hi), or None for neither end; one end alone is refused."""
+    if (lo is None) != (hi is None):
+        raise ValueError(f"{flags} need both ends of the range")
+    return None if lo is None else (lo, hi)
+
+
 def _add_group_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--group", required=True,
                    choices=["zd", "heisenberg", "free", "tree", "treeprod",
@@ -133,10 +140,9 @@ def _cmd_omega(args, out) -> int:
 
     spec = _spec_from_args(args)
     measure = _measure_from_args(args, spec)
+    window = _range(args.window_lo, args.window_hi,
+                    "--window-lo and --window-hi")
     series = h_series(spec, measure, args.r, args.nmax, args.tol)
-    window = None
-    if args.window_lo is not None and args.window_hi is not None:
-        window = (args.window_lo, args.window_hi)
     est = omega_estimate(series, window)
     _json({"r": args.r, "slope": est.slope, "stderr": est.stderr,
            "window": list(est.window), "n_max": series.n_max}, out)
@@ -164,6 +170,8 @@ def _cmd_bitree_phase(args, out) -> int:
 
     params = PhaseParams(args.l1, args.l2, args.a1, 1.0 - args.a1)
     R = capital_R(params)
+    if args.grid < 0:
+        raise ValueError(f"--grid must be >= 0, got {args.grid}")
     if args.grid:
         rows = []
         lo = args.rmin if args.rmin is not None else 1.0 + 1e-6
@@ -205,9 +213,9 @@ def _cmd_freeprod_scan(args, out) -> int:
     from .freeprod import scan_construction
 
     params = PhaseParams(args.l1, args.l2, args.a1, 1.0 - args.a1)
-    r_grid = None
-    if args.rmin is not None and args.rmax is not None:
-        r_grid = list(np.linspace(args.rmin, args.rmax, args.points))
+    r_range = _range(args.rmin, args.rmax, "--rmin and --rmax")
+    r_grid = None if r_range is None else list(
+        np.linspace(*r_range, args.points))
     report = scan_construction(params, args.d, args.alpha, r_grid,
                                n_max=args.nterms,
                                support_cap=args.support_cap,

@@ -223,9 +223,10 @@ def scan_construction(factor_params: PhaseParams, d: int, alpha: float,
 
     Reports per grid point the transfer quantities, the induced factor
     growth rate omega_P, a truncated full-series growth estimate (n_max
-    steps, support_cap, when full_series_n >= 10), their gap, and the
-    factor's convergence-type diagnostic; refines the crossing by root
-    bracketing down to ~1e-9 residual.  The default grid has 9 points
+    steps, support_cap, when full_series_n >= 10; 0 turns it off, and any
+    other value raises ValueError), their gap, and the factor's
+    convergence-type diagnostic; refines the crossing by root bracketing
+    down to ~1e-9 residual.  The default grid has 9 points
     from 1 to R_mu, the largest r at which `transfer` converges, bisected
     to BRANCH_END_RTOL relative; r_cap is the grid's end.  Where zeta_0
     reaches R0 first, the tree-product engine's MAX_NODES ends the branch
@@ -235,6 +236,9 @@ def scan_construction(factor_params: PhaseParams, d: int, alpha: float,
 
     if d < 3:
         raise ValueError("the abelian factor needs d >= 3")
+    if not (full_series_n == 0 or full_series_n >= 10):
+        raise ValueError(f"omega_estimate's window needs full_series_n "
+                         f">= 10 (0: off), got {full_series_n}")
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must be in (0, 1)")
     spec = FreeProduct(
@@ -267,7 +271,7 @@ def scan_construction(factor_params: PhaseParams, d: int, alpha: float,
         expo, label = _factor_diagnostic(rep)
         om_full = None
         gap = None
-        if full_series_n and full_series_n >= 10:
+        if full_series_n:
             series = h_series(spec, measure, float(r), n_max=full_series_n,
                               max_terms=n_max, support_cap=support_cap)
             om_full = omega_estimate(series).slope

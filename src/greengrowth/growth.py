@@ -1,25 +1,16 @@
 """Sphere-summed Green series H_r(n) and derived growth statistics.
 
-H_r(n) = sum over the word-metric sphere S_n of G(e, x | r).  Each group
-in the catalog gets the cheapest correct engine:
+H_r(n) = sum over the word-metric sphere S_n of G(e, x | r).  Two routes:
 
-* regular trees and tree products -- the closed-form tree resolvent (for
-  a product, the two factor resolvents integrated over an ellipse by the
-  trapezoid rule, with a proved per-sphere error bound) times the
-  closed-form sphere counts,
-* Z^d                             -- the Bessel-integral Green values of
-  `kernels.zd_green_estimates` summed over coordinate symmetry classes,
-  with the same error rule as `green_truncated`,
-* Diestel-Leader                  -- sphere profile decomposition with the
-  closed-form lamplighter range engine (proved range-cutoff tails,
-  0 <= r <= 1),
-* everything else                 -- the float step-sum core
-  `kernels.step_sums` binned by word length, so the r-dependence is a
-  cheap polynomial evaluation; the mass a support cap prunes enters every
-  tail.  Unrestricted sweeps walk symmetry orbits where the group has
-  them (the Heisenberg group's dihedral group of order 8).  A
-  parabolic-gap report reduces one sweep twice, over the whole spheres
-  and over the factor.
+* trees, tree products, Z^d and Diestel-Leader -- `kernels` owns their
+  class table, and `h_series` reduces its sphere classes to one row per
+  sphere with the evaluator and error rule of `green_truncated`,
+* everything else -- the float step-sum core `kernels.step_sums` binned
+  by word length, so the r-dependence is a cheap polynomial evaluation;
+  the mass a support cap prunes enters every tail.  Unrestricted sweeps
+  walk symmetry orbits where the group has them (the Heisenberg group's
+  dihedral group of order 8).  A parabolic-gap report reduces one sweep
+  twice, over the whole spheres and over the factor.
 
 Also here: growth-rate estimation omega(r) by least-squares slope of
 log H_r(n), partial Poincare sums, the Green-based distance
@@ -37,16 +28,11 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from .bitree import prefactor_exponent
-from .groups import (
-    DiestelLeader, Element, FreeAbelian, FreeProduct, GroupSpec,
-    RegularTree, TreeProduct, dl_sphere_profiles,
-)
+from .groups import Element, FreeProduct, GroupSpec
 from .kernels import (
-    DEFAULT_SUPPORT_CAP, MEMO_SIZE, ZD_TAIL, Measure, _heuristic_tail,
-    _pick_n, check_radius, dl_class_key, dl_class_tail, dl_green_classes,
-    green_truncated, standard_measure, step_sums, tree_green_by_distance,
-    tree_sphere_sizes, treeprod_error, treeprod_green_by_distance,
-    zd_green_estimates,
+    DEFAULT_SUPPORT_CAP, MEMO_SIZE, Measure, _heuristic_tail, _pick_n,
+    check_radius, class_engine, green_truncated, standard_measure,
+    step_sums,
 )
 
 
@@ -86,92 +72,7 @@ class OmegaEstimate:
 
 
 # ---------------------------------------------------------------------------
-# engines
-
-
-def _h_tree(spec, r, n_max):
-    H = tree_sphere_sizes(spec.l, n_max) * tree_green_by_distance(
-        spec.l, r, n_max)
-    return {n: HEntry(float(H[n]), 0.0, True) for n in range(n_max + 1)}
-
-
-def _sphere_sums(W):
-    """sum_{d1 + d2 = n} W[d1, d2] for n = 0..n_max, W square."""
-    d = np.arange(len(W))
-    return np.bincount(np.add.outer(d, d).ravel(), W.ravel())[: len(W)]
-
-
-def _h_treeprod(spec, measure, r, n_max, tol):
-    a1 = float(measure.param("a1"))
-    # only the cells d1 + d2 <= n_max enter a sphere; the others overflow
-    d = np.arange(n_max + 1)
-    counts = np.multiply.outer(tree_sphere_sizes(spec.l1, n_max),
-                               tree_sphere_sizes(spec.l2, n_max),
-                               out=np.zeros((n_max + 1, n_max + 1)),
-                               where=np.add.outer(d, d) <= n_max)
-    n, tails = treeprod_error(spec.l1, spec.l2, a1, r, n_max, n_max, tol,
-                              lambda E: _sphere_sums(counts * E))
-    G = treeprod_green_by_distance(spec.l1, spec.l2, a1, r, n, n_max,
-                                   n_max)
-    H = _sphere_sums(counts * G)
-    return {k: HEntry(float(H[k]), float(tails[k]), True)
-            for k in range(n_max + 1)}
-
-
-def _zd_sphere_classes(d: int, n: int):
-    """Sorted coordinate-magnitude classes of the l^1 sphere with counts."""
-    def parts(rest, k, cap):
-        if k == 1:
-            if rest <= cap:
-                yield (rest,)
-            return
-        for v in range(min(rest, cap), -1, -1):
-            for tail in parts(rest - v, k - 1, v):
-                yield (v,) + tail
-
-    fact = math.factorial
-    for cls in parts(n, d, n):
-        mult = fact(d)
-        for v in set(cls):
-            mult //= fact(cls.count(v))
-        signs = 2 ** sum(1 for v in cls if v)
-        yield tuple(sorted(cls)), mult * signs
-
-
-def _h_zd(spec, measure, r, n_max, tol):
-    d = spec.d
-    alpha = float(measure.param("alpha"))
-    per_n = [list(_zd_sphere_classes(d, n)) for n in range(n_max + 1)]
-    keys = [cls for row in per_n for cls, _ in row]
-    green, tails, rigorous = zd_green_estimates(d, alpha, keys, r)
-    vals = {}
-    for n in range(n_max + 1):
-        total = 0.0
-        count = 0
-        extra = 0.0
-        for cls, mult in per_n[n]:
-            total += mult * green[cls]
-            count += mult
-            extra += mult * tails[cls]
-        vals[n] = HEntry(total, count * ZD_TAIL + extra, rigorous)
-    return vals
-
-
-def _h_dl(spec, measure, r, n_max, tol):
-    q = spec.q
-    rel_tol = min(tol, 1e-9)
-    per_n = [[(dl_class_key(prof), count)
-              for prof, _, count in dl_sphere_profiles(q, n)]
-             for n in range(n_max + 1)]
-    keys = sorted({k for row in per_n for k, _ in row})
-    green = dl_green_classes(q, keys, r, rel_tol)
-    vals = {}
-    for n, row in enumerate(per_n):
-        total = sum(count * green[k] for k, count in row)
-        tail = sum(count * dl_class_tail(q, k[2] - k[1], r, rel_tol)
-                   for k, count in row)
-        vals[n] = HEntry(total, tail, True)
-    return vals
+# step-sum series
 
 
 def _h_generic(measure, r, n_max, tol, restrictions, max_terms, support_cap):
@@ -244,36 +145,27 @@ def h_series(spec: GroupSpec, measure: Optional[Measure] = None,
              ) -> GrowthSeries:
     """Sphere-summed Green series H_r(n) for n = 0..n_max.
 
-    The tree, tree-product, Z^d and Diestel-Leader engines are not step
-    sums and ignore max_terms.  The tree engine is a closed form (tail 0,
-    0 <= r <= R); the tree-product engine picks its node count so that
-    every sphere's proved tail is at most tol, and raises ValueError at
-    r >= R or when that count would pass `kernels.MAX_NODES`.  The Z^d
-    engine gives sphere n the tail |S_n| ZD_TAIL plus the multiplicity-
-    weighted last kept local-CLT terms of `kernels.zd_green_estimates`
-    (rigorous only where no such term is added, never at r = 1).  Every
-    walk whose spectral radius rho is known in closed form raises
-    ValueError at r > 1/rho.
+    Unrestricted series of the walks of `kernels.class_engine` (trees,
+    tree products, Z^d, Diestel-Leader) reduce the engine's classes to one
+    row per sphere, with the error rules of `kernels.CLASS_ENGINES`, and
+    ignore max_terms.  Every walk whose spectral radius rho is known in
+    closed form raises ValueError at r > 1/rho; n_max < 0 raises
+    ValueError.
     """
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got n_max = {n_max}")
     if measure is None:
         measure = standard_measure(spec)
     check_radius(measure, r)
-    kind = measure.kind
-    if restriction is None:
-        if isinstance(spec, RegularTree) and kind == "tree-lazy":
-            vals = _h_tree(spec, r, n_max)
-        elif isinstance(spec, TreeProduct) and kind == "product-mix":
-            vals = _h_treeprod(spec, measure, r, n_max, tol)
-        elif isinstance(spec, FreeAbelian) and kind == "lazy-srw":
-            vals = _h_zd(spec, measure, r, n_max, tol)
-        elif isinstance(spec, DiestelLeader) and kind == "dl-srw":
-            vals = _h_dl(spec, measure, r, n_max, tol)
-        else:
-            vals, = _h_generic(measure, r, n_max, tol, (None,), max_terms,
-                               support_cap)
-    else:
+    engine = class_engine(measure) if restriction is None else None
+    if engine is None:
         vals, = _h_generic(measure, r, n_max, tol, (restriction,), max_terms,
                            support_cap)
+    else:
+        values, tails, rigorous = engine.sums(
+            measure, *engine.spheres(spec, n_max), r, tol)
+        vals = {n: HEntry(v, t, rigorous) for n, (v, t) in
+                enumerate(zip(values.tolist(), tails.tolist()))}
     return GrowthSeries(spec, r, vals, restriction_label)
 
 

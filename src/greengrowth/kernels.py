@@ -11,10 +11,14 @@ functions are computed by specialized engines that sum no steps at all:
                      the trapezoid rule, with a proved error bound,
 * Z^d             -- the Bessel integral of the Green kernel on one shared
                      Gauss-Legendre grid (`zd_lazy_green_batch`), with one
-                     error rule (`zd_green_estimates`) for values and
-                     sphere sums; `zd_lazy_green` is its adaptive-quad
+                     error rule; `zd_lazy_green` is its adaptive-quad
                      reference and no engine calls it,
 * Diestel-Leader  -- path-range decomposition of the lamplighter walk.
+
+Each has one `ClassEngine` in `CLASS_ENGINES`: the class of an element,
+the spheres as classes with multiplicities, and one evaluator reducing
+weighted classes to rows; `green_truncated` asks a row per target and
+`growth.h_series` a row per sphere.
 
 Every other step sum -- Green values, sphere sums, return probabilities --
 reads one core, `step_sums`: a sweep of `FloatWalk` (interned elements, a
@@ -44,7 +48,8 @@ import numpy as np
 
 from .groups import (
     DiestelLeader, Element, FreeAbelian, FreeProduct, GroupSpec, Group,
-    Heisenberg3, RegularTree, TreeProduct, group_for, orbit,
+    Heisenberg3, RegularTree, TreeProduct, dl_sphere_profiles, group_for,
+    orbit,
 )
 
 DEFAULT_SUPPORT_CAP = 1_000_000
@@ -874,7 +879,7 @@ def zd_lazy_green_batch(d: int, alpha: float,
                         ) -> Dict[Tuple[int, ...], float]:
     """Lazy-walk Green values on Z^d for many coordinate classes at once:
     the Z^d engine of `green_truncated` and `h_series` (through
-    `zd_green_estimates`, which states its error).
+    `_zd_sums`, which states its error).
 
     Classes are tuples of coordinate absolute values (order irrelevant).
     The Bessel integral (Woess, Random Walks on Infinite Graphs and
@@ -919,27 +924,24 @@ def zd_lazy_green_batch(d: int, alpha: float,
     return out
 
 
-def zd_green_estimates(d: int, alpha: float,
-                       classes: Sequence[Tuple[int, ...]], r: float,
-                       ) -> Tuple[Dict[Tuple[int, ...], float],
-                                  Dict[Tuple[int, ...], float], bool]:
-    """(values, tails, rigorous): `zd_lazy_green_batch`'s values and the
-    one Z^d error rule of `green_truncated` and `h_series`.
+def _zd_sphere_classes(d: int, n: int):
+    """Sorted coordinate-magnitude classes of the l^1 sphere with counts."""
+    def parts(rest, k, cap):
+        if k == 1:
+            if rest <= cap:
+                yield (rest,)
+            return
+        for v in range(min(rest, cap), -1, -1):
+            for tail in parts(rest - v, k - 1, v):
+                yield (v,) + tail
 
-    Every value carries ZD_TAIL plus tails[class].  Where the batch rule
-    adds no local-CLT tail (r < 1 away from 1), tails are 0 and rigorous
-    is True.  Where it does (always at r = 1), tails[class] is the
-    magnitude of the expansion's last kept term and rigorous is False: the
-    expansion is asymptotic, not a bound.
-    """
-    values = zd_lazy_green_batch(d, alpha, classes, r)
-    denom, rs, decay, edges, clt = _zd_rule(
-        d, alpha, max(max(x) for x in values), r)
-    if not clt:
-        return values, dict.fromkeys(values, 0.0), True
-    tails = {x: _zd_clt_tail(d, rs / d, decay, edges[-1], x)[1] / denom
-             for x in values}
-    return values, tails, False
+    fact = math.factorial
+    for cls in parts(n, d, n):
+        mult = fact(d)
+        for v in set(cls):
+            mult //= fact(cls.count(v))
+        signs = 2 ** sum(1 for v in cls if v)
+        yield tuple(sorted(cls)), mult * signs
 
 
 # ---------------------------------------------------------------------------
@@ -1030,6 +1032,143 @@ def dl_class_key(profile) -> Tuple[int, int, int]:
 
 
 # ---------------------------------------------------------------------------
+# one class table for the structured walks
+
+
+@dataclass(frozen=True)
+class ClassEngine:
+    """A walk whose Green function is computed per class of elements:
+    `key(group, x)` is the class of x, a tuple of ints; `spheres(spec,
+    n_max)` lists the spheres 0..n_max as (classes, row, mult), an int
+    array of classes with the sphere of each and its count there; and
+    `evaluate(measure, classes, r, tol, reduce)` gives what `sums` returns,
+    each part reduced from a per-class array.  A class's value depends
+    only on the set of classes asked for."""
+    key: Callable[[Group, Element], Tuple[int, ...]]
+    spheres: Callable[[GroupSpec, int],
+                      Tuple[np.ndarray, np.ndarray, np.ndarray]]
+    evaluate: Callable[..., Tuple[np.ndarray, np.ndarray, bool]]
+
+    def sums(self, measure: Measure, classes: np.ndarray, row: np.ndarray,
+             mult: np.ndarray, r: float, tol: float
+             ) -> Tuple[np.ndarray, np.ndarray, bool]:
+        """(values, tails, rigorous) of the rows 0..row[-1], in order: row
+        i sums mult * G(e, x | r) over its classes x, its tail bounds the
+        error of that sum."""
+        n_rows = int(row[-1]) + 1
+
+        def reduce(a):
+            # bincount adds each row's classes in order, one after another
+            return np.bincount(row, weights=mult * a, minlength=n_rows)
+
+        return self.evaluate(measure, classes, r, tol, reduce)
+
+
+def _listed(sphere):
+    """The `spheres` of sphere(spec, n), a list of (class, count)."""
+    def spheres(spec, n_max):
+        classes, row, mult = zip(*[(c, n, k) for n in range(n_max + 1)
+                                   for c, k in sphere(spec, n)])
+        return np.array(classes), np.array(row), np.array(mult, float)
+    return spheres
+
+
+def _tree_spheres(spec, n_max):
+    d = np.arange(n_max + 1)
+    return d[:, None], d, tree_sphere_sizes(spec.l, n_max)
+
+
+def _tree_sums(measure, classes, r, tol, reduce):
+    d = classes[:, 0]
+    G = tree_green_by_distance(measure.spec.l, r, int(d.max()))
+    return reduce(G[d]), reduce(0.0), True
+
+
+def _treeprod_spheres(spec, n_max):
+    # only the cells d1 + d2 <= n_max enter a sphere (the others
+    # overflow); row-major order fixes the order bincount adds them in
+    d = np.arange(n_max + 1)
+    classes = np.argwhere(np.add.outer(d, d) <= n_max)
+    d1, d2 = classes.T
+    mult = (tree_sphere_sizes(spec.l1, n_max)[d1]
+            * tree_sphere_sizes(spec.l2, n_max)[d2])
+    return classes, d1 + d2, mult
+
+
+def _treeprod_sums(measure, classes, r, tol, reduce):
+    spec, a1 = measure.spec, float(measure.param("a1"))
+    d1, d2 = classes.T
+    m1, m2 = int(d1.max()), int(d2.max())
+    n, tails = treeprod_error(spec.l1, spec.l2, a1, r, m1, m2, tol,
+                              lambda E: reduce(E[d1, d2]))
+    G = treeprod_green_by_distance(spec.l1, spec.l2, a1, r, n, m1, m2)
+    return reduce(G[d1, d2]), tails, True
+
+
+def _zd_sums(measure, classes, r, tol, reduce):
+    """`zd_lazy_green_batch`'s values, and the one Z^d error rule: where
+    the batch rule adds the local-CLT tail (always at r = 1), a class's
+    tail is the magnitude of the expansion's last kept term, and rigorous
+    is False, the expansion being asymptotic, not a bound."""
+    d, alpha = measure.spec.d, float(measure.param("alpha"))
+    keys = list(map(tuple, classes.tolist()))
+    values = zd_lazy_green_batch(d, alpha, keys, r)
+    denom, rs, decay, edges, clt = _zd_rule(d, alpha, int(classes.max()), r)
+    if clt:
+        tails = {k: _zd_clt_tail(d, rs / d, decay, edges[-1], k)[1] / denom
+                 for k in values}
+    else:
+        tails = dict.fromkeys(values, 0.0)
+    extra = reduce(np.array([tails[k] for k in keys]))
+    # every element carries ZD_TAIL
+    return (reduce(np.array([values[k] for k in keys])),
+            ZD_TAIL * reduce(1.0) + extra, not clt)
+
+
+def _dl_sums(measure, classes, r, tol, reduce):
+    q = measure.spec.q
+    rel_tol = min(tol, 1e-9)
+    keys = list(map(tuple, classes.tolist()))
+    values = dl_green_classes(q, sorted(set(keys)), r, rel_tol)
+    tails = [dl_class_tail(q, B - A, r, rel_tol) for _, A, B in keys]
+    return (reduce(np.array([values[k] for k in keys])),
+            reduce(np.array(tails)), True)
+
+
+# The structured engine of each (spec type, measure kind).  Their errors:
+# * tree: a closed form, tail 0, for 0 <= r <= R;
+# * tree product: the trapezoid rule with the node count that puts every
+#   row's proved tail at most tol; ValueError at r >= R, or where that
+#   count would pass MAX_NODES;
+# * Z^d: ignores tol; every element carries ZD_TAIL, plus the last kept
+#   local-CLT term wherever that tail is added (always at r = 1, and then
+#   rigorous is False), see `_zd_sums`;
+# * Diestel-Leader: the range cutoff at rel_tol = min(tol, 1e-9) with its
+#   proved tail `dl_class_tail`, for 0 <= r <= 1.
+CLASS_ENGINES = {
+    (RegularTree, "tree-lazy"): ClassEngine(
+        lambda g, x: (g.word_length(x),), _tree_spheres, _tree_sums),
+    (TreeProduct, "product-mix"): ClassEngine(
+        lambda g, x: (len(x[0]), len(x[1])), _treeprod_spheres,
+        _treeprod_sums),
+    (FreeAbelian, "lazy-srw"): ClassEngine(
+        lambda g, x: tuple(sorted(abs(v) for v in x)),
+        _listed(lambda spec, n: _zd_sphere_classes(spec.d, n)), _zd_sums),
+    (DiestelLeader, "dl-srw"): ClassEngine(
+        lambda g, x: dl_class_key(g.profile(x)),
+        _listed(lambda spec, n: [(dl_class_key(p), c) for p, _, c
+                                 in dl_sphere_profiles(spec.q, n)]),
+        _dl_sums),
+}
+
+
+def class_engine(measure: Measure) -> Optional[ClassEngine]:
+    """The structured engine of the measure, or None: its walk reads the
+    step sums."""
+    return CLASS_ENGINES.get((type(measure.spec), measure.kind))
+
+
+# ---------------------------------------------------------------------------
 # Green estimates
 
 
@@ -1057,14 +1196,10 @@ def green_truncated(measure: Measure, targets: Sequence[Element], r: float,
                     ) -> Dict[Element, GreenEstimate]:
     """Truncated Green function G(e, x | r) for each target element.
 
-    The tree, tree-product, Z^d and Diestel-Leader engines are not step
-    sums and ignore max_terms; n_terms = -1 marks a value that is not a
-    truncation.  The tree engine is a closed form (tail 0); the
-    tree-product engine's tail bounds its quadrature error, and it raises
-    ValueError at r >= R.  The Z^d engine is `zd_lazy_green_batch`, one
-    call for all targets, and ignores tol: each value's tail is ZD_TAIL,
-    plus the last kept term of the local-CLT tail wherever that tail is
-    added (always at r = 1, then rigorous=False); see `zd_green_estimates`.
+    The walks of `class_engine` (trees, tree products, Z^d,
+    Diestel-Leader) sum no steps and ignore max_terms: each target is one
+    row of their evaluator, with the error rules of `CLASS_ENGINES`, and
+    n_terms = -1 marks a value that is not a truncation.
 
     Every other walk reads one `step_sums` sweep binned by target.  Its
     truncation order comes from the closed-form spectral radius when
@@ -1076,20 +1211,20 @@ def green_truncated(measure: Measure, targets: Sequence[Element], r: float,
     ValueError at r > 1/rho.
     """
     check_radius(measure, r)
-    spec, kind = measure.spec, measure.kind
     targets = list(dict.fromkeys(targets))
     if not targets:
         return {}
-
-    if isinstance(spec, RegularTree) and kind == "tree-lazy":
-        return _green_tree(measure, targets, r)
-    if isinstance(spec, TreeProduct) and kind == "product-mix":
-        return _green_treeprod(measure, targets, r, tol)
-    if isinstance(spec, FreeAbelian) and kind == "lazy-srw":
-        return _green_zd(measure, targets, r)
-    if isinstance(spec, DiestelLeader) and kind == "dl-srw":
-        return _green_dl(measure, targets, r, tol)
-    return _green_generic(measure, targets, r, tol, max_terms, support_cap)
+    engine = class_engine(measure)
+    if engine is None:
+        return _green_generic(measure, targets, r, tol, max_terms,
+                              support_cap)
+    g = measure.group
+    n = len(targets)
+    values, tails, rigorous = engine.sums(
+        measure, np.array([engine.key(g, x) for x in targets]),
+        np.arange(n), np.ones(n), r, tol)
+    return {x: GreenEstimate(v, -1, t, rigorous)
+            for x, v, t in zip(targets, values.tolist(), tails.tolist())}
 
 
 def _pick_n(measure, r, tol, max_terms, default=64):
@@ -1122,47 +1257,6 @@ def _green_generic(measure, targets, r, tol, max_terms, support_cap):
     return {x: GreenEstimate(float(S[index[x]] @ powers), n_max, tail,
                              rigorous)
             for x in targets}
-
-
-def _green_tree(measure, targets, r):
-    g = measure.group
-    d = [g.word_length(x) for x in targets]
-    G = tree_green_by_distance(measure.spec.l, r, max(d))
-    return {x: GreenEstimate(float(G[dx]), -1, 0.0, True)
-            for x, dx in zip(targets, d)}
-
-
-def _green_treeprod(measure, targets, r, tol):
-    spec = measure.spec
-    a1 = float(measure.param("a1"))
-    d1 = np.array([len(x[0]) for x in targets])
-    d2 = np.array([len(x[1]) for x in targets])
-    n, tails = treeprod_error(spec.l1, spec.l2, a1, r, d1.max(), d2.max(),
-                              tol, lambda E: E[d1, d2])
-    G = treeprod_green_by_distance(spec.l1, spec.l2, a1, r, n, d1.max(),
-                                   d2.max())
-    return {x: GreenEstimate(float(v), -1, float(t), True)
-            for x, v, t in zip(targets, G[d1, d2], tails)}
-
-
-def _green_zd(measure, targets, r):
-    keys = {x: tuple(sorted(abs(v) for v in x)) for x in targets}
-    values, tails, rigorous = zd_green_estimates(
-        measure.spec.d, float(measure.param("alpha")), list(keys.values()),
-        r)
-    return {x: GreenEstimate(values[k], -1, ZD_TAIL + tails[k], rigorous)
-            for x, k in keys.items()}
-
-
-def _green_dl(measure, targets, r, tol):
-    q = measure.spec.q
-    g = measure.group
-    rel_tol = min(tol, 1e-9)
-    keys = {x: dl_class_key(g.profile(x)) for x in targets}
-    values = dl_green_classes(q, sorted(set(keys.values())), r, rel_tol)
-    return {x: GreenEstimate(values[k], -1,
-                             dl_class_tail(q, k[2] - k[1], r, rel_tol), True)
-            for x, k in keys.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -266,3 +266,34 @@ def test_readme_examples_parse():
             build_parser().parse_args(argv[1:])
         except SystemExit:
             pytest.fail(f"README example does not parse: {shlex.join(argv)}")
+
+
+@pytest.mark.parametrize("argv", [
+    "omega --group tree --l 4 --r 1 --nmax 12 --window-lo 3",
+    "omega --group tree --l 4 --r 1 --nmax 12 --window-hi 9",
+    "freeprod-scan --alpha 0.05 --rmin 1.0",
+    "freeprod-scan --alpha 0.05 --rmax 1.1",
+])
+def test_half_given_range_exit_code(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert code == 1
+    assert not out
+    assert "both ends" in err
+
+
+def test_bitree_phase_refuses_a_negative_grid(capsys):
+    code, out, err = run(capsys, "bitree-phase", "--l1", "6", "--l2", "4",
+                         "--grid", "-3")
+    assert code == 1
+    assert not out
+    assert "--grid" in err
+
+
+@pytest.mark.parametrize("group", ["tree", "treeprod", "zd", "dl",
+                                   "heisenberg"])
+def test_negative_nmax_exit_code(capsys, group):
+    code, out, err = run(capsys, "hr", "--group", group, "--r", "0.5",
+                         "--nmax", "-1")
+    assert code == 1
+    assert not out
+    assert "n_max" in err

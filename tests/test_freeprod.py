@@ -204,3 +204,11 @@ def test_scan_validates_inputs():
         scan_construction(params, 2, 0.05)
     with pytest.raises(ValueError):
         scan_construction(params, 3, 1.5)
+
+
+@pytest.mark.parametrize("n", [-1, 1, 5, 9])
+def test_scan_refuses_a_full_series_too_short_for_a_window(n):
+    # omega_estimate's top-half window needs n_max >= 10; 0 turns it off
+    with pytest.raises(ValueError, match="full_series_n"):
+        scan_construction(PhaseParams(6, 4, 0.5, 0.5), 3, 0.05,
+                          r_grid=[1.0], full_series_n=n)
