@@ -392,10 +392,9 @@ def prefactor_exponent(log_values, ns, omega: float) -> Tuple[float, float]:
     return float(coef[0]), float(math.sqrt(max(cov[0, 0], 0.0)))
 
 
-def model_window(params: PhaseParams, r: float, n_lo: int = 200,
-                 n_hi: int = 2000, points: int = 25
+def model_window(params: PhaseParams, r: float
                  ) -> Tuple[np.ndarray, np.ndarray]:
-    """Geometric n-grid and hn_model_log values on it."""
-    ns = np.unique(np.round(np.geomspace(n_lo, n_hi, points)).astype(int))
+    """hn_model_log on the geometric grid of 25 n from 200 to 2000."""
+    ns = np.unique(np.round(np.geomspace(200, 2000, 25)).astype(int))
     vals = np.array([hn_model_log(params, r, int(n)) for n in ns])
     return ns, vals

@@ -73,13 +73,13 @@ def offspring_law(weights: Dict[int, object]) -> Tuple[Tuple[int, Fraction], ...
     return items
 
 
-def mean_offspring(r: float, spread: int = 2) -> Tuple[Tuple[int, Fraction], ...]:
-    """Offspring law on {1, spread} with exact mean r (rational)."""
+def mean_offspring(r: float) -> Tuple[Tuple[int, Fraction], ...]:
+    """Offspring law on {1, 2} with exact mean r (rational): two children
+    with probability r - 1."""
     rq = Fraction(r).limit_denominator(10 ** 9)
-    if not (1 <= rq <= spread):
-        raise ValueError(f"mean must lie in [1, {spread}]")
-    p_hi = (rq - 1) / (spread - 1)
-    return offspring_law({1: 1 - p_hi, spread: p_hi})
+    if not (1 <= rq <= 2):
+        raise ValueError("mean must lie in [1, 2]")
+    return offspring_law({1: 2 - rq, 2: rq - 1})
 
 
 @dataclass(frozen=True)

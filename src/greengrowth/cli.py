@@ -172,6 +172,9 @@ def _cmd_bitree_phase(args, out) -> int:
     R = capital_R(params)
     if args.grid < 0:
         raise ValueError(f"--grid must be >= 0, got {args.grid}")
+    if not args.grid and (args.rmin is not None or args.rmax is not None):
+        raise ValueError("--rmin and --rmax bound the --grid map; "
+                         "give --grid too")
     if args.grid:
         rows = []
         lo = args.rmin if args.rmin is not None else 1.0 + 1e-6
@@ -214,8 +217,11 @@ def _cmd_freeprod_scan(args, out) -> int:
 
     params = PhaseParams(args.l1, args.l2, args.a1, 1.0 - args.a1)
     r_range = _range(args.rmin, args.rmax, "--rmin and --rmax")
+    if args.points is not None and (r_range is None or args.points < 1):
+        raise ValueError(f"--points needs --rmin and --rmax and must be "
+                         f">= 1, got {args.points}")
     r_grid = None if r_range is None else list(
-        np.linspace(*r_range, args.points))
+        np.linspace(*r_range, args.points or 9))
     report = scan_construction(params, args.d, args.alpha, r_grid,
                                n_max=args.nterms,
                                support_cap=args.support_cap,
@@ -350,7 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--rmin", type=float, default=None)
     p.add_argument("--rmax", type=float, default=None)
-    p.add_argument("--points", type=int, default=9)
+    p.add_argument("--points", type=int, default=None,
+                   help="points of the --rmin..--rmax grid (default 9)")
     p.add_argument("--nterms", type=int, default=24)
     p.add_argument("--support-cap", type=int, default=50_000)
     p.add_argument("--full-series-n", type=int, default=0,

@@ -31,7 +31,7 @@ from .bitree import prefactor_exponent
 from .groups import Element, FreeProduct, GroupSpec
 from .kernels import (
     DEFAULT_SUPPORT_CAP, MEMO_SIZE, Measure, _heuristic_tail, _pick_n,
-    check_radius, class_engine, green_truncated, standard_measure,
+    check_request, class_engine, green_truncated, standard_measure,
     step_sums,
 )
 
@@ -139,7 +139,6 @@ _memo_sweep = lru_cache(maxsize=MEMO_SIZE)(_sweep)
 def h_series(spec: GroupSpec, measure: Optional[Measure] = None,
              r: float = 1.0, n_max: int = 20, tol: float = 1e-9,
              restriction: Optional[Callable[[Element], bool]] = None,
-             restriction_label: Optional[str] = None,
              max_terms: Optional[int] = None,
              support_cap: Optional[int] = DEFAULT_SUPPORT_CAP,
              ) -> GrowthSeries:
@@ -149,14 +148,14 @@ def h_series(spec: GroupSpec, measure: Optional[Measure] = None,
     tree products, Z^d, Diestel-Leader) reduce the engine's classes to one
     row per sphere, with the error rules of `kernels.CLASS_ENGINES`, and
     ignore max_terms.  Every walk whose spectral radius rho is known in
-    closed form raises ValueError at r > 1/rho; n_max < 0 raises
-    ValueError.
+    closed form raises ValueError at r > 1/rho; n_max < 0 and tol <= 0
+    or NaN raise ValueError.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got n_max = {n_max}")
     if measure is None:
         measure = standard_measure(spec)
-    check_radius(measure, r)
+    check_request(measure, r, tol)
     engine = class_engine(measure) if restriction is None else None
     if engine is None:
         vals, = _h_generic(measure, r, n_max, tol, (restriction,), max_terms,
@@ -166,7 +165,7 @@ def h_series(spec: GroupSpec, measure: Optional[Measure] = None,
             measure, *engine.spheres(spec, n_max), r, tol)
         vals = {n: HEntry(v, t, rigorous) for n, (v, t) in
                 enumerate(zip(values.tolist(), tails.tolist()))}
-    return GrowthSeries(spec, r, vals, restriction_label)
+    return GrowthSeries(spec, r, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +290,7 @@ def parabolic_gap_report(spec: FreeProduct, measure: Optional[Measure],
     Under tight support caps the swept support cannot reach the outer
     spheres and the top entries of the series degrade to zero; pass an
     explicit fitting window over the trustworthy range in that case.
+    tol <= 0 or NaN raises ValueError, as in `h_series`.
     """
     if not isinstance(spec, FreeProduct):
         raise ValueError("parabolic gap reports need a free product")
@@ -301,7 +301,7 @@ def parabolic_gap_report(spec: FreeProduct, measure: Optional[Measure],
     def in_factor(a):
         return g.factor_part(side, a) is not None
 
-    check_radius(measure, r)
+    check_request(measure, r, tol)
     # one sweep, reduced over the whole spheres and over the factor
     full_vals, factor_vals = _h_generic(measure, r, n_max, tol,
                                         (None, in_factor), max_terms,

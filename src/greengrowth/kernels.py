@@ -15,10 +15,13 @@ functions are computed by specialized engines that sum no steps at all:
                      reference and no engine calls it,
 * Diestel-Leader  -- path-range decomposition of the lamplighter walk.
 
-Each has one `ClassEngine` in `CLASS_ENGINES`: the class of an element,
-the spheres as classes with multiplicities, and one evaluator reducing
-weighted classes to rows; `green_truncated` asks a row per target and
-`growth.h_series` a row per sphere.
+`standard_measure` gives each spec type its one standard walk, and
+`CLASS_ENGINES` holds each structured walk's classes, spheres, evaluator
+and return law: the class of an element, the spheres as classes with
+multiplicities, one evaluator reducing weighted classes to rows, and,
+for trees and tree products, p_n(e, e) in closed form.  `green_truncated`
+asks a row per target, `growth.h_series` a row per sphere, and
+`return_probability` the return law.
 
 Every other step sum -- Green values, sphere sums, return probabilities --
 reads one core, `step_sums`: a sweep of `FloatWalk` (interned elements, a
@@ -73,11 +76,11 @@ class Measure:
     def group(self) -> Group:
         return group_for(self.spec)
 
-    def param(self, name, default=None):
+    def param(self, name):
         for k, v in self.params:
             if k == name:
                 return v
-        return default
+        return None
 
 
 def _frac(x) -> Fraction:
@@ -88,47 +91,26 @@ def _frac(x) -> Fraction:
     return Fraction(x)
 
 
-def _default_kind(spec: GroupSpec) -> str:
-    if isinstance(spec, RegularTree):
-        return "tree-lazy"
-    if isinstance(spec, TreeProduct):
-        return "product-mix"
-    if isinstance(spec, (FreeAbelian, Heisenberg3)):
-        return "lazy-srw"
-    if isinstance(spec, DiestelLeader):
-        return "dl-srw"
-    if isinstance(spec, FreeProduct):
-        return "freeprod-mix"
-    raise ValueError(f"no default kernel for {spec}")
-
-
-def standard_measure(spec: GroupSpec, kind: Optional[str] = None, **params
-                     ) -> Measure:
-    """Build one of the named step distributions.
-
-    Kinds: "tree-lazy" (RegularTree), "lazy-srw" (FreeAbelian/Heisenberg3,
-    parameter alpha = mass at the identity), "product-mix" (TreeProduct,
-    parameter a1 = weight of the first factor), "dl-srw" (DiestelLeader),
-    "freeprod-mix" (FreeProduct, parameter alpha = weight of the right
-    factor; the factors get their own default kinds unless overridden, and
-    the measure records them as its "left" and "right" parameters).
+def standard_measure(spec: GroupSpec, **params) -> Measure:
+    """The standard walk of the spec's type, which names its kind:
+    "tree-lazy" on RegularTree, "product-mix" on TreeProduct (parameter a1
+    = weight of the first factor), "lazy-srw" on FreeAbelian and
+    Heisenberg3 (parameter alpha = mass at the identity), "dl-srw" on
+    DiestelLeader, "freeprod-mix" on FreeProduct (parameter alpha = weight
+    of the right factor; each factor gets its own standard walk, built
+    with left_params / right_params, recorded as the measure's "left" and
+    "right" parameters).  Any other spec raises ValueError.
     """
-    if kind is None:
-        kind = _default_kind(spec)
     g = group_for(spec)
     e = g.identity()
     w: Dict[Element, Fraction] = {}
 
-    if kind == "tree-lazy":
-        if not isinstance(spec, RegularTree):
-            raise ValueError("tree-lazy needs a RegularTree spec")
+    if isinstance(spec, RegularTree):
+        kind, p = "tree-lazy", ()
         w[e] = Fraction(1, 2)
         for s in g.generators():
             w[s] = Fraction(1, 2 * spec.l)
-        p = ()
-    elif kind == "lazy-srw":
-        if not isinstance(spec, (FreeAbelian, Heisenberg3)):
-            raise ValueError("lazy-srw needs FreeAbelian or Heisenberg3")
+    elif isinstance(spec, (FreeAbelian, Heisenberg3)):
         alpha = _frac(params.get("alpha", Fraction(1, 2)))
         if not (0 <= alpha < 1):
             raise ValueError("alpha must be in [0, 1)")
@@ -137,10 +119,8 @@ def standard_measure(spec: GroupSpec, kind: Optional[str] = None, **params
             w[e] = alpha
         for s in gens:
             w[s] = (1 - alpha) / len(gens)
-        p = (("alpha", alpha),)
-    elif kind == "product-mix":
-        if not isinstance(spec, TreeProduct):
-            raise ValueError("product-mix needs a TreeProduct spec")
+        kind, p = "lazy-srw", (("alpha", alpha),)
+    elif isinstance(spec, TreeProduct):
         a1 = _frac(params.get("a1", Fraction(1, 2)))
         if not (0 < a1 < 1):
             raise ValueError("a1 must be in (0, 1)")
@@ -149,22 +129,17 @@ def standard_measure(spec: GroupSpec, kind: Optional[str] = None, **params
             w[((i,), ())] = a1 / (2 * spec.l1)
         for i in range(spec.l2):
             w[((), (i,))] = (1 - a1) / (2 * spec.l2)
-        p = (("a1", a1),)
-    elif kind == "dl-srw":
-        if not isinstance(spec, DiestelLeader):
-            raise ValueError("dl-srw needs a DiestelLeader spec")
+        kind, p = "product-mix", (("a1", a1),)
+    elif isinstance(spec, DiestelLeader):
+        kind, p = "dl-srw", ()
         for s in g.generators():
             w[s] = Fraction(1, 2 * spec.q)
-        p = ()
-    elif kind == "freeprod-mix":
-        if not isinstance(spec, FreeProduct):
-            raise ValueError("freeprod-mix needs a FreeProduct spec")
+    elif isinstance(spec, FreeProduct):
         alpha = _frac(params.get("alpha", Fraction(1, 2)))
         if not (0 < alpha < 1):
             raise ValueError("alpha must be in (0, 1)")
-        m_left = standard_measure(spec.left, params.get("left_kind"),
-                                  **params.get("left_params", {}))
-        m_right = standard_measure(spec.right, params.get("right_kind"),
+        m_left = standard_measure(spec.left, **params.get("left_params", {}))
+        m_right = standard_measure(spec.right,
                                    **params.get("right_params", {}))
         for x, wx in m_left.weights:
             y = g.embed(0, x)
@@ -172,9 +147,10 @@ def standard_measure(spec: GroupSpec, kind: Optional[str] = None, **params
         for x, wx in m_right.weights:
             y = g.embed(1, x)
             w[y] = w.get(y, Fraction(0)) + alpha * wx
-        p = (("alpha", alpha), ("left", m_left), ("right", m_right))
+        kind, p = "freeprod-mix", (("alpha", alpha), ("left", m_left),
+                                   ("right", m_right))
     else:
-        raise ValueError(f"unknown measure kind {kind!r}")
+        raise ValueError(f"no default kernel for {spec}")
 
     assert sum(w.values()) == 1
     items = tuple(sorted(w.items(), key=lambda kv: g.encode(kv[0])))
@@ -193,11 +169,14 @@ def known_spectral_radius(measure: Measure) -> Optional[float]:
     return None  # DL (its engine needs none) and free products
 
 
-def check_radius(measure: Measure, r: float) -> None:
-    """Refuse r < 0, and r > 1/rho where the spectral radius rho is known
-    in closed form: the Green function diverges there."""
+def check_request(measure: Measure, r: float, tol: float) -> None:
+    """Refuse r < 0, r > 1/rho where the spectral radius rho is known in
+    closed form (the Green function diverges there), and tol <= 0 or NaN.
+    """
     if not r >= 0:
         raise ValueError(f"r must be >= 0, got r = {r}")
+    if not tol > 0:
+        raise ValueError(f"tol must be > 0, got tol = {tol}")
     rho = known_spectral_radius(measure)
     if rho is not None and r > 1.0 / rho:
         raise ValueError(f"the Green function diverges for r > R = 1/rho: "
@@ -731,8 +710,6 @@ def treeprod_error(l1: int, l2: int, a1: float, r: float, d1_max: int,
     at most tol, and reduce(E) at M.  Raises ValueError if M would exceed
     MAX_NODES.
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be > 0, got tol = {tol}")
     if r == 0.0:  # G = delta_e, no nodes needed
         return 0, reduce(np.zeros((d1_max + 1, d2_max + 1)))
     rho0, rho_in, rho_out = _treeprod_contour(l1, l2, a1, r)
@@ -1043,11 +1020,14 @@ class ClassEngine:
     array of classes with the sphere of each and its count there; and
     `evaluate(measure, classes, r, tol, reduce)` gives what `sums` returns,
     each part reduced from a per-class array.  A class's value depends
-    only on the set of classes asked for."""
+    only on the set of classes asked for.  `returns(measure, n)`, where
+    given, is the return probability p_n(e, e) in closed form; without
+    it `return_probability` sums steps."""
     key: Callable[[Group, Element], Tuple[int, ...]]
     spheres: Callable[[GroupSpec, int],
                       Tuple[np.ndarray, np.ndarray, np.ndarray]]
     evaluate: Callable[..., Tuple[np.ndarray, np.ndarray, bool]]
+    returns: Optional[Callable[[Measure, int], float]] = None
 
     def sums(self, measure: Measure, classes: np.ndarray, row: np.ndarray,
              mult: np.ndarray, r: float, tol: float
@@ -1105,6 +1085,18 @@ def _treeprod_sums(measure, classes, r, tol, reduce):
     return reduce(G[d1, d2]), tails, True
 
 
+def _treeprod_returns(measure, n):
+    # p_n(e, e) = sum_k C(n, k) a1^k a2^(n-k) p1_k(0) p2_(n-k)(0), the
+    # binomial weights b[k] built up by Pascal's rule
+    spec, a1 = measure.spec, float(measure.param("a1"))
+    b = np.ones(1)
+    for _ in range(n):
+        b = np.append((1.0 - a1) * b, 0.0) + np.insert(a1 * b, 0, 0.0)
+    p1 = tree_distance_law(spec.l1, n, 0)[:, 0]
+    p2 = tree_distance_law(spec.l2, n, 0)[::-1, 0]
+    return float(b @ (p1 * p2))
+
+
 def _zd_sums(measure, classes, r, tol, reduce):
     """`zd_lazy_green_batch`'s values, and the one Z^d error rule: where
     the batch rule adds the local-CLT tail (always at r = 1), a class's
@@ -1147,10 +1139,11 @@ def _dl_sums(measure, classes, r, tol, reduce):
 #   proved tail `dl_class_tail`, for 0 <= r <= 1.
 CLASS_ENGINES = {
     (RegularTree, "tree-lazy"): ClassEngine(
-        lambda g, x: (g.word_length(x),), _tree_spheres, _tree_sums),
+        lambda g, x: (g.word_length(x),), _tree_spheres, _tree_sums,
+        lambda m, n: float(tree_distance_law(m.spec.l, n, 0)[n, 0])),
     (TreeProduct, "product-mix"): ClassEngine(
         lambda g, x: (len(x[0]), len(x[1])), _treeprod_spheres,
-        _treeprod_sums),
+        _treeprod_sums, _treeprod_returns),
     (FreeAbelian, "lazy-srw"): ClassEngine(
         lambda g, x: tuple(sorted(abs(v) for v in x)),
         _listed(lambda spec, n: _zd_sphere_classes(spec.d, n)), _zd_sums),
@@ -1208,9 +1201,9 @@ def green_truncated(measure: Measure, targets: Sequence[Element], r: float,
     ``rigorous=False``; a support cap that pruned mass M_k by step k adds
     sum_k r^k M_k to the tail.  Every walk whose spectral radius rho is
     known in closed form (trees, tree products, Z^d, Heisenberg) raises
-    ValueError at r > 1/rho.
+    ValueError at r > 1/rho; tol <= 0 or NaN raises ValueError.
     """
-    check_radius(measure, r)
+    check_request(measure, r, tol)
     targets = list(dict.fromkeys(targets))
     if not targets:
         return {}
@@ -1319,20 +1312,12 @@ def first_return_kernel(measure: Measure, member: Callable[[Element], bool],
 def return_probability(measure: Measure, n: int,
                        support_cap: Optional[int] = DEFAULT_SUPPORT_CAP,
                        ) -> float:
-    """p_n(e, e), via a structure-aware engine when available."""
-    spec, kind = measure.spec, measure.kind
-    if isinstance(spec, RegularTree) and kind == "tree-lazy":
-        return float(tree_distance_law(spec.l, n, 0)[n, 0])
-    if isinstance(spec, TreeProduct) and kind == "product-mix":
-        # p_n(e, e) = sum_k C(n, k) a1^k a2^(n-k) p1_k(0) p2_(n-k)(0),
-        # the binomial weights b[k] built up by Pascal's rule
-        a1 = float(measure.param("a1"))
-        b = np.ones(1)
-        for _ in range(n):
-            b = np.append((1.0 - a1) * b, 0.0) + np.insert(a1 * b, 0, 0.0)
-        p1 = tree_distance_law(spec.l1, n, 0)[:, 0]
-        p2 = tree_distance_law(spec.l2, n, 0)[::-1, 0]
-        return float(b @ (p1 * p2))
+    """p_n(e, e): the closed form `ClassEngine.returns` of the measure's
+    class engine where it has one (trees, tree products), else the
+    lumped step sums, pruned at support_cap."""
+    engine = class_engine(measure)
+    if engine is not None and engine.returns is not None:
+        return engine.returns(measure, n)
     e = measure.group.identity()
     S, _ = step_sums(measure, lambda x: 0 if x == e else 1, 1, n,
                      support_cap=support_cap, lump=True)

@@ -122,13 +122,14 @@ def lamplighter_h1_model(q: int, n: int) -> float:
     return total
 
 
-def bw_calibration(q: int, profiles: Sequence[DLProfile],
-                   r: float = 1.0) -> Dict[DLProfile, float]:
-    """Ratio of the series Green value to the shape for given profiles.
+def bw_calibration(q: int, profiles: Sequence[DLProfile]
+                   ) -> Dict[DLProfile, float]:
+    """Ratio of the series Green value at r = 1 to the shape for given
+    profiles.
 
     A stable ratio across profiles is the (non-rigorous) calibration of the
     global constant in the shape formula.
     """
     keys = {p: dl_class_key(p) for p in profiles}
-    values = dl_green_classes(q, sorted(set(keys.values())), r)
+    values = dl_green_classes(q, sorted(set(keys.values())), 1.0)
     return {p: values[k] / bw_green_shape(q, p) for p, k in keys.items()}

@@ -254,12 +254,16 @@ def test_output_file(tmp_path, capsys):
     assert text.startswith("n,H,tail,rigorous\n")
 
 
-def test_readme_examples_parse():
+def _readme_examples():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     blocks = re.findall(r"```sh\n(.*?)```", readme, re.S)
     lines = "".join(blocks).replace("\\\n", " ").splitlines()
-    examples = [shlex.split(line, comments=True) for line in lines
-                if line.startswith("greengrowth ")]
+    return [shlex.split(line, comments=True) for line in lines
+            if line.startswith("greengrowth ")]
+
+
+def test_readme_examples_parse():
+    examples = _readme_examples()
     assert len(examples) >= 10
     for argv in examples:
         try:
@@ -297,3 +301,63 @@ def test_negative_nmax_exit_code(capsys, group):
     assert code == 1
     assert not out
     assert "n_max" in err
+
+
+def test_readme_examples_run(capsys):
+    examples = [argv for argv in _readme_examples()
+                if argv[1] != "selftest"]
+    assert len(examples) >= 10
+    for argv in examples:
+        code, out, err = run(capsys, *argv[1:])
+        assert code == 0, f"{shlex.join(argv)} exited {code}: {err}"
+        assert out
+
+
+@pytest.mark.parametrize("group, tol", [
+    ("tree", "-1"), ("treeprod", "0"), ("zd", "nan"), ("dl", "0"),
+    ("heisenberg", "-1"),
+])
+def test_tol_is_refused_unless_positive(capsys, group, tol):
+    code, out, err = run(capsys, "hr", "--group", group, "--r", "0.5",
+                         "--nmax", "3", "--tol", tol)
+    assert code == 1
+    assert not out
+    assert "tol" in err
+
+
+@pytest.mark.parametrize("bounds", [
+    ("--rmin", "1.05", "--rmax", "1.06"), ("--rmin", "1.05"),
+    ("--rmax", "1.06"),
+])
+def test_bitree_phase_refuses_a_range_without_grid(capsys, bounds):
+    code, out, err = run(capsys, "bitree-phase", "--l1", "6", "--l2", "4",
+                         *bounds)
+    assert code == 1
+    assert not out
+    assert "--grid" in err
+
+
+@pytest.mark.parametrize("argv", [
+    "freeprod-scan --alpha 0.05 --points 3 --full-series-n 0",
+    "freeprod-scan --alpha 0.05 --rmin 1.0 --rmax 1.1 --points 0",
+])
+def test_freeprod_scan_refuses_points_without_a_range_or_below_one(
+        capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert code == 1
+    assert not out
+    assert "--points" in err
+
+
+def test_freeprod_scan_range_defaults_to_nine_points(capsys, monkeypatch):
+    grids = []
+
+    def scan(params, d, alpha, r_grid, **kwargs):
+        grids.append(r_grid)
+        raise ValueError("stop")
+
+    monkeypatch.setattr("greengrowth.freeprod.scan_construction", scan)
+    run(capsys, "freeprod-scan", "--alpha", "0.05", "--rmin", "1.0",
+        "--rmax", "1.1")
+    [grid] = grids
+    assert len(grid) == 9 and grid[0] == 1.0 and grid[-1] == 1.1

@@ -12,9 +12,10 @@ from greengrowth.groups import (
 )
 from greengrowth.growth import h_series, sphere_reduced_sweep
 from greengrowth.kernels import (
-    FloatWalk, Measure, StepTable, convolve, dl_class_key, dl_green_classes,
-    first_return_coefficients, first_return_kernel, green_truncated,
-    return_probability, spectral_radius_lower, standard_measure, step_sums,
+    FloatWalk, Measure, StepTable, class_engine, convolve, dl_class_key,
+    dl_green_classes, first_return_coefficients, first_return_kernel,
+    green_truncated, known_spectral_radius, return_probability,
+    spectral_radius_lower, standard_measure, step_sums,
     tree_distance_law, tree_green_by_distance, tree_sphere_sizes,
     treeprod_green_by_distance,
     zd_lazy_green, zd_lazy_green_batch,
@@ -276,6 +277,35 @@ def test_return_probability_treeprod_matches_convolution():
     dist = {e: 1.0}
     for n in range(9):
         assert abs(return_probability(m, n) - dist[e]) <= 1e-13
+        dist = convolve(dist, m, support_cap=None)
+
+
+def test_return_probability_tree_matches_convolution():
+    m = standard_measure(RegularTree(4))
+    e = m.group.identity()
+    dist = {e: 1.0}
+    for n in range(9):
+        assert abs(return_probability(m, n) - dist[e]) <= 1e-13
+        dist = convolve(dist, m, support_cap=None)
+
+
+def test_return_law_keys_on_the_standard_walk_not_the_spec():
+    # a skewed walk on T3 shares the spec type of the tree engine's walk,
+    # but neither its class engine nor its closed-form rho
+    spec = RegularTree(3)
+    g = group_for(spec)
+    w = {g.identity(): Fraction(1, 4), (0,): Fraction(1, 2),
+         (1,): Fraction(1, 8), (2,): Fraction(1, 8)}
+    m = Measure(spec, "skewed", (),
+                tuple(sorted(w.items(), key=lambda kv: g.encode(kv[0]))))
+    assert class_engine(m) is None and known_spectral_radius(m) is None
+    e = g.identity()
+    dist = {e: 1.0}
+    for n in range(9):
+        p = return_probability(m, n)
+        assert abs(p - dist[e]) <= 1e-13
+        if n >= 2:
+            assert abs(p - tree_distance_law(3, n, 0)[n, 0]) > 1e-6
         dist = convolve(dist, m, support_cap=None)
 
 
