@@ -66,11 +66,29 @@ MEMO_SIZE = 32
 
 @dataclass(frozen=True)
 class Measure:
-    """Finitely supported symmetric probability measure on a group."""
+    """Finitely supported symmetric probability measure on a group.
+
+    The kinds of `CLASS_ENGINES` ("tree-lazy", "product-mix", "lazy-srw",
+    "dl-srw") name standard walks whose closed forms the engines and
+    `known_spectral_radius` use, so a measure of such a kind must be that
+    walk on its spec, for its params: ValueError otherwise.  Any other
+    kind labels any weights.
+    """
     spec: GroupSpec
     kind: str
     params: Tuple[Tuple[str, object], ...]
     weights: "Tuple[Tuple[Element, Fraction], ...]"
+
+    def __post_init__(self):
+        if any(self.kind == kind for _, kind in CLASS_ENGINES):
+            kind, params, weights = _standard_walk(self.spec,
+                                                   dict(self.params))
+            if ((kind, params) != (self.kind, self.params)
+                    or dict(self.weights) != weights):
+                raise ValueError(
+                    f"kind {self.kind!r} names the walk of standard_measure,"
+                    f" but these params {self.params} and weights on "
+                    f"{self.spec} are not that walk's")
 
     @property
     def group(self) -> Group:
@@ -101,6 +119,17 @@ def standard_measure(spec: GroupSpec, **params) -> Measure:
     with left_params / right_params, recorded as the measure's "left" and
     "right" parameters).  Any other spec raises ValueError.
     """
+    kind, p, w = _standard_walk(spec, params)
+    g = group_for(spec)
+    items = tuple(sorted(w.items(), key=lambda kv: g.encode(kv[0])))
+    return Measure(spec=spec, kind=kind, params=p, weights=items)
+
+
+def _standard_walk(spec: GroupSpec, params: Dict[str, object]
+                   ) -> Tuple[str, Tuple[Tuple[str, object], ...],
+                              Dict[Element, Fraction]]:
+    """(kind, params, weights) of `standard_measure`, which `Measure`
+    checks a measure of a class-engine kind against."""
     g = group_for(spec)
     e = g.identity()
     w: Dict[Element, Fraction] = {}
@@ -153,8 +182,7 @@ def standard_measure(spec: GroupSpec, **params) -> Measure:
         raise ValueError(f"no default kernel for {spec}")
 
     assert sum(w.values()) == 1
-    items = tuple(sorted(w.items(), key=lambda kv: g.encode(kv[0])))
-    return Measure(spec=spec, kind=kind, params=p, weights=items)
+    return kind, p, w
 
 
 def known_spectral_radius(measure: Measure) -> Optional[float]:
@@ -743,16 +771,22 @@ def zd_lazy_green(d: int, alpha: float, x: Sequence[int], r: float) -> float:
     quadrature of the Bessel integral, one class at a time.
 
     The independent reference for `zd_lazy_green_batch`: no engine calls
-    it.  Requires r <= 1; at r = 1 convergence needs d >= 3.
+    it.  Requires 0 <= r <= 1; at r = 1 convergence needs d >= 3.
     """
-    if r > 1.0:
-        raise ValueError("Z^d Green function diverges for r > 1")
-    if r == 1.0 and d < 3:
-        raise ValueError("Green function at r = 1 needs d >= 3")
+    _zd_check(d, r)
     # strip the laziness: G_lazy(x | r) = G_srw(x | r') / (1 - r alpha)
     denom = 1.0 - r * alpha
     r_srw = r * (1.0 - alpha) / denom
     return _zd_srw_green(d, tuple(abs(int(v)) for v in x), r_srw) / denom
+
+
+def _zd_check(d: int, r: float) -> None:
+    """Refuse r outside [0, 1] (NaN too), and r = 1 below d = 3."""
+    if not 0.0 <= r <= 1.0:
+        raise ValueError(f"the Z^d Green function needs 0 <= r <= 1 (it "
+                         f"diverges for r > 1), got r = {r}")
+    if r == 1.0 and d < 3:
+        raise ValueError("Green function at r = 1 needs d >= 3")
 
 
 def _zd_srw_green(d: int, x: Tuple[int, ...], r: float) -> float:
@@ -834,12 +868,14 @@ def _upper_gamma(s: float, x: float) -> float:
 
 
 def _zd_clt_tail(d: int, c: float, a: float, T: float,
-                 x: Tuple[int, ...]) -> Tuple[float, float]:
+                 x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """int_T^inf e^(-a s) prod_i ive(x_i, c s) ds from the first two terms
     of ive(n, z) ~ (2 pi z)^(-1/2) (1 - (4 n^2 - 1) / (8 z)): the local
-    CLT, and the magnitude of that expansion's last kept term.  With
-    nu = d / 2, int_T^inf e^(-a s) s^(-nu) ds is a^(nu - 1)
-    Gamma(1 - nu, a T), or T^(1 - nu) / (nu - 1) at a = 0."""
+    CLT, and the magnitude of that expansion's last kept term, for the
+    classes whose coordinates are the columns of x (one row per
+    coordinate).  With nu = d / 2, int_T^inf e^(-a s) s^(-nu) ds is
+    a^(nu - 1) Gamma(1 - nu, a T), or T^(1 - nu) / (nu - 1) at a = 0,
+    computed once for all classes."""
     nu = d / 2.0
     lead = (2.0 * math.pi * c) ** (-nu)
     corr = sum(4.0 * xi * xi - 1.0 for xi in x) / (8.0 * c)
@@ -856,69 +892,91 @@ def zd_lazy_green_batch(d: int, alpha: float,
                         ) -> Dict[Tuple[int, ...], float]:
     """Lazy-walk Green values on Z^d for many coordinate classes at once:
     the Z^d engine of `green_truncated` and `h_series` (through
-    `_zd_sums`, which states its error).
+    `_zd_sums`, which states its error), for 0 <= r <= 1.
 
-    Classes are tuples of coordinate absolute values (order irrelevant).
-    The Bessel integral (Woess, Random Walks on Infinite Graphs and
-    Groups, CUP 2000) runs on one composite Gauss-Legendre grid with one
-    Bessel table shared by all classes, which is what makes sphere sums out
-    to n ~ 30 affordable.  Past the last panel edge the local-CLT tail
-    `_zd_clt_tail` is added wherever `_zd_rule` says so (always at r = 1).
-    Only deeply vanishing values (below ~1e-40) lose relative accuracy.
+    Classes are tuples, or the rows of an int array, of coordinates (sign
+    and order irrelevant); no classes give {}.  The Bessel integral
+    (Woess, Random Walks on Infinite Graphs and Groups, CUP 2000) runs on
+    one composite Gauss-Legendre grid with one Bessel table shared by all
+    classes, which is what makes sphere sums out to n ~ 30 affordable.
+    The table is evaluated only at the live nodes, whose weight
+    w e^(-decay s) has not underflowed to 0: elsewhere every product is 0
+    whatever the Bessel factor, so the table holds 0.  The sorted classes
+    that share all but their last coordinate share one partial product,
+    and each class's row of that group is summed with numpy's pairwise
+    sum, as a lone class's product would be: every value is the
+    one-class-at-a-time product summed over the whole grid, bit for bit.
+    Past the last panel edge the local-CLT tail `_zd_clt_tail` is
+    added wherever `_zd_rule` says so (always at r = 1).  Only deeply
+    vanishing values (below ~1e-40) lose relative accuracy.
     """
     from scipy.special import ive
 
-    if r > 1.0:
-        raise ValueError("Z^d Green function diverges for r > 1")
-    if r == 1.0 and d < 3:
-        raise ValueError("Green function at r = 1 needs d >= 3")
-    classes = [tuple(sorted(abs(int(v)) for v in x)) for x in classes]
-    uniq = sorted(set(classes))
-    m_max = max(max(x) for x in uniq)
+    _zd_check(d, r)
+    if not len(classes):
+        return {}
+    X = np.sort(np.abs(np.array(classes, dtype=np.intp)), axis=1)
+    X = X[np.lexsort(X.T[::-1])]
+    X = X[np.r_[True, (X[1:] != X[:-1]).any(axis=1)]]
+    keys = list(map(tuple, X.tolist()))
+    m_max = int(X.max())
     denom, rs, decay, edges, clt = _zd_rule(d, alpha, m_max, r)
     if rs == 0.0:
-        return {x: (1.0 if not any(x) else 0.0) / denom for x in uniq}
+        return {x: (1.0 if not any(x) else 0.0) / denom for x in keys}
     c = rs / d
 
     # composite Gauss-Legendre on geometrically growing panels
-    s = np.concatenate([0.5 * (b - a) * _GL_NODES + 0.5 * (a + b)
-                        for a, b in zip(edges[:-1], edges[1:])])
-    w = np.concatenate([0.5 * (b - a) * _GL_WEIGHTS
-                        for a, b in zip(edges[:-1], edges[1:])])
+    lo, hi = np.array(edges[:-1])[:, None], np.array(edges[1:])[:, None]
+    s = (0.5 * (hi - lo) * _GL_NODES + 0.5 * (lo + hi)).ravel()
+    w = (0.5 * (hi - lo) * _GL_WEIGHTS).ravel()
     base = w * np.exp(-s * decay)
-    bessel = ive(np.arange(m_max + 1)[:, None], c * s[None, :])
+    live = base > 0.0
+    bessel = np.zeros((m_max + 1, len(s)))
+    bessel[:, live] = ive(np.arange(m_max + 1)[:, None], c * s[live])
 
-    Te = edges[-1]
-    out = {}
-    for x in uniq:
-        prod = base.copy()
-        for xi in x:
-            prod *= bessel[xi]
-        val = float(prod.sum())
-        if clt:
-            val += _zd_clt_tail(d, c, decay, Te, x)[0]
-        out[x] = val / denom
-    return out
+    vals = np.empty(len(X))
+    # the classes sharing a prefix X[i, :-1] are contiguous in sorted order
+    cut = np.flatnonzero((X[1:, :-1] != X[:-1, :-1]).any(axis=1)) + 1
+    for i, j in zip([0, *cut.tolist()], [*cut.tolist(), len(X)]):
+        prod = base
+        for xi in X[i, :-1].tolist():
+            prod = prod * bessel[xi]
+        first, last = X[i, -1], X[j - 1, -1]
+        # the rows of a run of consecutive last coordinates are a view
+        rows = (bessel[first:last + 1] if last - first == j - i - 1
+                else bessel[X[i:j, -1]])
+        # a contiguous row is summed as the lone 1-D product would be
+        vals[i:j] = (prod * rows).sum(axis=1)
+    if clt:
+        vals += _zd_clt_tail(d, c, decay, edges[-1], X.T)[0]
+    return dict(zip(keys, (vals / denom).tolist()))
 
 
-def _zd_sphere_classes(d: int, n: int):
-    """Sorted coordinate-magnitude classes of the l^1 sphere with counts."""
-    def parts(rest, k, cap):
-        if k == 1:
-            if rest <= cap:
-                yield (rest,)
-            return
-        for v in range(min(rest, cap), -1, -1):
-            for tail in parts(rest - v, k - 1, v):
-                yield (v,) + tail
-
-    fact = math.factorial
-    for cls in parts(n, d, n):
-        mult = fact(d)
-        for v in set(cls):
-            mult //= fact(cls.count(v))
-        signs = 2 ** sum(1 for v in cls if v)
-        yield tuple(sorted(cls)), mult * signs
+def _zd_spheres(spec, n_max):
+    """The l^1 spheres 0..n_max of Z^d as coordinate-magnitude classes:
+    sphere n lists the non-increasing d-tuples v summing to n in
+    descending lexicographic order, each as the sorted class v[::-1], with
+    its count d! / prod_runs (run length)! times 2^(nonzero coordinates)."""
+    d = spec.d
+    v = np.zeros((1, 0), np.intp)  # the prefixes so far
+    room = np.array([n_max])  # what each prefix leaves under n_max
+    for i in range(d):
+        n_next = (room if i == 0 else np.minimum(room, v[:, -1])) + 1
+        nxt = np.arange(n_next.sum()) - np.repeat(np.cumsum(n_next) - n_next,
+                                                  n_next)
+        v = np.column_stack([np.repeat(v, n_next, axis=0), nxt])
+        room = np.repeat(room, n_next) - nxt
+    n = n_max - room
+    # by sphere, then descending in v_1, v_2, ...
+    order = np.lexsort([*(-v.T)[::-1], n])
+    v, n = v[order], n[order]
+    mult = np.full(len(v), math.factorial(d))
+    run = np.ones(len(v), np.intp)
+    for j in range(1, d):
+        run = np.where(v[:, j] == v[:, j - 1], run + 1, 1)
+        mult //= run
+    mult *= 2 ** np.count_nonzero(v, axis=1)
+    return np.ascontiguousarray(v[:, ::-1]), n, mult.astype(float)
 
 
 # ---------------------------------------------------------------------------
@@ -952,33 +1010,58 @@ def dl_green_classes(q: int, keys: Sequence[Tuple[int, int, int]],
     b - a + 2) from a (Woess, Random Walks on Infinite Graphs and Groups,
     CUP 2000).  Every factor is positive, so nothing cancels, and
     S = e^(t (x - y)) expm1(-2 t x) / expm1(-2 t y) does not overflow.
+
+    All keys share one (a, b) grid: each class's ranges are a corner of
+    it.  exp and expm1 are tabled once over the integers they are taken
+    at, the factors that do not involve pos are formed once on the grid,
+    and the e(a, b) q^(a - b) terms once per distinct pos, on the part of
+    the grid its classes reach.  Each class sums a contiguous copy of its
+    corner, in the order and with the pairwise sum of a grid built for it
+    alone, so the values are bit for bit those of one class at a time.
     """
     if not 0.0 <= r <= 1.0:
         raise ValueError(f"the DL engine needs 0 <= r <= 1, got r = {r}")
     if r == 0.0 or not keys:
         return {k: float(k == (0, 0, 0)) for k in keys}  # G = delta_e
-    t = math.acosh(1.0 / r)
+    pos_, A_, B_ = np.array(keys).T
+    if np.any((A_ > np.minimum(pos_, 0)) | (B_ < np.maximum(pos_, 0))):
+        raise ValueError("a DL class key (pos, A, B) needs A <= min(0, pos) "
+                         "and B >= max(0, pos)")
+    extra = _dl_extra(q, rel_tol)
+    a_lo, b_hi = int(A_.min()) - extra, int(B_.max()) + extra
+    b_lo = int(B_.min())
+    a = np.arange(a_lo, int(A_.max()) + 1)[:, None]
+    b = np.arange(b_lo, b_hi + 1)[None, :]
+    w = b - a
+    # e^(t (x - y)) and expm1(-2 t x) at the integers x, y - x <= y; at
+    # r = 1, 1 and x, so that S = x / y
+    k = np.arange(b_hi - a_lo + 3)
+    if r == 1.0:
+        ex, em = np.ones(len(k)), k.astype(float)
+    else:
+        t = math.acosh(1.0 / r)
+        ex, em = np.exp(-t * k), np.expm1(-2 * t * k)
 
     def S(x, y):
-        if r == 1.0:
-            return x / y
-        return np.exp(t * (x - y)) * np.expm1(-2 * t * x) / np.expm1(
-            -2 * t * y)
+        return ex[y - x] * em[x] / em[y]
 
-    extra = _dl_extra(q, rel_tol)
-    a_lo = min(k[1] for k in keys) - extra
-    b_hi = max(k[2] for k in keys) + extra
-    out = {}
-    for pos, A, B in keys:
-        a = np.arange(a_lo, A + 1)[:, None]
-        b = np.arange(B, b_hi + 1)[None, :]
-        w = b - a
-        # a walk that starts at a = 0 has reached a first; [0, 0] has w = 0
-        first_a = np.where(a == 0, 1.0, S(b, np.maximum(w, 1)))
-        first_b = S(-a, np.maximum(w, 1))
-        e = (2.0 / r * S(1, w + 1) * (first_a * S(pos - a + 1, w + 2)
-                                      + first_b * S(b - pos + 1, w + 2)))
-        out[(pos, A, B)] = float(np.sum(e * float(q) ** -w))
+    # a walk that starts at a = 0 has reached a first; [0, 0] has w = 0
+    first_a = np.where(a == 0, 1.0, S(b, np.maximum(w, 1)))
+    first_b = S(-a, np.maximum(w, 1))
+    weight = 2.0 / r * S(1, w + 1)
+    q_w = float(q) ** -w
+    out = dict.fromkeys(map(tuple, keys))
+    for pos in np.unique(pos_).tolist():
+        mine = pos_ == pos
+        # a <= A <= pos and b >= B >= pos on every corner of this pos
+        i, j = int(A_[mine].max()) - a_lo + 1, int(B_[mine].min()) - b_lo
+        ai, bj, wij = a[:i], b[:, j:], w[:i, j:]
+        e = weight[:i, j:] * (first_a[:i, j:] * S(pos - ai + 1, wij + 2)
+                              + first_b[:i, j:] * S(bj - pos + 1, wij + 2))
+        e *= q_w[:i, j:]
+        for A, B in zip(A_[mine].tolist(), B_[mine].tolist()):
+            corner = np.ascontiguousarray(e[:A - a_lo + 1, B - b_lo - j:])
+            out[(pos, A, B)] = float(corner.sum())
     return out
 
 
@@ -1044,13 +1127,11 @@ class ClassEngine:
         return self.evaluate(measure, classes, r, tol, reduce)
 
 
-def _listed(sphere):
-    """The `spheres` of sphere(spec, n), a list of (class, count)."""
-    def spheres(spec, n_max):
-        classes, row, mult = zip(*[(c, n, k) for n in range(n_max + 1)
-                                   for c, k in sphere(spec, n)])
-        return np.array(classes), np.array(row), np.array(mult, float)
-    return spheres
+def _dl_spheres(spec, n_max):
+    classes, row, mult = zip(*[(dl_class_key(p), n, c)
+                               for n in range(n_max + 1)
+                               for p, _, c in dl_sphere_profiles(spec.q, n)])
+    return np.array(classes), np.array(row), np.array(mult, float)
 
 
 def _tree_spheres(spec, n_max):
@@ -1103,18 +1184,13 @@ def _zd_sums(measure, classes, r, tol, reduce):
     tail is the magnitude of the expansion's last kept term, and rigorous
     is False, the expansion being asymptotic, not a bound."""
     d, alpha = measure.spec.d, float(measure.param("alpha"))
-    keys = list(map(tuple, classes.tolist()))
-    values = zd_lazy_green_batch(d, alpha, keys, r)
+    values = zd_lazy_green_batch(d, alpha, classes, r)
+    G = np.array([values[k] for k in map(tuple, classes.tolist())])
     denom, rs, decay, edges, clt = _zd_rule(d, alpha, int(classes.max()), r)
-    if clt:
-        tails = {k: _zd_clt_tail(d, rs / d, decay, edges[-1], k)[1] / denom
-                 for k in values}
-    else:
-        tails = dict.fromkeys(values, 0.0)
-    extra = reduce(np.array([tails[k] for k in keys]))
+    extra = reduce(_zd_clt_tail(d, rs / d, decay, edges[-1], classes.T)[1]
+                   / denom if clt else 0.0)
     # every element carries ZD_TAIL
-    return (reduce(np.array([values[k] for k in keys])),
-            ZD_TAIL * reduce(1.0) + extra, not clt)
+    return reduce(G), ZD_TAIL * reduce(1.0) + extra, not clt
 
 
 def _dl_sums(measure, classes, r, tol, reduce):
@@ -1122,9 +1198,10 @@ def _dl_sums(measure, classes, r, tol, reduce):
     rel_tol = min(tol, 1e-9)
     keys = list(map(tuple, classes.tolist()))
     values = dl_green_classes(q, sorted(set(keys)), r, rel_tol)
-    tails = [dl_class_tail(q, B - A, r, rel_tol) for _, A, B in keys]
+    widths = (classes[:, 2] - classes[:, 1]).tolist()
+    tail = {k: dl_class_tail(q, k, r, rel_tol) for k in set(widths)}
     return (reduce(np.array([values[k] for k in keys])),
-            reduce(np.array(tails)), True)
+            reduce(np.array([tail[k] for k in widths])), True)
 
 
 # The structured engine of each (spec type, measure kind).  Their errors:
@@ -1146,12 +1223,9 @@ CLASS_ENGINES = {
         _treeprod_sums, _treeprod_returns),
     (FreeAbelian, "lazy-srw"): ClassEngine(
         lambda g, x: tuple(sorted(abs(v) for v in x)),
-        _listed(lambda spec, n: _zd_sphere_classes(spec.d, n)), _zd_sums),
+        _zd_spheres, _zd_sums),
     (DiestelLeader, "dl-srw"): ClassEngine(
-        lambda g, x: dl_class_key(g.profile(x)),
-        _listed(lambda spec, n: [(dl_class_key(p), c) for p, _, c
-                                 in dl_sphere_profiles(spec.q, n)]),
-        _dl_sums),
+        lambda g, x: dl_class_key(g.profile(x)), _dl_spheres, _dl_sums),
 }
 
 

@@ -309,6 +309,39 @@ def test_return_law_keys_on_the_standard_walk_not_the_spec():
         dist = convolve(dist, m, support_cap=None)
 
 
+def test_a_class_engine_kind_is_refused_on_other_weights():
+    # the skewed walk above, labelled with the tree walk's kind, would read
+    # the tree's closed-form return law (0.19907 at n = 4, where convolve
+    # gives 0.20459) and rho = 0.9714
+    spec = RegularTree(3)
+    g = group_for(spec)
+    w = {g.identity(): Fraction(1, 4), (0,): Fraction(1, 2),
+         (1,): Fraction(1, 8), (2,): Fraction(1, 8)}
+    skewed = tuple(sorted(w.items(), key=lambda kv: g.encode(kv[0])))
+    with pytest.raises(ValueError, match="tree-lazy"):
+        Measure(spec, "tree-lazy", (), skewed)
+    zd = standard_measure(FreeAbelian(2), alpha=Fraction(1, 4))
+    for spec, kind, params in (
+            (FreeAbelian(2), "lazy-srw", (("alpha", Fraction(1, 2)),)),
+            (FreeAbelian(2), "lazy-srw", ()),
+            (FreeAbelian(2), "dl-srw", ()),
+            (FreeAbelian(2), "tree-lazy", ()),
+            (Heisenberg3(), "lazy-srw", zd.params)):
+        with pytest.raises(ValueError, match=kind):
+            Measure(spec, kind, params, zd.weights)
+    # the standard walks themselves, with their weights in any order and
+    # params of equal value, and any weights under another kind
+    for spec, params in ((RegularTree(3), {}), (TreeProduct(4, 3), {}),
+                         (FreeAbelian(2), {"alpha": Fraction(1, 4)}),
+                         (Heisenberg3(), {}), (DiestelLeader(2), {})):
+        m = standard_measure(spec, **params)
+        again = Measure(spec, m.kind, tuple((k, float(v))
+                                            for k, v in m.params),
+                        m.weights[::-1])
+        assert class_engine(again) is class_engine(m)
+    assert Measure(FreeAbelian(2), "skewed", (), skewed).kind == "skewed"
+
+
 # frozen oracles from high-precision quadrature of the Bessel-product
 # integral for the lazy walk on Z^3 (alpha = 1/2)
 ZD_ORACLES = [
@@ -416,6 +449,95 @@ def test_zd_at_one_states_a_finite_heuristic_tail():
         assert math.isfinite(entry.tail) and not entry.rigorous
 
 
+def test_zd_functions_refuse_r_outside_unit_interval():
+    for r in (-0.5, -1e-300, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="0 <= r <= 1"):
+            zd_lazy_green_batch(3, 0.5, [(0, 0, 0)], r)
+        with pytest.raises(ValueError, match="0 <= r <= 1"):
+            zd_lazy_green(3, 0.5, (0, 0, 0), r)
+    assert zd_lazy_green_batch(3, 0.5, [], 0.5) == {}
+
+
+def _zd_green_per_class(d, alpha, classes, r):
+    """`zd_lazy_green_batch` as one product per class over the whole grid,
+    the Bessel table at every node: the reference its grouped products
+    and live-node table keep the bits of."""
+    from scipy.special import ive
+
+    from greengrowth.kernels import (
+        _GL_NODES, _GL_WEIGHTS, _zd_clt_tail, _zd_rule,
+    )
+
+    uniq = sorted({tuple(sorted(abs(v) for v in x)) for x in classes})
+    m_max = max(max(x) for x in uniq)
+    denom, rs, decay, edges, clt = _zd_rule(d, alpha, m_max, r)
+    c = rs / d
+    s = np.concatenate([0.5 * (b - a) * _GL_NODES + 0.5 * (a + b)
+                        for a, b in zip(edges[:-1], edges[1:])])
+    w = np.concatenate([0.5 * (b - a) * _GL_WEIGHTS
+                        for a, b in zip(edges[:-1], edges[1:])])
+    base = w * np.exp(-s * decay)
+    bessel = ive(np.arange(m_max + 1)[:, None], c * s[None, :])
+    out = {}
+    for x in uniq:
+        prod = base.copy()
+        for xi in x:
+            prod *= bessel[xi]
+        val = float(prod.sum())
+        if clt:
+            val += _zd_clt_tail(d, c, decay, edges[-1], x)[0]
+        out[x] = val / denom
+    return out
+
+
+@pytest.mark.parametrize("d,alpha,r", [
+    (1, 0.5, 0.05), (1, 0.5, 0.5), (1, 0.5, 0.99), (1, 0.5, 1 - 1e-9),
+    (2, 0.25, 0.05), (2, 0.25, 0.5), (2, 0.25, 0.99),
+    (4, 0.5, 0.05), (4, 0.5, 0.5), (4, 0.5, 0.99), (4, 0.5, 1.0)])
+def test_zd_batch_keeps_the_bits_of_one_product_per_class(d, alpha, r):
+    spec = FreeAbelian(d)
+    classes, _, _ = class_engine(standard_measure(spec)).spheres(spec, 12)
+    keys = list(map(tuple, classes.tolist()))
+    assert zd_lazy_green_batch(d, alpha, keys, r) == _zd_green_per_class(
+        d, alpha, keys, r)
+
+
+@pytest.mark.parametrize("z", [0.01, 0.05, 0.1, 0.2, 0.3])
+def test_zd_batch_keeps_the_bits_of_the_single_class_at_e(z):
+    # the free-product transfer's path: one class per call
+    e = (0, 0, 0)
+    assert (zd_lazy_green_batch(3, 0.5, [e], z)[e]
+            == _zd_green_per_class(3, 0.5, [e], z)[e])
+
+
+@pytest.mark.parametrize("spec,n_max,name", [
+    (FreeAbelian(3), 30, "zd_lazy_green_batch"),
+    (DiestelLeader(3), 10, "dl_green_classes")])
+def test_class_engines_evaluate_once_per_call(monkeypatch, spec, n_max,
+                                              name):
+    from greengrowth import kernels
+
+    outputs = []
+    evaluate = getattr(kernels, name)
+
+    def counting(*args, **kwargs):
+        outputs.append(evaluate(*args, **kwargs))
+        return outputs[-1]
+
+    monkeypatch.setattr(kernels, name, counting)
+    m = standard_measure(spec)
+    engine = class_engine(m)
+    classes = engine.spheres(spec, n_max)[0]
+    h_series(spec, m, 0.5, n_max)
+    assert len(outputs) == 1
+    assert len(outputs[0]) == len(set(map(tuple, classes.tolist())))
+    outputs.clear()
+    ball = [x for layer in m.group.ball(3) for x in layer]
+    green_truncated(m, ball, 0.5)
+    assert len(outputs) == 1
+    assert len(outputs[0]) == len({engine.key(m.group, x) for x in ball})
+
+
 def test_no_engine_calls_the_scalar_zd_reference(monkeypatch):
     from greengrowth import kernels
     from greengrowth.freeprod import transfer
@@ -502,6 +624,51 @@ def test_dl_series_matches_banded_resolvent(r):
     # bounds what it drops
     assert np.all(np.abs(value - ref) <= tail)
     assert all(series.values[n].rigorous for n in range(11))
+
+
+def _dl_green_per_key(q, keys, r, rel_tol=1e-9):
+    """`dl_green_classes` with one (a, b) grid and five S grids per key:
+    the reference its shared grid and per-pos terms keep the bits of."""
+    from greengrowth.kernels import _dl_extra
+
+    t = math.acosh(1.0 / r)
+
+    def S(x, y):
+        if r == 1.0:
+            return x / y
+        return np.exp(t * (x - y)) * np.expm1(-2 * t * x) / np.expm1(
+            -2 * t * y)
+
+    extra = _dl_extra(q, rel_tol)
+    a_lo = min(k[1] for k in keys) - extra
+    b_hi = max(k[2] for k in keys) + extra
+    out = {}
+    for pos, A, B in keys:
+        a = np.arange(a_lo, A + 1)[:, None]
+        b = np.arange(B, b_hi + 1)[None, :]
+        w = b - a
+        first_a = np.where(a == 0, 1.0, S(b, np.maximum(w, 1)))
+        first_b = S(-a, np.maximum(w, 1))
+        e = (2.0 / r * S(1, w + 1) * (first_a * S(pos - a + 1, w + 2)
+                                      + first_b * S(b - pos + 1, w + 2)))
+        out[(pos, A, B)] = float(np.sum(e * float(q) ** -w))
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("r", [0.1, 0.95, 1.0])
+def test_dl_classes_keep_the_bits_of_one_grid_per_key(q, r):
+    keys = sorted({dl_class_key(p) for n in range(11)
+                   for p, _, _ in dl_sphere_profiles(q, n)})
+    got = dl_green_classes(q, keys, r)
+    assert list(got) == keys and got == _dl_green_per_key(q, keys, r)
+
+
+def test_dl_engine_refuses_a_key_off_its_range():
+    # a key needs A <= min(0, pos) and B >= max(0, pos)
+    for key in ((1, 0, 0), (-1, 0, 1), (0, 1, 2), (0, -2, -1)):
+        with pytest.raises(ValueError, match="key"):
+            dl_green_classes(2, [key], 0.5)
 
 
 def test_dl_engine_refuses_r_outside_unit_interval():
