@@ -198,16 +198,20 @@ def psi(params: PhaseParams, t: float, lam):
     return float(out[0]) if scalar else out
 
 
-def psi_prime(params: PhaseParams, t: float, lam: float) -> float:
+def _rate_gap(params: PhaseParams, t: float, lam: float):
+    """(t1, t2, phi_2(t2) - phi_1(t1)) at the saddle of lambda."""
     t1, t2, _ = solve_t1t2(params, t, lam)
-    return float((_phi(params.l2, t2) - _phi(params.l1, t1))
-                 / (1.0 + lam) ** 2)
+    return t1, t2, _phi(params.l2, t2) - _phi(params.l1, t1)
+
+
+def psi_prime(params: PhaseParams, t: float, lam: float) -> float:
+    return float(_rate_gap(params, t, lam)[2] / (1.0 + lam) ** 2)
 
 
 def psi_second(params: PhaseParams, t: float, lam: float) -> float:
     a1, a2 = params.a1, params.a2
-    t1, t2, _ = solve_t1t2(params, t, lam)
-    gap = float(_phi(params.l2, t2) - _phi(params.l1, t1))
+    t1, t2, gap = _rate_gap(params, t, lam)
+    gap = float(gap)
     denom = (1.0 + lam) * (a2 * t2 + lam * lam * a1 * t1)
     root = math.sqrt(max(t1 * t1 - params.beta1 ** 2, 0.0))
     return -2.0 * gap / (1.0 + lam) ** 3 - a1 * root / denom
@@ -360,9 +364,7 @@ def hn_model_log(params: PhaseParams, r: float, n: int) -> float:
     # lambda = (n - k)/k, infinite at k = 0
     psis = psi(params, t, np.append(np.inf, (n - ks[1:]) / ks[1:]))
     logw = (np.log(ks + params.kappa1) + np.log(n - ks + params.kappa2))
-    terms = logw + n * psis
-    m = terms.max()
-    return float(m + math.log(np.exp(terms - m).sum()) - 2.5 * math.log(n))
+    return _log_sum_exp(logw + n * psis) - 2.5 * math.log(n)
 
 
 def f_sum_log(phi_func, n: int) -> float:
@@ -371,7 +373,11 @@ def f_sum_log(phi_func, n: int) -> float:
     ks = np.arange(1, n)
     lams = (n - ks) / ks
     vals = np.array([phi_func(l) for l in lams], dtype=float)
-    terms = np.log(ks) + np.log(n - ks) + n * vals
+    return _log_sum_exp(np.log(ks) + np.log(n - ks) + n * vals)
+
+
+def _log_sum_exp(terms: np.ndarray) -> float:
+    """log sum exp(terms), scaled by the largest term."""
     m = terms.max()
     return float(m + math.log(np.exp(terms - m).sum()))
 

@@ -12,7 +12,10 @@ zeta_0(r) = (1 - alpha) r / (1 - w_0(r)); symmetrically for the other
 factor.  With U_i = 1 - 1/G_i(e, e | .) the factors' first-return series,
 w_0 = (1 - w_1) U_1(alpha r / (1 - w_1)) and symmetrically (Woess, Random
 Walks on Infinite Graphs and Groups, CUP 2000): only the factor engines
-enter, and no convolution runs.
+enter, and no convolution runs.  `transfer` lives in `kernels`, whose
+free-product engine composes every Green value and sphere sum from it;
+here it is checked against the sweep (`transfer_consistency`,
+`tagged_return_coefficients`).
 
 The construction scan takes a tree-product factor with a growth phase
 threshold r0 and an abelian factor Z^d, and locates the parameter r at
@@ -33,26 +36,13 @@ from .bitree import PhaseParams, PhaseReport, capital_R, classify, \
 from .groups import FreeAbelian, FreeProduct, TreeProduct
 from .growth import _convergence_label, h_series, omega_estimate
 from .kernels import (
-    Measure, _measure_on, first_return_coefficients, green_truncated,
-    standard_measure,
+    Measure, TransferPoint, _green_generic, _measure_on,
+    first_return_coefficients, green_truncated, standard_measure, transfer,
 )
 
 DEFAULT_N = 24
 DEFAULT_SCAN_SUPPORT_CAP = 200_000
-STEP_TOL = 1e-14
-MAX_ITERATIONS = 2000
 BRANCH_END_RTOL = 1e-9
-
-
-@dataclass(frozen=True)
-class TransferPoint:
-    alpha: float
-    r: float
-    w0: float
-    w1: float
-    zeta0: float
-    zeta1: float
-    truncation: int
 
 
 def tagged_return_coefficients(measure: Measure, n_max: int = DEFAULT_N,
@@ -83,48 +73,6 @@ def tagged_return_coefficients(measure: Measure, n_max: int = DEFAULT_N,
     return out[0], out[1]
 
 
-def _excursions(factor: Measure, c: float, w: float) -> float:
-    """(1 - w) U(c / (1 - w)): first returns of the factor walk, weight c
-    per step, with excursions of weight w inserted at each interior visit."""
-    e = factor.group.identity()
-    g = green_truncated(factor, [e], c / (1.0 - w))[e].value
-    return (1.0 - w) * (1.0 - 1.0 / g)
-
-
-def transfer(spec: FreeProduct, measure: Optional[Measure], r: float,
-             n_max: int = DEFAULT_N,
-             support_cap: Optional[int] = DEFAULT_SCAN_SUPPORT_CAP,
-             ) -> TransferPoint:
-    """w_i(r), zeta_i(r): the least solution of the factor equations.
-
-    w_0 tags first steps from the alpha * mu_1 component and shifts the
-    *left* factor, zeta_0 = (1-alpha) r / (1-w_0); symmetrically for w_1.
-    From w = 0, w_0 and then w_1 are updated until no w moves by more than
-    STEP_TOL.  U_i has nonnegative coefficients and U_i < 1, so the
-    iterates increase to the solution and stay below it and below 1: no
-    engine is called past its radius while r < R_mu.  n_max and
-    support_cap are ignored (no sweep runs); truncation is -1.  Raises
-    ValueError at r < 0 and at or past R_mu, where an engine refuses its
-    zeta or MAX_ITERATIONS steps do not settle (which can also happen just
-    below R_mu where the two equations become tangent).
-    """
-    measure = _measure_on(spec, measure)
-    alpha = float(measure.param("alpha"))
-    w0 = w1 = 0.0
-    for _ in range(MAX_ITERATIONS):
-        new0 = _excursions(measure.param("right"), alpha * r, w1)
-        new1 = _excursions(measure.param("left"), (1.0 - alpha) * r, new0)
-        step = max(abs(new0 - w0), abs(new1 - w1))
-        w0, w1 = new0, new1
-        if step <= STEP_TOL:
-            return TransferPoint(alpha, r, w0, w1,
-                                 (1.0 - alpha) * r / (1.0 - w0),
-                                 alpha * r / (1.0 - w1), -1)
-    raise ValueError(f"the transfer equations did not settle in "
-                     f"{MAX_ITERATIONS} steps at r = {r}: r is at or past "
-                     f"the free product's radius")
-
-
 def transfer_consistency(spec: FreeProduct, measure: Optional[Measure],
                          r: float, elements: Sequence,
                          n_max: int = DEFAULT_N,
@@ -142,8 +90,9 @@ def transfer_consistency(spec: FreeProduct, measure: Optional[Measure],
     g = measure.group
     tp = transfer(spec, measure, r)
     embedded = [g.embed(0, x) for x in elements]
-    direct = green_truncated(measure, embedded, r, max_terms=n_max,
-                             support_cap=support_cap)
+    # the sweep, not the product formula that `green_truncated` reads
+    # from the same transfer: the two sides are independent methods
+    direct = _green_generic(measure, embedded, r, 1e-9, n_max, support_cap)
     factor = green_truncated(measure.param("left"), list(elements), tp.zeta0)
     rows = []
     for x, y in zip(elements, embedded):
@@ -221,13 +170,16 @@ def scan_construction(factor_params: PhaseParams, d: int, alpha: float,
     locate where zeta_0 crosses the factor's phase threshold r0.
 
     Reports per grid point the transfer quantities, the induced factor
-    growth rate omega_P, a truncated full-series growth estimate (n_max
-    steps, support_cap, when full_series_n >= 10; 0 turns it off, and any
-    other value raises ValueError), their gap, and the factor's
-    convergence-type diagnostic; refines the crossing by root bracketing
-    down to ~1e-9 residual.  The default grid has 9 points
-    from 1 to R_mu, the largest r at which `transfer` converges, bisected
-    to BRANCH_END_RTOL relative; r_cap is the grid's end.  Where zeta_0
+    growth rate omega_P, the full series' growth rate omega_full (the
+    slope of `h_series` on spheres 0..full_series_n, which the
+    free-product engine composes from the factors' series, when
+    full_series_n >= 10; 0 turns it off, and any other value raises
+    ValueError), their gap, and the factor's convergence-type diagnostic;
+    refines the crossing by root bracketing down to ~1e-9 residual.
+    n_max and support_cap steer nothing; truncation reports n_max.  The
+    default grid has 9 points from 1 to R_mu, the largest r at which
+    `transfer` converges, bisected to BRANCH_END_RTOL relative; r_cap is
+    the grid's end.  Where zeta_0
     reaches R0 first, the tree-product engine's MAX_NODES ends the branch
     a little short; at a tangent end, MAX_ITERATIONS does.
     """
@@ -271,8 +223,7 @@ def scan_construction(factor_params: PhaseParams, d: int, alpha: float,
         om_full = None
         gap = None
         if full_series_n:
-            series = h_series(spec, measure, float(r), n_max=full_series_n,
-                              max_terms=n_max, support_cap=support_cap)
+            series = h_series(spec, measure, float(r), n_max=full_series_n)
             om_full = omega_estimate(series).slope
             if om_p is not None:
                 gap = om_full - om_p

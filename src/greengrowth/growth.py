@@ -1,10 +1,14 @@
 """Sphere-summed Green series H_r(n) and derived growth statistics.
 
-H_r(n) = sum over the word-metric sphere S_n of G(e, x | r).  Two routes:
+H_r(n) = sum over the word-metric sphere S_n of G(e, x | r).  Three routes:
 
 * trees, tree products, Z^d and Diestel-Leader -- `kernels` owns their
   class table, and `h_series` reduces its sphere classes to one row per
   sphere with the evaluator and error rule of `green_truncated`,
+* free products of two such walks -- `kernels.freeprod_sphere_sums`
+  composes the series from the factors' sphere rows through `transfer`,
+  with a two-sided tail; a parabolic-gap report reads both of its series
+  from one composition,
 * everything else -- the float step-sum core `kernels.step_sums` binned
   by word length, so the r-dependence is a cheap polynomial evaluation;
   the mass a support cap prunes enters every tail.  Unrestricted sweeps
@@ -32,7 +36,8 @@ from .bitree import _line_fit, prefactor_exponent
 from .groups import Element, FreeProduct, GroupSpec
 from .kernels import (
     DEFAULT_SUPPORT_CAP, MEMO_SIZE, Measure, _heuristic_tail, _measure_on,
-    _pick_n, check_request, class_engine, green_truncated, step_sums,
+    _pick_n, check_request, class_engine, composes, freeprod_sphere_sums,
+    green_truncated, step_sums,
 )
 
 
@@ -147,24 +152,36 @@ def h_series(spec: GroupSpec, measure: Optional[Measure] = None,
     Unrestricted series of the walks of `kernels.class_engine` (trees,
     tree products, Z^d, Diestel-Leader) reduce the engine's classes to one
     row per sphere, with the error rules of `kernels.CLASS_ENGINES`, and
-    ignore max_terms.  Every walk whose spectral radius rho is known in
-    closed form raises ValueError at r > 1/rho; n_max < 0 and tol <= 0
-    or NaN raise ValueError.
+    ignore max_terms.  Unrestricted series of a free product whose
+    factors are such walks (`kernels.composes`) are composed from the
+    factors' series through `transfer` (`kernels.freeprod_sphere_sums`,
+    a two-sided tail) and ignore max_terms and support_cap.  Every other
+    series reads the step sums.  Every walk whose spectral radius rho is
+    known in closed form raises ValueError at r > 1/rho; n_max < 0 and
+    tol <= 0 or NaN raise ValueError.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got n_max = {n_max}")
     measure = _measure_on(spec, measure)
     check_request(measure, r, tol)
     engine = class_engine(measure) if restriction is None else None
-    if engine is None:
+    if restriction is None and composes(measure):
+        series, rigorous = freeprod_sphere_sums(measure, r, n_max, tol)
+        vals = _entries(*series[0], rigorous)
+    elif engine is None:
         vals, = _h_generic(measure, r, n_max, tol, (restriction,), max_terms,
                            support_cap)
     else:
-        values, tails, rigorous = engine.sums(
-            measure, *engine.spheres(spec, n_max), r, tol)
-        vals = {n: HEntry(v, t, rigorous) for n, (v, t) in
-                enumerate(zip(values.tolist(), tails.tolist()))}
+        vals = _entries(*engine.sums(measure, *engine.spheres(spec, n_max),
+                                     r, tol))
     return GrowthSeries(spec, r, vals)
+
+
+def _entries(values: np.ndarray, tails: np.ndarray, rigorous: bool
+             ) -> Dict[int, HEntry]:
+    """The entries n = 0, 1, ... of a series of values and tails."""
+    return {n: HEntry(v, t, rigorous) for n, (v, t) in
+            enumerate(zip(values.tolist(), tails.tolist()))}
 
 
 # ---------------------------------------------------------------------------
@@ -286,13 +303,20 @@ def parabolic_gap_report(spec: FreeProduct, measure: Optional[Measure],
     """Growth rates of the full sphere series and of the series restricted
     to one free factor, their gap, and the convergence diagnostic.
 
-    Under tight support caps the swept support cannot reach the outer
-    spheres and the top entries of the series degrade to zero; pass an
-    explicit fitting window over the trustworthy range in that case.
-    tol <= 0 or NaN raises ValueError, as in `h_series`.
+    Where both factors have a class engine (`kernels.composes`), both
+    series come from one composition of the factors' series,
+    `kernels.freeprod_sphere_sums`, and max_terms and support_cap are
+    ignored.  Otherwise one step-sum sweep is reduced twice, over the
+    whole spheres and over the factor; under tight support caps the
+    swept support cannot reach the outer spheres and the top entries of
+    the series degrade to zero, so pass an explicit fitting window over
+    the trustworthy range in that case.  side must be 0 or 1, and tol <=
+    0 or NaN raises ValueError, as in `h_series`.
     """
     if not isinstance(spec, FreeProduct):
         raise ValueError("parabolic gap reports need a free product")
+    if side not in (0, 1):
+        raise ValueError(f"side must be 0 or 1, got side = {side}")
     measure = _measure_on(spec, measure)
     g = measure.group
 
@@ -300,10 +324,14 @@ def parabolic_gap_report(spec: FreeProduct, measure: Optional[Measure],
         return g.factor_part(side, a) is not None
 
     check_request(measure, r, tol)
-    # one sweep, reduced over the whole spheres and over the factor
-    full_vals, factor_vals = _h_generic(measure, r, n_max, tol,
-                                        (None, in_factor), max_terms,
-                                        support_cap)
+    if composes(measure):
+        series, rigorous = freeprod_sphere_sums(measure, r, n_max, tol)
+        full_vals, factor_vals = (_entries(*series[i], rigorous)
+                                  for i in (0, 1 + side))
+    else:
+        full_vals, factor_vals = _h_generic(measure, r, n_max, tol,
+                                            (None, in_factor), max_terms,
+                                            support_cap)
     full = GrowthSeries(spec, r, full_vals)
     factor = GrowthSeries(spec, r, factor_vals, f"factor-{side}")
     om_full = omega_estimate(full, window)

@@ -13,7 +13,12 @@ functions are computed by specialized engines that sum no steps at all:
                      Gauss-Legendre grid (`zd_lazy_green_batch`), with one
                      error rule; `zd_lazy_green` is its adaptive-quad
                      reference and no engine calls it,
-* Diestel-Leader  -- path-range decomposition of the lamplighter walk.
+* Diestel-Leader  -- path-range decomposition of the lamplighter walk,
+* free products   -- of two such walks: `transfer` solves the factor
+                     equations on the factor engines, and the Green
+                     values and sphere sums are composed from the
+                     factors' rows (`freeprod_green`,
+                     `freeprod_sphere_sums`), with a two-sided tail.
 
 `standard_measure` gives each spec type its one standard walk, and
 `CLASS_ENGINES` holds each structured walk's classes, spheres, evaluator
@@ -1289,7 +1294,10 @@ def green_truncated(measure: Measure, targets: Sequence[Element], r: float,
     The walks of `class_engine` (trees, tree products, Z^d,
     Diestel-Leader) sum no steps and ignore max_terms: each target is one
     row of their evaluator, with the error rules of `CLASS_ENGINES`, and
-    n_terms = -1 marks a value that is not a truncation.
+    n_terms = -1 marks a value that is not a truncation.  So do free
+    products whose two factors are such walks (`composes`): their values
+    are `freeprod_green`'s product formula, with a two-sided tail, and
+    they ignore max_terms and support_cap.
 
     Every other walk reads one `step_sums` sweep binned by target.  Its
     truncation order comes from the closed-form spectral radius when
@@ -1306,6 +1314,8 @@ def green_truncated(measure: Measure, targets: Sequence[Element], r: float,
         return {}
     engine = class_engine(measure)
     if engine is None:
+        if composes(measure):
+            return freeprod_green(measure, targets, r, tol)
         return _green_generic(measure, targets, r, tol, max_terms,
                               support_cap)
     g = measure.group
@@ -1347,6 +1357,205 @@ def _green_generic(measure, targets, r, tol, max_terms, support_cap):
     return {x: GreenEstimate(float(S[index[x]] @ powers), n_max, tail,
                              rigorous)
             for x in targets}
+
+
+# ---------------------------------------------------------------------------
+# free products: the factor equations, and the series composed from them
+
+
+# transfer stops when no w moves by more than STEP_TOL, and gives up after
+# MAX_ITERATIONS updates
+STEP_TOL = 1e-14
+MAX_ITERATIONS = 2000
+# the post-fixed check tries w_bar = w (1 + delta) + delta at these delta
+POST_FIXED_DELTAS = (1e-8, 1e-6, 1e-4)
+
+
+@dataclass(frozen=True)
+class TransferPoint:
+    alpha: float
+    r: float
+    w0: float
+    w1: float
+    zeta0: float
+    zeta1: float
+    truncation: int
+
+
+def _excursions(factor: Measure, c: float, w: float) -> float:
+    """(1 - w) U(c / (1 - w)): first returns of the factor walk, weight c
+    per step, with excursions of weight w inserted at each interior visit."""
+    e = factor.group.identity()
+    g = green_truncated(factor, [e], c / (1.0 - w))[e].value
+    return (1.0 - w) * (1.0 - 1.0 / g)
+
+
+def transfer(spec: FreeProduct, measure: Optional[Measure], r: float,
+             n_max: Optional[int] = None, support_cap: Optional[int] = None,
+             ) -> TransferPoint:
+    """w_i(r), zeta_i(r): the least solution of the factor equations.
+
+    w_0 tags first steps from the alpha * mu_1 component and shifts the
+    *left* factor, zeta_0 = (1-alpha) r / (1-w_0); symmetrically for w_1.
+    From w = 0, w_0 and then w_1 are updated until no w moves by more than
+    STEP_TOL.  U_i has nonnegative coefficients and U_i < 1, so the
+    iterates increase to the solution and stay below it and below 1: no
+    engine is called past its radius while r < R_mu.  n_max and
+    support_cap are ignored (no sweep runs); truncation is -1.  Raises
+    ValueError at r < 0 and at or past R_mu, where an engine refuses its
+    zeta or MAX_ITERATIONS steps do not settle (which can also happen just
+    below R_mu where the two equations become tangent).
+    """
+    measure = _measure_on(spec, measure)
+    alpha = float(measure.param("alpha"))
+    w0 = w1 = 0.0
+    for _ in range(MAX_ITERATIONS):
+        new0 = _excursions(measure.param("right"), alpha * r, w1)
+        new1 = _excursions(measure.param("left"), (1.0 - alpha) * r, new0)
+        step = max(abs(new0 - w0), abs(new1 - w1))
+        w0, w1 = new0, new1
+        if step <= STEP_TOL:
+            return TransferPoint(alpha, r, w0, w1,
+                                 (1.0 - alpha) * r / (1.0 - w0),
+                                 alpha * r / (1.0 - w1), -1)
+    raise ValueError(f"the transfer equations did not settle in "
+                     f"{MAX_ITERATIONS} steps at r = {r}: r is at or past "
+                     f"the free product's radius")
+
+
+def composes(measure: Measure) -> bool:
+    """True for the mixed walk of a free product whose two factors have a
+    class engine: `freeprod_green` and `freeprod_sphere_sums` compose its
+    Green values and sphere sums from theirs, and no step is summed."""
+    return measure.kind == "freeprod-mix" and all(
+        class_engine(measure.param(side)) is not None
+        for side in ("left", "right"))
+
+
+def _freeprod_ends(measure: Measure, r: float, tol: float, rows):
+    """G(e, e | r) and the factors' first-passage rows F_i = G_i(e, . |
+    zeta_i) / G_i(e, e | zeta_i) at the lower end, the centre and the
+    upper end of a bracket; and whether the bracket is proved.
+
+    rows[i] = (classes, row, mult) asks factor i's class engine (0 left, 1
+    right) for its rows; row 0 is the identity alone, and F_i[0] = 1.  The
+    centre reads `transfer`'s w and the engines' values.  The lower end
+    takes that w, which the monotone iteration approaches from below, and
+    value - tail over G_i(e, e) + tail.  The upper end takes the first
+    w_bar = w (1 + delta) + delta of POST_FIXED_DELTAS at which transfer's
+    update map, fed G_i(e, e) + tail, gives T(w_bar) <= w_bar: since the
+    solution is the least fixed point of a monotone map, that proves
+    w <= w_bar; there it reads value + tail over G_i(e, e) - tail at
+    zeta(w_bar).  Where no delta proves it, the first w_bar the engines
+    accept (else w) serves, and the bracket is not proved.  Every
+    coefficient of F_i and G(e, e | r) = 1 / (1 - w_0 - w_1) grows with w
+    and with the factor values, so the two ends bound what they compose.
+    """
+    alpha = float(measure.param("alpha"))
+    factors = (measure.param("left"), measure.param("right"))
+    tp = transfer(measure.spec, measure, r)
+    w = (tp.w0, tp.w1)
+
+    def sums(w):
+        zetas = ((1.0 - alpha) * r / (1.0 - w[0]), alpha * r / (1.0 - w[1]))
+        return [class_engine(f).sums(f, *rows[i], zetas[i], tol)
+                for i, f in enumerate(factors)]
+
+    centre = sums(w)
+    upper, proved = None, False
+    for delta in POST_FIXED_DELTAS:
+        w_bar = tuple(x * (1.0 + delta) + delta for x in w)
+        if w_bar[0] + w_bar[1] >= 1.0:
+            break
+        try:
+            at_bar = sums(w_bar)
+        except ValueError:  # a zeta past its factor's radius
+            break
+        upper = upper or (w_bar, at_bar)
+        if _post_fixed(w_bar, *(values[0] + tails[0]
+                                for values, tails, _ in at_bar)):
+            upper, proved = (w_bar, at_bar), True
+            break
+    w_bar, at_bar = upper or (w, centre)
+
+    def point(w, evaluated, sign):
+        f = [np.concatenate(([1.0], np.maximum(values[1:] + sign * tails[1:],
+                                               0.0)
+                                    / (values[0] - sign * tails[0])))
+             for values, tails, _ in evaluated]
+        return 1.0 / (1.0 - w[0] - w[1]), f
+
+    rigorous = proved and all(rig for *_, rig in centre + at_bar)
+    return ([point(w, centre, -1.0), point(w, centre, 0.0),
+             point(w_bar, at_bar, 1.0)], rigorous)
+
+
+def _post_fixed(w_bar: Tuple[float, float], g0: float, g1: float) -> bool:
+    """T(w_bar) <= w_bar for the update map T of `transfer`, given upper
+    bounds g_i on G_i(e, e | zeta_i(w_bar)): w_0 reads the right factor's
+    G(e, e), w_1 the left factor's."""
+    return ((1.0 - w_bar[1]) * (1.0 - 1.0 / g1) <= w_bar[0]
+            and (1.0 - w_bar[0]) * (1.0 - 1.0 / g0) <= w_bar[1])
+
+
+def _two_sided(lower, centre, upper):
+    """The centre, and the wider of its two distances to the ends."""
+    return centre, np.maximum(upper - centre, centre - lower)
+
+
+def freeprod_green(measure: Measure, targets: Sequence[Element], r: float,
+                   tol: float) -> Dict[Element, GreenEstimate]:
+    """G(e, x | r) = G(e, e | r) prod_j F_{i_j}(e, x_j | zeta_{i_j}) over
+    the syllables x_j of x in factor i_j (Woess, Random Walks on Infinite
+    Graphs and Groups, CUP 2000): one class-engine call per factor and
+    bracket end, see `_freeprod_ends` for the two-sided tail."""
+    factors = (measure.param("left"), measure.param("right"))
+    index = [{f.group.identity(): 0} for f in factors]
+    for x in targets:
+        for side, y in x:
+            index[side].setdefault(y, len(index[side]))
+    rows = []
+    for f, ids in zip(factors, index):
+        engine = class_engine(f)
+        n = len(ids)
+        rows.append((np.array([engine.key(f.group, y) for y in ids]),
+                     np.arange(n), np.ones(n)))
+    ends, rigorous = _freeprod_ends(measure, r, tol, rows)
+    out = []
+    for g_ee, f in ends:
+        values = []
+        for x in targets:
+            v = g_ee
+            for side, y in x:
+                v *= f[side][index[side][y]]
+            values.append(v)
+        out.append(np.array(values))
+    values, tails = _two_sided(*out)
+    return {x: GreenEstimate(v, -1, t, rigorous)
+            for x, v, t in zip(targets, values.tolist(), tails.tolist())}
+
+
+def freeprod_sphere_sums(measure: Measure, r: float, n_max: int, tol: float
+                         ) -> Tuple[List[Tuple[np.ndarray, np.ndarray]],
+                                    bool]:
+    """(values, tails) for n = 0..n_max of the sphere sums H_r(n) of the
+    free product, then of its sums over the spheres of factor 0 and of
+    factor 1; and rigorous.  With Phi_i(z) = sum_{n>=1} H_i(n; zeta_i) z^n
+    / G_i(e, e | zeta_i) from the factors' own sphere rows, the series are
+    G(e, e | r) (1 + Phi_0)(1 + Phi_1) / (1 - Phi_0 Phi_1) and
+    G(e, e | r) (1 + Phi_i); `_freeprod_ends` gives the two-sided tail."""
+    rows = [class_engine(f).spheres(f.spec, n_max)
+            for f in (measure.param("left"), measure.param("right"))]
+    ends, rigorous = _freeprod_ends(measure, r, tol, rows)
+    out = []
+    for g_ee, (f0, f1) in ends:
+        # 1 / (1 - Phi_0 Phi_1) term by term; Phi_0 Phi_1 starts at z^2
+        p = np.convolve(f0 - _delta(n_max + 1), f1 - _delta(n_max + 1))
+        q = np.convolve(f0, f1)[:n_max + 1]
+        for n in range(2, n_max + 1):
+            q[n] += p[1:n + 1] @ q[n - 1::-1]
+        out.append((g_ee * q, g_ee * f0, g_ee * f1))
+    return [_two_sided(*parts) for parts in zip(*out)], rigorous
 
 
 # ---------------------------------------------------------------------------

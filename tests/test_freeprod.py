@@ -1,19 +1,25 @@
-"""Free-product Green transfer and the construction scan (fast settings).
+"""Free-product Green transfer, the engine composed from it, and the
+construction scan (fast settings).
 
 `transfer` solves the factor equations and runs no sweep; the tagged
 first-return sweep and the direct Green values are the independent
 cross-checks, run here at small truncation so the whole file stays in the
 seconds range.  The full-resolution runs (N = 24, support cap 50k) live in
-the acceptance suite.
+the acceptance suite.  The engine's values are checked against unpruned
+sweeps at small r, where the sweep's tail is proved.
 """
 
 import numpy as np
 import pytest
 
-from greengrowth import freeprod, growth
+from greengrowth import freeprod, growth, kernels
 from greengrowth.bitree import PhaseParams, capital_R, classify, solve_t0
-from greengrowth.groups import FreeAbelian, FreeProduct, TreeProduct
-from greengrowth.kernels import MEMO_SIZE, green_truncated, standard_measure
+from greengrowth.groups import (
+    FreeAbelian, FreeProduct, Heisenberg3, RegularTree, TreeProduct,
+)
+from greengrowth.kernels import (
+    MEMO_SIZE, FloatWalk, _green_generic, green_truncated, standard_measure,
+)
 from greengrowth.freeprod import (
     induced_omega_P, scan_construction, tagged_return_coefficients,
     transfer, transfer_consistency,
@@ -220,3 +226,161 @@ def test_transfer_refuses_a_measure_on_another_spec():
         transfer(SPEC, other, 0.5)
     with pytest.raises(ValueError, match="the measure lives on"):
         transfer_consistency(SPEC, other, 0.5, [], **FAST)
+
+
+# ---------------------------------------------------------------------------
+# the free-product engine: H_r(n) and G(e, x | r) composed from the factors'
+# class engines through `transfer`
+
+T3Z2 = FreeProduct(RegularTree(3), FreeAbelian(2))
+
+
+def _two_letter_word(g):
+    return g.multiply(g.embed(0, g.factors[0].generators()[0]),
+                      g.embed(1, g.factors[1].generators()[0]))
+
+
+def _overlaps(est, ref, ref_tail):
+    """[value - tail, value + tail] meets [ref, ref + ref_tail]."""
+    return (est.value - est.tail <= ref + ref_tail
+            and ref <= est.value + est.tail)
+
+
+@pytest.mark.parametrize("spec, alpha, r, steps, green_steps", [
+    (T3Z2, 0.5, 0.05, 6, 6),
+    (SPEC, 0.2, 0.05, 5, 4),
+])
+def test_engine_intervals_overlap_the_unpruned_sweep(spec, alpha, r, steps,
+                                                     green_steps):
+    # every step's mass, on a sphere or at a point, is at most 1, so the
+    # unpruned sweep of N steps is low by at most r^(N+1) / (1 - r)
+    m = standard_measure(spec, alpha=alpha)
+    series = growth.h_series(spec, m, r, 4)
+    S, dropped = growth.sphere_reduced_sweep(m, 4, steps, None, None)
+    assert not dropped.any()
+    sums = S @ r ** np.arange(steps + 1)
+    for n in range(5):
+        assert series.values[n].rigorous
+        assert _overlaps(series.values[n], sums[n],
+                         r ** (steps + 1) / (1 - r)), n
+    g = m.group
+    x = _two_letter_word(g)
+    est = green_truncated(m, [x], r)[x]
+    ref = _green_generic(m, [x], r, 1e-9, green_steps, None)[x].value
+    assert est.rigorous and est.n_terms == -1
+    assert _overlaps(est, ref, r ** (green_steps + 1) / (1 - r))
+
+
+@pytest.mark.parametrize("spec, alpha, r", [
+    (T3Z2, 0.5, 0.9), (SPEC, 0.2, 0.5), (SPEC, 0.5, 0.9),
+])
+def test_engine_identity_value_agrees_with_both_factor_sides(spec, alpha, r):
+    m = standard_measure(spec, alpha=alpha)
+    e = m.group.identity()
+    g_ee = green_truncated(m, [e], r)[e].value
+    p = transfer(spec, m, r)
+    for side, zeta, w in ((0, p.zeta0, p.w0), (1, p.zeta1, p.w1)):
+        factor = m.param(("left", "right")[side])
+        ef = factor.group.identity()
+        via = green_truncated(factor, [ef], zeta)[ef].value / (1.0 - w)
+        assert abs(via - g_ee) <= 1e-12 * g_ee, side
+    rep = growth.parabolic_gap_report(spec, m, r, 0, 10)
+    assert rep.series_full.value(0) == g_ee
+    assert rep.series_factor.restriction == "factor-0"
+
+
+def test_engine_sphere_sums_reach_the_total_mass():
+    # sum over all x of G(e, x | r) = sum_k r^k = 1 / (1 - r)
+    r = 0.5
+    series = growth.h_series(T3Z2, None, r, 40)
+    assert abs(series.array().sum() - 1.0 / (1.0 - r)) <= 1e-9
+
+
+@pytest.mark.parametrize("side", [0, 1])
+def test_engine_factor_series_lies_below_the_full_series(side):
+    # the benchmark's gap report
+    rep = growth.parabolic_gap_report(T3Z2, None, 0.9, side, 5,
+                                      window=(0, 5))
+    full, factor = rep.series_full, rep.series_factor
+    assert factor.value(0) == full.value(0)
+    assert np.all(factor.array() <= full.array())
+    assert all(e.rigorous for e in factor.values.values())
+    # the full series' tails are far below its values; on the Z^2 side the
+    # factor's flat ZD_TAIL per element weighs more
+    assert max(e.tail / e.value for e in full.values.values()) < 1e-6
+    with pytest.raises(ValueError, match="side"):
+        growth.parabolic_gap_report(T3Z2, None, 0.9, 2, 5, window=(0, 5))
+
+
+def test_engine_tails_carry_the_factor_tails():
+    # G(e, x | r) = G_1(e, x | zeta_1) / (1 - w_1) on the right factor, so
+    # the factor engine's error passes through at least at that scale
+    m = standard_measure(SPEC, alpha=0.2)
+    p = transfer(SPEC, m, 0.5)
+    z = (3, 2, 1)
+    x = m.group.embed(1, z)
+    est = green_truncated(m, [x], 0.5)[x]
+    fac = green_truncated(m.param("right"), [z], p.zeta1)[z]
+    assert fac.tail > 0.0
+    assert est.tail >= fac.tail / (1.0 - p.w1)
+    assert abs(est.value - fac.value / (1.0 - p.w1)) <= 1e-12 * est.value
+
+
+def test_post_fixed_check_refuses_a_point_below_the_iterate(monkeypatch):
+    m = standard_measure(SPEC, alpha=0.2)
+    p = transfer(SPEC, m, 0.9)
+
+    def upper_g(w_bar):
+        zetas = ((1 - 0.2) * 0.9 / (1 - w_bar[0]), 0.2 * 0.9 / (1 - w_bar[1]))
+        out = []
+        for factor, zeta in zip((m.param("left"), m.param("right")), zetas):
+            e = factor.group.identity()
+            est = green_truncated(factor, [e], zeta)[e]
+            out.append(est.value + est.tail)
+        return out
+
+    for delta, proved in ((1e-8, True), (-1e-6, False)):
+        w_bar = (p.w0 * (1 + delta) + delta, p.w1 * (1 + delta) + delta)
+        assert kernels._post_fixed(w_bar, *upper_g(w_bar)) == proved
+    e = m.group.identity()
+    assert green_truncated(m, [e], 0.9)[e].rigorous
+    # where no w_bar tried proves the bracket, nothing is rigorous
+    monkeypatch.setattr(kernels, "POST_FIXED_DELTAS", (-1e-6,))
+    assert not green_truncated(m, [e], 0.9)[e].rigorous
+    assert not any(e.rigorous
+                   for e in growth.h_series(SPEC, m, 0.9, 3).values.values())
+
+
+def test_engine_routes_sum_no_steps(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the free-product engine sums no steps")
+
+    monkeypatch.setattr(FloatWalk, "step", refuse)
+    m = standard_measure(SPEC, alpha=0.2)
+    g = m.group
+    assert growth.h_series(SPEC, m, 0.5, 6, max_terms=3,
+                           support_cap=10).value(6) > 0
+    assert growth.parabolic_gap_report(T3Z2, None, 0.9, 0, 5, max_terms=7,
+                                       support_cap=2000,
+                                       window=(0, 5)).gap > 0
+    x = _two_letter_word(g)
+    assert green_truncated(m, [x], 0.5, max_terms=3)[x].value > 0
+
+
+def test_a_factor_without_an_engine_takes_the_sweep():
+    # T3 * Heisenberg: the values the sweep gave before the engine existed
+    spec = FreeProduct(RegularTree(3), Heisenberg3())
+    m = standard_measure(spec)
+    assert not kernels.composes(m)
+    series = growth.h_series(spec, m, 0.5, 3, max_terms=6, support_cap=3000)
+    assert [(e.value, e.tail, e.rigorous) for e in series.values.values()] == [
+        (1.3550704013356947, 0.0016712439724470142, False),
+        (0.4564537545781076, 0.004070129046224271, False),
+        (0.12913993296861156, 0.01433885813433936, False),
+        (0.034436832975458166, 4.1192863864417975, False)]
+    g = m.group
+    x = g.multiply(g.embed(0, g.factors[0].generators()[0]),
+                   g.embed(1, (1, 0, 0)))
+    est = green_truncated(m, [x], 0.5, max_terms=6, support_cap=3000)[x]
+    assert (est.value, est.tail, est.n_terms) == (
+        0.0031496750290501752, 0.0016712439724470142, 6)

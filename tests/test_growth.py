@@ -13,11 +13,12 @@ from greengrowth.groups import (
     RegularTree, TreeProduct, group_for,
 )
 from greengrowth.kernels import (
-    FloatWalk, green_truncated, standard_measure, zd_lazy_green,
+    FloatWalk, _green_generic, green_truncated, standard_measure,
+    zd_lazy_green,
 )
 from greengrowth.growth import (
-    convergence_diagnostic, dr_distance, h_series, omega_estimate,
-    parabolic_gap_report, sphere_reduced_sweep, theta_partial,
+    GrowthSeries, _h_generic, convergence_diagnostic, dr_distance, h_series,
+    omega_estimate, parabolic_gap_report, sphere_reduced_sweep, theta_partial,
 )
 
 
@@ -265,38 +266,44 @@ def test_parabolic_gap_report_tree_factor():
 
 
 def test_green_values_and_sphere_sums_read_one_sweep():
-    # the gap report's settings: a pruned sweep with a heuristic tail
+    # the sweep's entry points at the old gap report's settings: a pruned
+    # sweep with a heuristic tail
     spec = FreeProduct(RegularTree(3), FreeAbelian(2))
     m = standard_measure(spec)
     g = m.group
-    kw = dict(max_terms=7, support_cap=2000)
-    series = h_series(spec, m, 0.9, n_max=3, **kw)
+    kw = (7, 2000)  # max_terms, support_cap
+    series = GrowthSeries(spec, 0.9,
+                          _h_generic(m, 0.9, 3, 1e-9, (None,), *kw)[0])
     for n in range(4):
         sphere = g.sphere(n)
-        est = green_truncated(m, sphere, 0.9, **kw)
+        est = _green_generic(m, sphere, 0.9, 1e-9, *kw)
         total = sum(est[x].value for x in sphere)
         assert abs(total - series.value(n)) <= 1e-14 * series.value(n)
     e = g.identity()
-    assert green_truncated(m, [e], 0.9, **kw)[e].tail == series.values[0].tail
+    assert _green_generic(m, [e], 0.9, 1e-9, *kw)[e].tail == \
+        series.values[0].tail
 
 
 def test_parabolic_gap_report_runs_one_sweep(monkeypatch):
+    # the gap report's sweep route: one sweep, reduced over the whole
+    # spheres and over the factor
     spec = FreeProduct(RegularTree(3), FreeAbelian(2))
+    m = standard_measure(spec)
+    g = group_for(spec)
     steps = []
     step = FloatWalk.step
     monkeypatch.setattr(FloatWalk, "step",
                         lambda self: (steps.append(1), step(self))[1])
-    report = parabolic_gap_report(spec, None, 0.9, side=0, n_max=5,
-                                  max_terms=7, support_cap=2000,
-                                  window=(0, 5))
+    full_vals, factor_vals = _h_generic(
+        m, 0.9, 5, 1e-9, (None, lambda a: g.factor_part(0, a) is not None),
+        7, 2000)
     assert len(steps) == 7
-    g = group_for(spec)
-    full = h_series(spec, r=0.9, n_max=5, max_terms=7, support_cap=2000)
+    full = GrowthSeries(spec, 0.9,
+                        _h_generic(m, 0.9, 5, 1e-9, (None,), 7, 2000)[0])
     factor = h_series(spec, r=0.9, n_max=5, max_terms=7, support_cap=2000,
                       restriction=lambda a: g.factor_part(0, a) is not None)
-    assert report.series_full.values == full.values
-    assert report.series_factor.values == factor.values
-    assert report.series_factor.restriction == "factor-0"
+    assert full_vals == full.values
+    assert factor_vals == factor.values
 
 
 def test_series_entries_are_plain_floats():

@@ -13,7 +13,8 @@ from greengrowth.groups import (
 )
 from greengrowth.growth import h_series, sphere_reduced_sweep
 from greengrowth.kernels import (
-    FloatWalk, Measure, StepTable, class_engine, convolve, dl_class_key,
+    FloatWalk, Measure, StepTable, _green_generic, class_engine, convolve,
+    dl_class_key,
     dl_green_classes, first_return_coefficients, first_return_kernel,
     green_truncated, known_spectral_radius, return_probability,
     spectral_radius_lower, standard_measure, step_sums,
@@ -946,8 +947,9 @@ def test_pruned_green_values_plus_tails_bound_the_unpruned_values():
     m = standard_measure(FreeProduct(RegularTree(3), FreeAbelian(2)))
     g = m.group
     xs = [g.identity()] + g.sphere(1)[:3] + g.sphere(2)[:3]
-    full = green_truncated(m, xs, 0.9, max_terms=6, support_cap=None)
-    cut = green_truncated(m, xs, 0.9, max_terms=6, support_cap=200)
+    # the sweep's own entry point: tol 1e-9, max_terms 6
+    full = _green_generic(m, xs, 0.9, 1e-9, 6, None)
+    cut = _green_generic(m, xs, 0.9, 1e-9, 6, 200)
     assert any(cut[x].value < full[x].value for x in xs)
     for x in xs:
         assert cut[x].value <= full[x].value
