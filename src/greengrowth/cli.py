@@ -5,13 +5,15 @@ Output conventions: CSV with a header row, comma separators, LF newlines
 and 17-significant-digit floats (byte-stable across runs: every engine is
 deterministic, pruned sweeps included); JSON is UTF-8 with a "schema": 1
 tag.  A flat ``key = value`` config file can supply defaults; explicit
-flags win.
+flags win.  Each --group reads its own group flags (`_GROUPS`), and a
+group flag it does not read is refused, from a config file too.
 Exit codes: 0 success, 1 validation error, 2 enumeration budget exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import os
@@ -21,8 +23,7 @@ from typing import Dict, List, Optional
 
 from .groups import (
     BudgetExceededError, DiestelLeader, FreeAbelian, FreeGroup, FreeProduct,
-    GroupSpec, Heisenberg3, RegularTree, TreeProduct, dl_sphere_count,
-    group_for,
+    Heisenberg3, RegularTree, TreeProduct, dl_sphere_count, group_for,
 )
 from .kernels import standard_measure
 
@@ -48,36 +49,61 @@ def _json(payload: Dict, out) -> None:
     out.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
-def _spec_from_args(args) -> GroupSpec:
-    name = args.group
-    if name == "zd":
-        return FreeAbelian(args.d)
-    if name == "heisenberg":
-        return Heisenberg3()
-    if name == "free":
-        return FreeGroup(args.k)
-    if name == "tree":
-        return RegularTree(args.l)
-    if name == "treeprod":
-        return TreeProduct(args.l1, args.l2)
-    if name == "dl":
-        return DiestelLeader(args.q)
-    if name == "freeprod":
-        return FreeProduct(TreeProduct(args.l1, args.l2), FreeAbelian(args.d))
-    raise ValueError(f"unknown group {name!r}")
+def _walk(**params) -> Dict[str, Fraction]:
+    """The walk parameters that are set, as fractions."""
+    return {k: Fraction(v).limit_denominator(10 ** 9)
+            for k, v in params.items() if v is not None}
 
 
-def _measure_from_args(args, spec):
-    params = {}
-    if getattr(args, "alpha", None) is not None:
-        params["alpha"] = Fraction(args.alpha).limit_denominator(10 ** 9)
-    if getattr(args, "a1", None) is not None:
-        a1 = Fraction(args.a1).limit_denominator(10 ** 9)
-        if isinstance(spec, FreeProduct):
-            params["left_params"] = {"a1": a1}
-        else:
-            params["a1"] = a1
-    return standard_measure(spec, **params)
+# per --group: the group flags it reads, as keywords with their defaults
+# (None: the walk's own value), giving its spec and the parameters of its
+# standard walk
+_GROUPS = {
+    "zd": lambda d=3, alpha=None: (FreeAbelian(d), _walk(alpha=alpha)),
+    "heisenberg": lambda alpha=None: (Heisenberg3(), _walk(alpha=alpha)),
+    "free": lambda k=2: (FreeGroup(k), {}),
+    "tree": lambda l=4: (RegularTree(l), {}),
+    "treeprod": lambda l1=4, l2=4, a1=None: (TreeProduct(l1, l2),
+                                             _walk(a1=a1)),
+    "dl": lambda q=3: (DiestelLeader(q), {}),
+    "freeprod": lambda l1=4, l2=4, d=3, alpha=None, a1=None: (
+        FreeProduct(TreeProduct(l1, l2), FreeAbelian(d)),
+        {**_walk(alpha=alpha), "left_params": _walk(a1=a1)}),
+}
+# every group flag, with its type and help; alpha and a1 set the walk
+_GROUP_FLAGS = {
+    "d": (int, "rank of Z^d"), "k": (int, "free group rank"),
+    "l": (int, "tree degree"), "l1": (int, "first tree factor's degree"),
+    "l2": (int, "second tree factor's degree"),
+    "q": (int, "Diestel-Leader branch"),
+    "alpha": (float, "lazy / mixing weight of the kernel"),
+    "a1": (float, "weight of the first tree factor kernel"),
+}
+_WALK_FLAGS = ("alpha", "a1")
+
+
+def _group(args, walk: bool = True):
+    """(spec, walk parameters) of --group from the flags it reads; a set
+    group flag it does not read, or a walk flag without walk, raises
+    ValueError."""
+    build = _GROUPS[args.group]
+    reads = [f for f in inspect.signature(build).parameters
+             if walk or f not in _WALK_FLAGS]
+    given = {f: v for f, v in vars(args).items()
+             if f in _GROUP_FLAGS and v is not None}
+    unread = [f for f in given if f not in reads]
+    if unread:
+        raise ValueError(
+            f"{args.command} --group {args.group} does not read "
+            f"{', '.join('--' + f for f in unread)} (it reads "
+            f"{', '.join('--' + f for f in reads) or 'no group flag'})")
+    return build(**given)
+
+
+def _measure(args):
+    """The spec of --group and its standard walk."""
+    spec, params = _group(args)
+    return spec, standard_measure(spec, **params)
 
 
 def _range(lo, hi, flags: str):
@@ -88,23 +114,13 @@ def _range(lo, hi, flags: str):
 
 
 def _add_group_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--group", required=True,
-                   choices=["zd", "heisenberg", "free", "tree", "treeprod",
-                            "dl", "freeprod"])
-    p.add_argument("--d", type=int, default=3, help="rank of Z^d")
-    p.add_argument("--k", type=int, default=2, help="free group rank")
-    p.add_argument("--l", type=int, default=4, help="tree degree")
-    p.add_argument("--l1", type=int, default=4)
-    p.add_argument("--l2", type=int, default=4)
-    p.add_argument("--q", type=int, default=3, help="Diestel-Leader branch")
-    p.add_argument("--alpha", type=float, default=None,
-                   help="lazy / mixing weight of the kernel")
-    p.add_argument("--a1", type=float, default=None,
-                   help="weight of the first tree factor kernel")
+    p.add_argument("--group", required=True, choices=list(_GROUPS))
+    for flag, (kind, text) in _GROUP_FLAGS.items():
+        p.add_argument("--" + flag, type=kind, help=text)
 
 
 def _cmd_sphere(args, out) -> int:
-    spec = _spec_from_args(args)
+    spec, _ = _group(args, walk=False)
     g = group_for(spec)
     layers = g.ball(args.n)
     rows = [[n, len(layer)] for n, layer in enumerate(layers)]
@@ -128,8 +144,7 @@ def _series_rows(series):
 def _cmd_hr(args, out) -> int:
     from .growth import h_series
 
-    spec = _spec_from_args(args)
-    measure = _measure_from_args(args, spec)
+    spec, measure = _measure(args)
     series = h_series(spec, measure, args.r, args.nmax, args.tol)
     _csv(_series_rows(series), ["n", "H", "tail", "rigorous"], out)
     return 0
@@ -138,8 +153,7 @@ def _cmd_hr(args, out) -> int:
 def _cmd_omega(args, out) -> int:
     from .growth import h_series, omega_estimate
 
-    spec = _spec_from_args(args)
-    measure = _measure_from_args(args, spec)
+    spec, measure = _measure(args)
     window = _range(args.window_lo, args.window_hi,
                     "--window-lo and --window-hi")
     series = h_series(spec, measure, args.r, args.nmax, args.tol)
@@ -152,8 +166,7 @@ def _cmd_omega(args, out) -> int:
 def _cmd_theta(args, out) -> int:
     from .growth import _poincare_sums, h_series
 
-    spec = _spec_from_args(args)
-    measure = _measure_from_args(args, spec)
+    spec, measure = _measure(args)
     series = h_series(spec, measure, args.r, args.nmax, args.tol)
     terms, partials = _poincare_sums(series, args.s)
     _csv([[n, series.value(n), term, partial] for n, (term, partial)
@@ -220,8 +233,6 @@ def _cmd_freeprod_scan(args, out) -> int:
     r_grid = None if r_range is None else list(
         np.linspace(*r_range, args.points or 9))
     report = scan_construction(params, args.d, args.alpha, r_grid,
-                               n_max=args.nterms,
-                               support_cap=args.support_cap,
                                full_series_n=args.full_series_n)
     payload = {
         "l1": args.l1, "l2": args.l2, "a1": args.a1, "d": args.d,
@@ -255,8 +266,7 @@ def _parse_offspring(text: str):
 def _cmd_brw(args, out) -> int:
     from .brw import BrwConfig, mean_offspring, simulate
 
-    spec = _spec_from_args(args)
-    measure = _measure_from_args(args, spec)
+    spec, measure = _measure(args)
     if args.offspring:
         law = _parse_offspring(args.offspring)
     else:
@@ -355,8 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rmax", type=float, default=None)
     p.add_argument("--points", type=int, default=None,
                    help="points of the --rmin..--rmax grid (default 9)")
-    p.add_argument("--nterms", type=int, default=24)
-    p.add_argument("--support-cap", type=int, default=50_000)
     p.add_argument("--full-series-n", type=int, default=0,
                    help="sphere range for the full-series growth estimate"
                         " (0 disables it)")

@@ -199,25 +199,6 @@ class _ZdGroup(Group):
     def word_length(self, a):
         return sum(abs(x) for x in a)
 
-    def sphere(self, n, budget=DEFAULT_BUDGET):
-        # direct enumeration of the l^1 sphere; BFS would work but is slower
-        out = []
-
-        def rec(prefix, remaining, slots):
-            if slots == 1:
-                for v in ((remaining, -remaining) if remaining else (0,)):
-                    out.append(prefix + (v,))
-                return
-            for mag in range(remaining + 1):
-                for v in ((mag, -mag) if mag else (0,)):
-                    rec(prefix + (v,), remaining - mag, slots - 1)
-
-        rec((), n, self.d)
-        if len(out) > budget:
-            raise BudgetExceededError(f"sphere({n}) exceeds budget {budget}")
-        out.sort(key=self.encode)
-        return out
-
 
 class _HeisenbergGroup(Group):
     """Coordinates (a, b, c) for the matrix [[1,a,c],[0,1,b],[0,0,1]].

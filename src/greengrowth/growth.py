@@ -117,8 +117,7 @@ def sphere_reduced_sweep(measure: Measure, n_max: int, n_steps: int,
                          ) -> Tuple[np.ndarray, np.ndarray]:
     """Matrix S[n, k] = sum of p_k(e, x) over x in S_n (optionally
     restricted), from one `step_sums` sweep.  H_r(n) is then the
-    polynomial sum_k r^k S[n, k] for any r, which is what lets scans
-    reuse a single sweep across a whole r-grid.
+    polynomial sum_k r^k S[n, k] for any r.
 
     Returns (S, M): M[k] is the mass the support cap pruned by step k, so
     each S[n, k] is a lower bound within M[k] of the unpruned value.

@@ -122,7 +122,8 @@ def standard_measure(spec: GroupSpec, **params) -> Measure:
     DiestelLeader, "freeprod-mix" on FreeProduct (parameter alpha = weight
     of the right factor; each factor gets its own standard walk, built
     with left_params / right_params, recorded as the measure's "left" and
-    "right" parameters).  Any other spec raises ValueError.
+    "right" parameters).  Any other spec, and any parameter its walk does
+    not read, raises ValueError.
     """
     kind, p, w = _standard_walk(spec, params)
     g = group_for(spec)
@@ -149,7 +150,9 @@ def _standard_walk(spec: GroupSpec, params: Dict[str, object]
                    ) -> Tuple[str, Tuple[Tuple[str, object], ...],
                               Dict[Element, Fraction]]:
     """(kind, params, weights) of `standard_measure`, which `Measure`
-    checks a measure of a class-engine kind against."""
+    checks a measure of a class-engine kind against.  Each walk pops the
+    parameters it reads; any left over raise ValueError."""
+    params = dict(params)
     g = group_for(spec)
     e = g.identity()
     w: Dict[Element, Fraction] = {}
@@ -160,7 +163,7 @@ def _standard_walk(spec: GroupSpec, params: Dict[str, object]
         for s in g.generators():
             w[s] = Fraction(1, 2 * spec.l)
     elif isinstance(spec, (FreeAbelian, Heisenberg3)):
-        alpha = _frac(params.get("alpha", Fraction(1, 2)))
+        alpha = _frac(params.pop("alpha", Fraction(1, 2)))
         if not (0 <= alpha < 1):
             raise ValueError("alpha must be in [0, 1)")
         gens = g.generators()
@@ -170,7 +173,7 @@ def _standard_walk(spec: GroupSpec, params: Dict[str, object]
             w[s] = (1 - alpha) / len(gens)
         kind, p = "lazy-srw", (("alpha", alpha),)
     elif isinstance(spec, TreeProduct):
-        a1 = _frac(params.get("a1", Fraction(1, 2)))
+        a1 = _frac(params.pop("a1", Fraction(1, 2)))
         if not (0 < a1 < 1):
             raise ValueError("a1 must be in (0, 1)")
         w[e] = Fraction(1, 2)
@@ -184,12 +187,12 @@ def _standard_walk(spec: GroupSpec, params: Dict[str, object]
         for s in g.generators():
             w[s] = Fraction(1, 2 * spec.q)
     elif isinstance(spec, FreeProduct):
-        alpha = _frac(params.get("alpha", Fraction(1, 2)))
+        alpha = _frac(params.pop("alpha", Fraction(1, 2)))
         if not (0 < alpha < 1):
             raise ValueError("alpha must be in (0, 1)")
-        m_left = standard_measure(spec.left, **params.get("left_params", {}))
+        m_left = standard_measure(spec.left, **params.pop("left_params", {}))
         m_right = standard_measure(spec.right,
-                                   **params.get("right_params", {}))
+                                   **params.pop("right_params", {}))
         for x, wx in m_left.weights:
             y = g.embed(0, x)
             w[y] = w.get(y, Fraction(0)) + (1 - alpha) * wx
@@ -200,6 +203,9 @@ def _standard_walk(spec: GroupSpec, params: Dict[str, object]
                                    ("right", m_right))
     else:
         raise ValueError(f"no default kernel for {spec}")
+    if params:
+        raise ValueError(f"the standard walk on {spec} does not read "
+                         f"{sorted(params)}")
 
     assert sum(w.values()) == 1
     return kind, p, w
@@ -306,21 +312,10 @@ class StepTable:
             self._table[old:, self._stay] = np.arange(
                 old, len(self._table))[:, None]
 
-    def rows(self, ids: np.ndarray) -> np.ndarray:
-        """Table rows of the distinct ids, filling their missing pairs in
-        source-major, step-minor order."""
-        self._grow()
-        rows = self._table[ids]
-        miss = np.flatnonzero(rows < 0)
-        if len(miss):
-            m = len(self.steps)
-            self._fill((ids[miss // m] * m + miss % m).tolist())
-            rows = self._table[ids]
-        return rows
-
     def at(self, ids: np.ndarray, steps: np.ndarray) -> np.ndarray:
-        """Product ids of the pairs (ids[k], steps[k]), filling each
-        missing pair once, in order of first appearance."""
+        """Product ids of the pairs (ids[k], steps[k]), ids and steps
+        broadcast against each other, filling each missing pair once, in
+        order of first appearance (row-major)."""
         self._grow()
         flat = self._table.reshape(-1)
         keys = ids * len(self.steps) + steps
@@ -429,7 +424,8 @@ class FloatWalk:
 
     def step(self) -> None:
         """dist <- dist * measure, pruned to support_cap."""
-        flat = self._table.rows(self.ids).ravel()
+        flat = self._table.at(self.ids[:, None],
+                              np.arange(len(self._w))).ravel()
         vals = (self.p[:, None] * self._w).ravel()
         n = len(self._table.elements)
         first = np.full(n, len(flat))
@@ -1313,16 +1309,17 @@ def green_truncated(measure: Measure, targets: Sequence[Element], r: float,
     if not targets:
         return {}
     engine = class_engine(measure)
-    if engine is None:
-        if composes(measure):
-            return freeprod_green(measure, targets, r, tol)
+    if engine is not None:
+        n = len(targets)
+        values, tails, rigorous = engine.sums(
+            measure, np.array([engine.key(measure.group, x)
+                               for x in targets]),
+            np.arange(n), np.ones(n), r, tol)
+    elif composes(measure):
+        values, tails, rigorous = freeprod_green(measure, targets, r, tol)
+    else:
         return _green_generic(measure, targets, r, tol, max_terms,
                               support_cap)
-    g = measure.group
-    n = len(targets)
-    values, tails, rigorous = engine.sums(
-        measure, np.array([engine.key(g, x) for x in targets]),
-        np.arange(n), np.ones(n), r, tol)
     return {x: GreenEstimate(v, -1, t, rigorous)
             for x, v, t in zip(targets, values.tolist(), tails.tolist())}
 
@@ -1504,11 +1501,13 @@ def _two_sided(lower, centre, upper):
 
 
 def freeprod_green(measure: Measure, targets: Sequence[Element], r: float,
-                   tol: float) -> Dict[Element, GreenEstimate]:
-    """G(e, x | r) = G(e, e | r) prod_j F_{i_j}(e, x_j | zeta_{i_j}) over
-    the syllables x_j of x in factor i_j (Woess, Random Walks on Infinite
-    Graphs and Groups, CUP 2000): one class-engine call per factor and
-    bracket end, see `_freeprod_ends` for the two-sided tail."""
+                   tol: float) -> Tuple[np.ndarray, np.ndarray, bool]:
+    """(values, tails, rigorous) of the targets, as `ClassEngine.sums`
+    gives them: G(e, x | r) = G(e, e | r) prod_j F_{i_j}(e, x_j |
+    zeta_{i_j}) over the syllables x_j of x in factor i_j (Woess, Random
+    Walks on Infinite Graphs and Groups, CUP 2000), from one class-engine
+    call per factor and bracket end; see `_freeprod_ends` for the
+    two-sided tail."""
     factors = (measure.param("left"), measure.param("right"))
     index = [{f.group.identity(): 0} for f in factors]
     for x in targets:
@@ -1530,9 +1529,7 @@ def freeprod_green(measure: Measure, targets: Sequence[Element], r: float,
                 v *= f[side][index[side][y]]
             values.append(v)
         out.append(np.array(values))
-    values, tails = _two_sided(*out)
-    return {x: GreenEstimate(v, -1, t, rigorous)
-            for x, v, t in zip(targets, values.tolist(), tails.tolist())}
+    return (*_two_sided(*out), rigorous)
 
 
 def freeprod_sphere_sums(measure: Measure, r: float, n_max: int, tol: float

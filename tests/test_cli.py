@@ -376,3 +376,44 @@ def test_freeprod_scan_range_defaults_to_nine_points(capsys, monkeypatch):
         "--rmax", "1.1")
     [grid] = grids
     assert len(grid) == 9 and grid[0] == 1.0 and grid[-1] == 1.1
+
+
+@pytest.mark.parametrize("argv, flags", [
+    ("hr --group dl --q 3 --alpha 0.3 --r 0.5", "--alpha"),
+    ("hr --group tree --l 4 --d 7 --q 5 --r 0.5", "--d, --q"),
+    ("hr --group treeprod --alpha 0.1 --r 0.5", "--alpha"),
+    ("omega --group heisenberg --l 3 --r 0.5", "--l"),
+    ("theta --group free --a1 0.3 --r 0.5 --s 1", "--a1"),
+    ("brw --group zd --k 2 --maxgen 5", "--k"),
+    # sphere counts the group: it reads no walk flag
+    ("sphere --group zd --alpha 0.3 --n 2", "--alpha"),
+    ("sphere --group freeprod --a1 0.3 --n 2", "--a1"),
+])
+def test_a_group_flag_the_group_does_not_read_is_refused(capsys, argv,
+                                                         flags):
+    code, out, err = run(capsys, *argv.split())
+    assert code == 1
+    assert not out
+    assert f"does not read {flags} " in err
+
+
+def test_a_config_key_the_group_does_not_read_is_refused(tmp_path, capsys):
+    cfg = tmp_path / "defaults.cfg"
+    cfg.write_text("d = 3\n")
+    code, out, err = run(capsys, "--config", str(cfg), "hr", "--group",
+                         "tree", "--r", "1")
+    assert code == 1
+    assert not out
+    assert "does not read --d " in err
+    # the group that reads it takes it
+    code, out, _ = run(capsys, "--config", str(cfg), "hr", "--group", "zd",
+                       "--r", "0.5", "--nmax", "2")
+    assert code == 0 and out
+
+
+@pytest.mark.parametrize("flag", ["--nterms", "--support-cap"])
+def test_freeprod_scan_has_no_sweep_flags(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["freeprod-scan", "--alpha", "0.05", flag, "24"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err

@@ -361,6 +361,25 @@ def test_standard_measure_builds_its_walk_once(monkeypatch):
         assert Measure(m.spec, m.kind, m.params, m.weights) == m
 
 
+FP = FreeProduct(TreeProduct(4, 4), FreeAbelian(3))
+
+
+@pytest.mark.parametrize("spec, params, name", [
+    (RegularTree(4), {"alpha": 0.3}, "alpha"),
+    (DiestelLeader(3), {"alpha": 0.3}, "alpha"),
+    (FreeAbelian(3), {"a1": 0.3}, "a1"),
+    (TreeProduct(4, 4), {"alpha": 0.1}, "alpha"),
+    (FP, {"a1": 0.3}, "a1"),
+    (FP, {"left_params": {"alpha": 0.3}}, "alpha"),
+    (FP, {"right_params": {"a1": 0.3}}, "a1"),
+    (Heisenberg3(), {"beta": 0.3}, "beta"),
+])
+def test_standard_measure_refuses_a_parameter_its_walk_does_not_read(
+        spec, params, name):
+    with pytest.raises(ValueError, match=f"does not read.*'{name}'"):
+        standard_measure(spec, **params)
+
+
 # frozen oracles from high-precision quadrature of the Bessel-product
 # integral for the lazy walk on Z^3 (alpha = 1/2)
 ZD_ORACLES = [
@@ -816,7 +835,7 @@ def test_step_table_multiplies_each_missing_pair_once(monkeypatch):
     assert [table.elements[i] for i in out] == [(0,), (0,), e, (1,)]
     # a repeated pair is multiplied once, a step by e never
     assert calls == [(e, (0,)), (e, (1,))]
-    rows = table.rows(np.array([0, 1]))
+    rows = table.at(np.array([[0], [1]]), np.arange(4))
     # the rows fill only the pairs the reads above left missing
     assert calls[2:] == [(e, (2,)), ((0,), (0,)), ((0,), (1,)), ((0,), (2,))]
     assert [[table.elements[i] for i in row] for row in rows] == [
