@@ -355,16 +355,29 @@ def hn_model_log(params: PhaseParams, r: float, n: int) -> float:
 
         n^{-5/2} sum_{k=0}^n (k + kappa1)(n - k + kappa2) e^{n Psi((n-k)/k)}.
     """
-    if n < 1:
+    return float(_model_logs(params, r, [n])[0])
+
+
+def _model_logs(params: PhaseParams, r: float, ns) -> np.ndarray:
+    """hn_model_log at each n of ns, from one `psi` call on the
+    concatenated grids lambda = (n - k)/k, k = 0..n; psi is elementwise,
+    so each value has the bits of a call on its own grid."""
+    if min(ns) < 1:
         raise ValueError("n must be >= 1")
     t = t_of_r(r)
     if t <= t_feasible_min(params):
         raise ValueError("r out of range (needs r <= R)")
-    ks = np.arange(n + 1.0)
+    ks = [np.arange(n + 1.0) for n in ns]
     # lambda = (n - k)/k, infinite at k = 0
-    psis = psi(params, t, np.append(np.inf, (n - ks[1:]) / ks[1:]))
-    logw = (np.log(ks + params.kappa1) + np.log(n - ks + params.kappa2))
-    return _log_sum_exp(logw + n * psis) - 2.5 * math.log(n)
+    psis = psi(params, t, np.concatenate(
+        [np.append(np.inf, (n - k[1:]) / k[1:]) for n, k in zip(ns, ks)]))
+    out = []
+    for n, k in zip(ns, ks):
+        logw = np.log(k + params.kappa1) + np.log(n - k + params.kappa2)
+        out.append(_log_sum_exp(logw + n * psis[:n + 1])
+                   - 2.5 * math.log(n))
+        psis = psis[n + 1:]
+    return np.array(out)
 
 
 def f_sum_log(phi_func, n: int) -> float:
@@ -407,7 +420,7 @@ def prefactor_exponent(log_values, ns, omega: float) -> Tuple[float, float]:
 
 def model_window(params: PhaseParams, r: float
                  ) -> Tuple[np.ndarray, np.ndarray]:
-    """hn_model_log on the geometric grid of 25 n from 200 to 2000."""
+    """hn_model_log on the geometric grid of 25 n from 200 to 2000, from
+    one pass of psi over all 25 grids of lambda."""
     ns = np.unique(np.round(np.geomspace(200, 2000, 25)).astype(int))
-    vals = np.array([hn_model_log(params, r, int(n)) for n in ns])
-    return ns, vals
+    return ns, _model_logs(params, r, ns.tolist())

@@ -21,7 +21,9 @@ The construction scan takes a tree-product factor with a growth phase
 threshold r0 and an abelian factor Z^d, and locates the parameter r at
 which zeta_0(r) crosses r0 -- the point where the factor's sphere series
 switches from divergent-type to convergent-type behavior at its own
-growth exponent, up to the free product's radius R_mu by default.
+growth exponent, up to the free product's radius R_mu by default.  At
+the crossing zeta_0 = r0 fixes w_0 and, through U_0(r0), w_1, so the
+crossing is the root of one equation in the Z^d factor (`_crossing`).
 """
 
 from __future__ import annotations
@@ -36,13 +38,15 @@ from .bitree import PhaseParams, PhaseReport, capital_R, classify, \
 from .groups import FreeAbelian, FreeProduct, TreeProduct
 from .growth import _convergence_label, h_series, omega_estimate
 from .kernels import (
-    Measure, TransferPoint, _green_generic, _measure_on,
+    Measure, TransferPoint, _excursions, _green_generic, _measure_on,
     first_return_coefficients, green_truncated, standard_measure, transfer,
 )
 
 DEFAULT_N = 24
 DEFAULT_SCAN_SUPPORT_CAP = 200_000
 BRANCH_END_RTOL = 1e-9
+# the construction scan's crossing is located to this width in r
+CROSSING_XTOL = 1e-12
 
 
 def tagged_return_coefficients(measure: Measure, n_max: int = DEFAULT_N,
@@ -160,6 +164,50 @@ def _factor_diagnostic(rep: Optional[PhaseReport]
     return expo, _convergence_label(expo)
 
 
+def _crossing(spec: FreeProduct, measure: Measure, r0: float, lo: float,
+              hi: float) -> float:
+    """The r in [lo, hi] at which zeta_0(r) = r0, given zeta_0(lo) < r0 <
+    zeta_0(hi).
+
+    There the left factor is read only at r0: with u = U_0(r0), w_0 =
+    w0*(r) = 1 - (1 - alpha) r / r0 and w_1 = w1*(r) = (1 - w0*) u, so the
+    crossing is the root of h(r) = (1 - w1*) U_1(alpha r / (1 - w1*)) -
+    w0*, one Z^d call per step.  h(r) = g_r(w0*(r)) for g_r(w) = E_1(alpha
+    r, E_0((1 - alpha) r, w)) - w, E_i(c, w) = (1 - w) U_i(c / (1 - w)):
+    g_r is convex, a power series with nonnegative coefficients minus w,
+    and positive at 0, with the least fixed point w_0(r).  At hi, w0* <
+    w_0, so h(hi) > 0; at lo, w0* > w_0, so h(lo) < 0 wherever w0* lies
+    below g's second root.  Where h(lo) >= 0, or an engine refuses
+    w1*(lo), lo is tightened by bisecting on the sign of
+    transfer(r).zeta0 - r0.
+    """
+    from scipy.optimize import brentq
+
+    alpha = float(measure.param("alpha"))
+    right = measure.param("right")
+    u = _excursions(measure.param("left"), r0, 0.0)
+
+    def h(r):
+        w0 = 1.0 - (1.0 - alpha) * r / r0
+        return _excursions(right, alpha * r, (1.0 - w0) * u) - w0
+
+    def below(r):
+        try:
+            return h(r) < 0.0
+        except ValueError:  # w1*(r) past the right factor's radius
+            return False
+
+    while not below(lo):
+        if hi - lo <= CROSSING_XTOL:
+            return lo
+        mid = 0.5 * (lo + hi)
+        if transfer(spec, measure, mid).zeta0 < r0:
+            lo = mid
+        else:
+            hi = mid
+    return float(brentq(h, lo, hi, xtol=CROSSING_XTOL, rtol=1e-14))
+
+
 def scan_construction(factor_params: PhaseParams, d: int, alpha: float,
                       r_grid: Optional[Sequence[float]] = None,
                       n_max: int = DEFAULT_N,
@@ -174,17 +222,19 @@ def scan_construction(factor_params: PhaseParams, d: int, alpha: float,
     slope of `h_series` on spheres 0..full_series_n, which the
     free-product engine composes from the factors' series, when
     full_series_n >= 10; 0 turns it off, and any other value raises
-    ValueError), their gap, and the factor's convergence-type diagnostic;
-    refines the crossing by root bracketing down to ~1e-9 residual.
+    ValueError), their gap, and the factor's convergence-type diagnostic.
+    Between the first two grid points that bracket r0, the crossing is
+    the root of `_crossing`'s h, which reads the left factor once, at r0,
+    and the right factor once per step, down to ~1e-12 in r;
+    `transfer` at the crossing then gives crossing_zeta0 and the
+    residual |crossing_zeta0 - r0| as an independent check.
     n_max and support_cap steer nothing; truncation reports n_max.  The
     default grid has 9 points from 1 to R_mu, the largest r at which
-    `transfer` converges, bisected to BRANCH_END_RTOL relative; r_cap is
-    the grid's end.  Where zeta_0
-    reaches R0 first, the tree-product engine's MAX_NODES ends the branch
-    a little short; at a tangent end, MAX_ITERATIONS does.
+    `transfer` converges, and the full series too when full_series_n >=
+    10, bisected to BRANCH_END_RTOL relative; r_cap is the grid's end.
+    Where zeta_0 reaches R0 first, the tree-product engine's MAX_NODES
+    ends the branch a little short; at a tangent end, MAX_ITERATIONS does.
     """
-    from scipy.optimize import brentq
-
     if d < 3:
         raise ValueError("the abelian factor needs d >= 3")
     if not (full_series_n == 0 or full_series_n >= 10):
@@ -199,14 +249,20 @@ def scan_construction(factor_params: PhaseParams, d: int, alpha: float,
         left_params={"a1": factor_params.a1})
     _, r0 = solve_t0(factor_params)
 
+    def series(r):
+        return h_series(spec, measure, r, n_max=full_series_n)
+
     if r_grid is None:
         # transfer fails at hi, where zeta_0 >= (1 - alpha) r reaches the
-        # factor's radius or zeta_1 >= alpha r reaches 1
+        # factor's radius or zeta_1 >= alpha r reaches 1; the full series,
+        # which reads the factors a little past zeta_i, can fail before
         lo, hi = 1.0, min(capital_R(factor_params) / (1.0 - alpha), 1 / alpha)
         while hi - lo > BRANCH_END_RTOL * lo:
             mid = 0.5 * (lo + hi)
             try:
                 transfer(spec, measure, mid)
+                if full_series_n:
+                    series(mid)
                 lo = mid
             except ValueError:
                 hi = mid
@@ -223,8 +279,7 @@ def scan_construction(factor_params: PhaseParams, d: int, alpha: float,
         om_full = None
         gap = None
         if full_series_n:
-            series = h_series(spec, measure, float(r), n_max=full_series_n)
-            om_full = omega_estimate(series).slope
+            om_full = omega_estimate(series(float(r))).slope
             if om_p is not None:
                 gap = om_full - om_p
         if prev_label == "divergent-type" and label == "convergent-type":
@@ -236,9 +291,8 @@ def scan_construction(factor_params: PhaseParams, d: int, alpha: float,
     crossing_r = crossing_zeta = residual = None
     for a, b in zip(points, points[1:]):
         if (a.zeta0 - r0) * (b.zeta0 - r0) < 0:
-            crossing_r = float(brentq(
-                lambda r: transfer(spec, measure, r).zeta0 - r0,
-                a.r, b.r, xtol=1e-12, rtol=1e-14))
+            # zeta_0 increases with r
+            crossing_r = _crossing(spec, measure, r0, *sorted((a.r, b.r)))
             crossing_zeta = transfer(spec, measure, crossing_r).zeta0
             residual = abs(crossing_zeta - r0)
             break

@@ -49,6 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import islice, repeat
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -61,7 +62,8 @@ from .groups import (
 )
 
 DEFAULT_SUPPORT_CAP = 1_000_000
-# entries kept by each memo of r-independent sweep coefficients
+# entries kept by each memo: of r-independent sweep coefficients, and of
+# transfer solutions
 MEMO_SIZE = 32
 
 
@@ -1402,8 +1404,21 @@ def transfer(spec: FreeProduct, measure: Optional[Measure], r: float,
     ValueError at r < 0 and at or past R_mu, where an engine refuses its
     zeta or MAX_ITERATIONS steps do not settle (which can also happen just
     below R_mu where the two equations become tangent).
+
+    The solution is memoized per (measure, r), MEMO_SIZE entries, after
+    the measure is checked against spec: the ignored n_max and
+    support_cap are not part of the key, and a refused r is not kept, so
+    it raises again.
     """
     measure = _measure_on(spec, measure)
+    alpha = float(measure.param("alpha"))
+    w0, w1 = _memo_transfer(measure, float(r))
+    return TransferPoint(alpha, r, w0, w1, (1.0 - alpha) * r / (1.0 - w0),
+                         alpha * r / (1.0 - w1), -1)
+
+
+def _solve_transfer(measure: Measure, r: float) -> Tuple[float, float]:
+    """(w_0, w_1) of `transfer`, by its monotone iteration."""
     alpha = float(measure.param("alpha"))
     w0 = w1 = 0.0
     for _ in range(MAX_ITERATIONS):
@@ -1412,12 +1427,13 @@ def transfer(spec: FreeProduct, measure: Optional[Measure], r: float,
         step = max(abs(new0 - w0), abs(new1 - w1))
         w0, w1 = new0, new1
         if step <= STEP_TOL:
-            return TransferPoint(alpha, r, w0, w1,
-                                 (1.0 - alpha) * r / (1.0 - w0),
-                                 alpha * r / (1.0 - w1), -1)
+            return w0, w1
     raise ValueError(f"the transfer equations did not settle in "
                      f"{MAX_ITERATIONS} steps at r = {r}: r is at or past "
                      f"the free product's radius")
+
+
+_memo_transfer = lru_cache(maxsize=MEMO_SIZE)(_solve_transfer)
 
 
 def composes(measure: Measure) -> bool:

@@ -62,6 +62,14 @@ def test_model_window_matches_bisection(monkeypatch):
         assert np.max(np.abs(vals - model_window(P64, r)[1])) < 1e-12
 
 
+def test_model_window_has_the_bits_of_one_call_per_n():
+    # one psi pass over all 25 grids, reduced per n
+    _, r0 = solve_t0(P64)
+    for r in (1.05, r0, 1.106):
+        ns, vals = model_window(P64, r)
+        assert vals.tolist() == [hn_model_log(P64, r, n) for n in ns]
+
+
 def test_capital_r_frozen():
     assert abs(capital_R(P64) - 1.1076094051200098) < 1e-14
 

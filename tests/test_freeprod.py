@@ -204,6 +204,108 @@ def test_scan_default_grid_ends_at_the_free_product_radius():
                  last.r * (1 + 1e-8))
 
 
+def test_scan_default_grid_carries_the_full_series_to_its_end():
+    # the grid's end is bisected on the full series too, which reads the
+    # tree product a little past zeta_0 and fails before transfer does
+    report = scan_construction(P64, 3, 0.05)
+    assert len(report.points) == 9
+    assert all(p.omega_full is not None for p in report.points)
+    assert report.r_cap < 1.1324213
+
+
+# crossing_r, crossing_zeta0 of P64 at alpha = 0.05, as the brentq on
+# transfer(r).zeta0 - r0 found them
+CROSSING64 = ("0x1.2002b4dbf9a5cp+0", "0x1.19a443c54a0c9p+0")
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(r_grid=list(np.linspace(1.0, 1.13, 4)), n_max=12, support_cap=200),
+    dict(r_grid=np.linspace(1.0, 1.13, 9), n_max=24, support_cap=50_000),
+    dict()], ids=["benchmark", "criterion-10", "default"])
+def test_scan_crossing_keeps_its_bits(kwargs):
+    report = scan_construction(P64, 3, 0.05, full_series_n=0, **kwargs)
+    assert (report.crossing_r.hex(), report.crossing_zeta0.hex()) == CROSSING64
+    assert report.crossing_residual == 0.0
+
+
+@pytest.mark.parametrize("l1, alpha, crossing", [
+    (6, 0.02, ("0x1.1c2e969118a6ep+0", "0x1.19a443c54a0c9p+0")),
+    (6, 0.1, ("0x1.266950daf0922p+0", "0x1.19a443c54a09dp+0")),
+    (5, 0.02, ("0x1.193ced0d08846p+0", "0x1.16b0fbdd0dc10p+0")),
+    (5, 0.1, ("0x1.23827845ed0b0p+0", "0x1.16b0fbdd0dc0ap+0"))])
+def test_scan_crossing_matches_the_transfer_root(l1, alpha, crossing):
+    # the values of a brentq on transfer(r).zeta0 - r0 over the default grid
+    report = scan_construction(PhaseParams(l1, 4, 0.5, 0.5), 3, alpha,
+                               full_series_n=0)
+    for got, ref in zip((report.crossing_r, report.crossing_zeta0),
+                        map(float.fromhex, crossing)):
+        assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
+    assert report.crossing_residual <= 1e-9
+
+
+@pytest.mark.parametrize("fault", ["no sign change", "refused"])
+def test_scan_crossing_bisects_where_h_has_no_sign(monkeypatch, fault):
+    # h reads the right factor through freeprod's _excursions; transfer
+    # does not, so the bisection on transfer(r).zeta0 - r0 sees the truth
+    r_star = float.fromhex(CROSSING64[0])
+    right = standard_measure(SPEC64, alpha=0.05).param("right")
+
+    def faulty(factor, c, w):
+        if factor == right:
+            if fault == "no sign change":
+                return kernels._excursions(factor, c, w) + 1.0
+            if c < 0.05 * (r_star - 1e-3):
+                raise ValueError("refused")
+        return kernels._excursions(factor, c, w)
+
+    monkeypatch.setattr(freeprod, "_excursions", faulty)
+    report = scan_construction(P64, 3, 0.05,
+                               r_grid=list(np.linspace(1.0, 1.13, 4)),
+                               full_series_n=0)
+    # a bracket of width 1e-12, or brentq's xtol on a tightened bracket
+    assert report.crossing_r == pytest.approx(r_star, abs=2e-12, rel=0.0)
+    assert report.crossing_residual <= 1e-9
+    assert kernels._memo_transfer.cache_info().misses > 5
+
+
+def test_scan_work_is_counted(monkeypatch):
+    # the benchmark's scan: each grid point and the crossing's check solve
+    # transfer once; the crossing reads the left factor once, at r0
+    calls = []
+    engine = kernels.green_truncated
+
+    def counted(measure, *args, **kwargs):
+        calls.append(measure)
+        return engine(measure, *args, **kwargs)
+
+    monkeypatch.setattr(kernels, "green_truncated", counted)
+    scan_construction(P64, 3, 0.05, r_grid=list(np.linspace(1.0, 1.13, 4)),
+                      n_max=12, support_cap=200, full_series_n=0)
+    assert kernels._memo_transfer.cache_info().misses <= 5
+    assert len(calls) <= 64
+
+
+def test_transfer_memo_is_shared_and_keeps_no_refusal(monkeypatch):
+    m = standard_measure(SPEC, alpha=0.2)
+    transfer(SPEC, m, 0.5, n_max=12, support_cap=600)
+    calls = []
+    excursions = kernels._excursions
+    monkeypatch.setattr(kernels, "_excursions",
+                        lambda *a: calls.append(a) or excursions(*a))
+    e = m.group.identity()
+    assert green_truncated(m, [e], 0.5)[e].value > 1.0
+    assert calls == []
+    assert kernels._memo_transfer.cache_info().maxsize == MEMO_SIZE
+    m64 = standard_measure(SPEC64, alpha=0.05)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            transfer(SPEC64, m64, 1.14)
+    assert kernels._memo_transfer.cache_info().currsize == 1
+    # the measure is checked before the memo is read
+    with pytest.raises(ValueError, match="the measure lives on"):
+        transfer(SPEC64, m, 0.5)
+
+
 def test_scan_validates_inputs():
     params = PhaseParams(6, 4, 0.5, 0.5)
     with pytest.raises(ValueError):
