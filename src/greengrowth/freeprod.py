@@ -29,6 +29,7 @@ crossing is the root of one equation in the Z^d factor (`_crossing`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -187,6 +188,9 @@ def _crossing(spec: FreeProduct, measure: Measure, r0: float, lo: float,
     right = measure.param("right")
     u = _excursions(measure.param("left"), r0, 0.0)
 
+    # the last value is kept: brentq's first evaluation is h(lo), which
+    # the sign test below has just made
+    @lru_cache(maxsize=1)
     def h(r):
         w0 = 1.0 - (1.0 - alpha) * r / r0
         return _excursions(right, alpha * r, (1.0 - w0) * u) - w0

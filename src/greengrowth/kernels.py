@@ -62,8 +62,8 @@ from .groups import (
 )
 
 DEFAULT_SUPPORT_CAP = 1_000_000
-# entries kept by each memo: of r-independent sweep coefficients, and of
-# transfer solutions
+# entries kept by each memo: of r-independent sweep coefficients, of
+# transfer solutions, and of the Z^d panel grids
 MEMO_SIZE = 32
 
 
@@ -744,9 +744,14 @@ def _treeprod_circle(l1, l2, a1, r, rho):
     L1 = (k / l1) * (rho * rho - 1.0 / (l1 - 1)) / rho
     big = max(rho, 1.0 / rho)
     w2 = _treeprod_w2(a1, r, r / 4 + (r * a1 * c1 / 4) * (big + 1.0 / big))
-    res = tree_resolvent(l2, w2, 1)  # 1 / (w2 - F2), F2 / (w2 - F2)
-    A = c1 * (rho + 1.0 / rho) * res[0] / (r * (1.0 - a1) * L1)
-    return A, p, res[1] / res[0]
+    # 1 / (w2 - F2) and F2 / (w2 - F2) of `tree_resolvent`, in scalar
+    # floats with its operations, so with its bits
+    c2 = _tree_c(l2)
+    F2 = 2.0 / (l2 * (w2 + math.sqrt(max(w2 - c2, 0.0))
+                      * math.sqrt(w2 + c2)))
+    res0, res1 = 1.0 / (w2 - F2), F2 / (w2 - F2)
+    A = c1 * (rho + 1.0 / rho) * res0 / (r * (1.0 - a1) * L1)
+    return A, p, res1 / res0
 
 
 def treeprod_error(l1: int, l2: int, a1: float, r: float, d1_max: int,
@@ -761,7 +766,9 @@ def treeprod_error(l1: int, l2: int, a1: float, r: float, d1_max: int,
     nonnegative weights) to the errors the caller reports, e.g. sphere
     sums.  Returns the smallest node count M with every entry of reduce(E)
     at most tol, and reduce(E) at M.  Raises ValueError if M would exceed
-    MAX_NODES.
+    MAX_NODES.  The circles' bounds A, p, q come from `_treeprod_circle`
+    in scalar floats; each side's four grids A p^d1 q^d2 are formed in one
+    array, and one np.errstate covers all eight circles.
     """
     if r == 0.0:  # G = delta_e, no nodes needed
         return 0, reduce(np.zeros((d1_max + 1, d2_max + 1)))
@@ -769,19 +776,21 @@ def treeprod_error(l1: int, l2: int, a1: float, r: float, d1_max: int,
     d1 = np.arange(d1_max + 1)[:, None]
     d2 = np.arange(d2_max + 1)[None, :]
     sides = []
-    for edge in (rho_out, rho_in):
-        best = None
-        for t in _BOUND_FRACTIONS:
-            rho = rho0 * (edge / rho0) ** t
-            A, p, q = _treeprod_circle(l1, l2, a1, r, rho)
-            with np.errstate(over="ignore"):
-                K = reduce(A * p ** d1 * q ** d2)
-            x = min(rho / rho0, rho0 / rho)
-            m = (math.log1p(2.0 * float(K.max()) / tol) / -math.log(x)
-                 if x < 1.0 else math.inf)
-            if best is None or m < best[0]:
-                best = (m, K, x)
-        sides.append(best)
+    with np.errstate(over="ignore"):
+        for edge in (rho_out, rho_in):
+            rhos = [rho0 * (edge / rho0) ** t for t in _BOUND_FRACTIONS]
+            # one grid per circle, all of a side's in one array
+            A, p, q = np.array([_treeprod_circle(l1, l2, a1, r, rho)
+                                for rho in rhos]).T[:, :, None, None]
+            best = None
+            for rho, E in zip(rhos, A * p ** d1 * q ** d2):
+                K = reduce(E)
+                x = min(rho / rho0, rho0 / rho)
+                m = (math.log1p(2.0 * float(K.max()) / tol) / -math.log(x)
+                     if x < 1.0 else math.inf)
+                if best is None or m < best[0]:
+                    best = (m, K, x)
+            sides.append(best)
     m = max(side[0] for side in sides)
     if not m <= MAX_NODES:
         raise ValueError(
@@ -856,6 +865,9 @@ ZD_TAIL = 1e-9
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 
 
+# one entry: `_zd_sums` reads the rule of the batch call it has just made
+# (typed, so that an r of another float type gets its own rule)
+@lru_cache(maxsize=1, typed=True)
 def _zd_rule(d: int, alpha: float, m_max: int, r: float):
     """(denom, rs, decay, edges, clt) of the batch rule: the lazy walk's
     Green function is the simple walk's at rs = r (1 - alpha) / denom,
@@ -870,14 +882,29 @@ def _zd_rule(d: int, alpha: float, m_max: int, r: float):
     rs = r * (1.0 - alpha) / denom
     decay = (1.0 - r) / denom
     if rs == 0.0:
-        return denom, rs, decay, [], False
+        return denom, rs, decay, (), False
     c = rs / d
     T = max(2.0e4, 80.0 * m_max * m_max / c)
+    n, end = 1, 1.0
+    while end < T:
+        n, end = n + 1, end * 1.25
+    clt = math.exp(-decay * end) >= ZD_NEGLIGIBLE
+    return denom, rs, decay, _zd_panels(n)[0], clt
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _zd_panels(n: int):
+    """(edges, s, w) of the batch rule's first n panels: the edges
+    0, 1, 1.25, 1.25^2, ... as a tuple, and the Gauss-Legendre nodes s and
+    weights w of all panels, read-only, built once per panel count."""
     edges = [0.0, 1.0]
-    while edges[-1] < T:
+    while len(edges) <= n:
         edges.append(edges[-1] * 1.25)
-    clt = math.exp(-decay * edges[-1]) >= ZD_NEGLIGIBLE
-    return denom, rs, decay, edges, clt
+    lo, hi = np.array(edges[:-1])[:, None], np.array(edges[1:])[:, None]
+    s = (0.5 * (hi - lo) * _GL_NODES + 0.5 * (lo + hi)).ravel()
+    w = (0.5 * (hi - lo) * _GL_WEIGHTS).ravel()
+    s.flags.writeable = w.flags.writeable = False
+    return tuple(edges), s, w
 
 
 def _upper_gamma(s: float, x: float) -> float:
@@ -924,6 +951,9 @@ def zd_lazy_green_batch(d: int, alpha: float,
     (Woess, Random Walks on Infinite Graphs and Groups, CUP 2000) runs on
     one composite Gauss-Legendre grid with one Bessel table shared by all
     classes, which is what makes sphere sums out to n ~ 30 affordable.
+    The grid depends only on its panel count and is built once per count
+    (`_zd_panels`, a bounded memo of read-only arrays); a lone class
+    skips the sort and dedupe of the rows.
     The table is evaluated only at the live nodes, whose weight
     w e^(-decay s) has not underflowed to 0: elsewhere every product is 0
     whatever the Bessel factor, so the table holds 0.  The sorted classes
@@ -941,8 +971,9 @@ def zd_lazy_green_batch(d: int, alpha: float,
     if not len(classes):
         return {}
     X = np.sort(np.abs(np.array(classes, dtype=np.intp)), axis=1)
-    X = X[np.lexsort(X.T[::-1])]
-    X = X[np.r_[True, (X[1:] != X[:-1]).any(axis=1)]]
+    if len(X) > 1:
+        X = X[np.lexsort(X.T[::-1])]
+        X = X[np.r_[True, (X[1:] != X[:-1]).any(axis=1)]]
     keys = list(map(tuple, X.tolist()))
     m_max = int(X.max())
     denom, rs, decay, edges, clt = _zd_rule(d, alpha, m_max, r)
@@ -951,9 +982,7 @@ def zd_lazy_green_batch(d: int, alpha: float,
     c = rs / d
 
     # composite Gauss-Legendre on geometrically growing panels
-    lo, hi = np.array(edges[:-1])[:, None], np.array(edges[1:])[:, None]
-    s = (0.5 * (hi - lo) * _GL_NODES + 0.5 * (lo + hi)).ravel()
-    w = (0.5 * (hi - lo) * _GL_WEIGHTS).ravel()
+    _, s, w = _zd_panels(len(edges) - 1)
     base = w * np.exp(-s * decay)
     live = base > 0.0
     bessel = np.zeros((m_max + 1, len(s)))
@@ -1208,7 +1237,8 @@ def _zd_sums(measure, classes, r, tol, reduce):
     """`zd_lazy_green_batch`'s values, and the one Z^d error rule: where
     the batch rule adds the local-CLT tail (always at r = 1), a class's
     tail is the magnitude of the expansion's last kept term, and rigorous
-    is False, the expansion being asymptotic, not a bound."""
+    is False, the expansion being asymptotic, not a bound.  The rule is
+    the batch's own, read back from `_zd_rule`'s one-entry memo."""
     d, alpha = measure.spec.d, float(measure.param("alpha"))
     values = zd_lazy_green_batch(d, alpha, classes, r)
     G = np.array([values[k] for k in map(tuple, classes.tolist())])

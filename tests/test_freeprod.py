@@ -282,7 +282,17 @@ def test_scan_work_is_counted(monkeypatch):
     scan_construction(P64, 3, 0.05, r_grid=list(np.linspace(1.0, 1.13, 4)),
                       n_max=12, support_cap=200, full_series_n=0)
     assert kernels._memo_transfer.cache_info().misses <= 5
-    assert len(calls) <= 64
+    assert len(calls) == 61
+
+
+def test_one_transfer_solve_makes_its_pinned_calls(monkeypatch):
+    # 4 iterations of the monotone update, two factor calls each
+    calls = []
+    excursions = kernels._excursions
+    monkeypatch.setattr(kernels, "_excursions",
+                        lambda *a: calls.append(a) or excursions(*a))
+    transfer(SPEC, standard_measure(SPEC, alpha=0.2), 0.5)
+    assert len(calls) == 8
 
 
 def test_transfer_memo_is_shared_and_keeps_no_refusal(monkeypatch):

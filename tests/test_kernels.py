@@ -173,6 +173,51 @@ def test_treeprod_green_satisfies_resolvent_identity():
         assert abs(G[x].value - rhs) <= allowed + 1e-13 * G[x].value
 
 
+def _treeprod_circle_by_resolvent(l1, l2, a1, r, rho):
+    """`kernels._treeprod_circle` with its second factor read from
+    `tree_resolvent`'s 0-d arrays: the reference the scalar form keeps the
+    bits of."""
+    c1 = kernels._tree_c(l1)
+    k = math.sqrt(l1 - 1)
+    L1 = (k / l1) * (rho * rho - 1.0 / (l1 - 1)) / rho
+    big = max(rho, 1.0 / rho)
+    w2 = kernels._treeprod_w2(
+        a1, r, r / 4 + (r * a1 * c1 / 4) * (big + 1.0 / big))
+    res = kernels.tree_resolvent(l2, w2, 1)
+    A = c1 * (rho + 1.0 / rho) * res[0] / (r * (1.0 - a1) * L1)
+    return A, 1.0 / (k * rho), res[1] / res[0]
+
+
+@pytest.mark.parametrize("l1,l2,a1", [(4, 4, 0.5), (6, 4, 0.5),
+                                      (4, 3, 1 / 3)])
+def test_treeprod_bound_circles_keep_the_bits_of_the_resolvent(l1, l2, a1):
+    R = 1.0 / kernels.treeprod_rho(l1, l2, a1)
+    for r in (1e-3 * R, 0.1 * R, 0.5 * R, 0.9 * R, 0.999 * R,
+              R * (1 - 1e-9)):
+        rho0, rho_in, rho_out = kernels._treeprod_contour(l1, l2, a1, r)
+        for edge in (rho_out, rho_in):
+            for t in kernels._BOUND_FRACTIONS:
+                rho = rho0 * (edge / rho0) ** t
+                assert (kernels._treeprod_circle(l1, l2, a1, r, rho)
+                        == _treeprod_circle_by_resolvent(l1, l2, a1, r, rho))
+
+
+def test_treeprod_error_restores_numpy_error_state():
+    def reduce(E):
+        return E.ravel()  # every element its own row
+
+    R = 1.0 / kernels.treeprod_rho(4, 4, 0.5)
+    for state in ({}, {"all": "raise"}):
+        with np.errstate(**state):
+            before = np.geterr()
+            kernels.treeprod_error(4, 4, 0.5, 0.5 * R, 0, 0, 1e-9, reduce)
+            assert np.geterr() == before
+            with pytest.raises(ValueError, match="MAX_NODES"):
+                kernels.treeprod_error(4, 4, 0.5, R * (1 - 1e-9), 0, 0,
+                                       1e-9, reduce)
+            assert np.geterr() == before
+
+
 def _treeprod_mixed_chain(l1, l2, a1, r, n_max, d_max):
     """Truncated sums over |x1| = d1, |x2| = d2 of G(e, x | r): the
     product-mix walk gives k of k + m <= n_max steps to the first factor
@@ -546,6 +591,28 @@ def test_zd_batch_keeps_the_bits_of_the_single_class_at_e(z):
     e = (0, 0, 0)
     assert (zd_lazy_green_batch(3, 0.5, [e], z)[e]
             == _zd_green_per_class(3, 0.5, [e], z)[e])
+
+
+def test_zd_panel_memo_is_bounded_and_read_only():
+    kernels._zd_panels.cache_clear()
+    assert kernels._zd_panels.cache_info().maxsize == kernels.MEMO_SIZE
+    edges, s, w = kernels._zd_panels(46)
+    assert len(edges) == 47 and len(s) == len(w) == 46 * 24
+    for a in (s, w):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    # one-point calls and a sphere call read grids of different panel
+    # counts from the memo, each with the bits of a grid built afresh
+    e = (0, 0, 0)
+    spec = FreeAbelian(3)
+    keys = list(map(tuple, class_engine(standard_measure(spec)).spheres(
+        spec, 30)[0].tolist()))
+    for r in (0.05, 0.5, 0.05, 0.99, 0.5):
+        assert (zd_lazy_green_batch(3, 0.5, [e], r)[e]
+                == _zd_green_per_class(3, 0.5, [e], r)[e])
+        assert zd_lazy_green_batch(3, 0.5, keys, r) == _zd_green_per_class(
+            3, 0.5, keys, r)
+    assert kernels._zd_panels.cache_info().hits > 0
 
 
 @pytest.mark.parametrize("spec,n_max,name", [
