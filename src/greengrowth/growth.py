@@ -9,12 +9,13 @@ H_r(n) = sum over the word-metric sphere S_n of G(e, x | r).  Three routes:
   composes the series from the factors' sphere rows through `transfer`,
   with a two-sided tail; a parabolic-gap report reads both of its series
   from one composition,
-* everything else -- the float step-sum core `kernels.step_sums` binned
-  by word length, so the r-dependence is a cheap polynomial evaluation;
-  the mass a support cap prunes enters every tail.  Unrestricted sweeps
-  walk symmetry orbits where the group has them (the Heisenberg group's
-  dihedral group of order 8).  A parabolic-gap report reduces one sweep
-  twice, over the whole spheres and over the factor.
+* everything else -- `sphere_reduced_sweep`, the float step-sum core
+  `kernels.step_sums` binned by word length, so the r-dependence is a
+  cheap polynomial evaluation; the mass a support cap prunes enters every
+  tail.  Unrestricted sweeps walk symmetry orbits where the group has
+  them (the Heisenberg group's dihedral group of order 8).  A
+  parabolic-gap report reduces one sweep twice, over the whole spheres
+  and over the factor.
 
 Also here: growth-rate estimation omega(r) by least-squares slope of
 log H_r(n), partial Poincare sums, the Green-based distance
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -35,7 +35,7 @@ import numpy as np
 from .bitree import _line_fit, prefactor_exponent
 from .groups import Element, FreeProduct, GroupSpec
 from .kernels import (
-    DEFAULT_SUPPORT_CAP, MEMO_SIZE, Measure, _heuristic_tail, _measure_on,
+    DEFAULT_SUPPORT_CAP, Measure, _heuristic_tail, _measure_on,
     _pick_n, check_request, class_engine, composes, freeprod_sphere_sums,
     green_truncated, step_sums,
 )
@@ -84,12 +84,8 @@ def _h_generic(measure, r, n_max, tol, restrictions, max_terms, support_cap):
     """One series per restriction (None: the whole sphere), all reduced
     from one sweep."""
     n_steps, rigorous, rho = _pick_n(measure, r, tol, max_terms, default=40)
-    if len(restrictions) == 1:
-        swept = sphere_reduced_sweep(measure, n_max, n_steps,
-                                     restrictions[0], support_cap)
-    else:
-        swept = _sweep(measure, n_max, n_steps, restrictions, support_cap)
-    *matrices, dropped = swept
+    *matrices, dropped = sphere_reduced_sweep(measure, n_max, n_steps,
+                                              restrictions, support_cap)
     rigorous = rigorous and r < 1.0
     powers = r ** np.arange(n_steps + 1)
     # p_k(A) <= (pruned p_k)(A) + M_k for every set A
@@ -111,51 +107,42 @@ def _h_generic(measure, r, n_max, tol, restrictions, max_terms, support_cap):
 
 
 def sphere_reduced_sweep(measure: Measure, n_max: int, n_steps: int,
-                         restriction: Optional[Callable[[Element], bool]]
-                         = None,
+                         restrictions: Tuple[Optional[Callable], ...]
+                         = (None,),
                          support_cap: Optional[int] = DEFAULT_SUPPORT_CAP,
-                         ) -> Tuple[np.ndarray, np.ndarray]:
-    """Matrix S[n, k] = sum of p_k(e, x) over x in S_n (optionally
-    restricted), from one `step_sums` sweep.  H_r(n) is then the
-    polynomial sum_k r^k S[n, k] for any r.
+                         ) -> Tuple[np.ndarray, ...]:
+    """The one step-sum sweep binned by word length: `kernels.step_sums`
+    with key |x|.  S[n, k] = sum of p_k(e, x) over x in S_n, one matrix per
+    restriction (None: the whole sphere; else only the elements the
+    predicate accepts), so H_r(n) is the polynomial sum_k r^k S[n, k] for
+    any r.
 
-    Returns (S, M): M[k] is the mass the support cap pruned by step k, so
-    each S[n, k] is a lower bound within M[k] of the unpruned value.
-    Unrestricted sweeps are memoized; a restriction closure never repeats,
-    so those are not.
+    Returns (*S, M): M[k] is the mass the support cap pruned by step k, so
+    each S[n, k] is a lower bound within M[k] of the unpruned value.  Word
+    length is constant on symmetry orbits, so the unrestricted sweep,
+    restrictions == (None,), walks orbits.
     """
-    sweep = _sweep if restriction is not None else _memo_sweep
-    return sweep(measure, n_max, n_steps, (restriction,), support_cap)
-
-
-def _sweep(measure, n_max, n_steps, restrictions, support_cap):
-    """The `step_sums` core binned by word length: the matrices S, one per
-    restriction, then the pruned masses M.  Word length is constant on
-    symmetry orbits, so an unrestricted sweep walks orbits."""
     return step_sums(measure, measure.group.word_length, n_max + 1, n_steps,
                      restrictions, support_cap,
                      lump=restrictions == (None,))
 
 
-_memo_sweep = lru_cache(maxsize=MEMO_SIZE)(_sweep)
-
-
 def h_series(spec: GroupSpec, measure: Optional[Measure] = None,
              r: float = 1.0, n_max: int = 20, tol: float = 1e-9,
-             restriction: Optional[Callable[[Element], bool]] = None,
              max_terms: Optional[int] = None,
              support_cap: Optional[int] = DEFAULT_SUPPORT_CAP,
              ) -> GrowthSeries:
     """Sphere-summed Green series H_r(n) for n = 0..n_max.
 
-    Unrestricted series of the walks of `kernels.class_engine` (trees,
-    tree products, Z^d, Diestel-Leader) reduce the engine's classes to one
-    row per sphere, with the error rules of `kernels.CLASS_ENGINES`, and
-    ignore max_terms.  Unrestricted series of a free product whose
-    factors are such walks (`kernels.composes`) are composed from the
-    factors' series through `transfer` (`kernels.freeprod_sphere_sums`,
-    a two-sided tail) and ignore max_terms and support_cap.  Every other
-    series reads the step sums.  Every walk whose spectral radius rho is
+    The walks of `kernels.class_engine` (trees, tree products, Z^d,
+    Diestel-Leader) reduce the engine's classes to one row per sphere,
+    with the error rules of `kernels.CLASS_ENGINES`, and ignore max_terms.
+    A free product whose factors are such walks (`kernels.composes`) is
+    composed from the factors' series through `transfer`
+    (`kernels.freeprod_sphere_sums`, a two-sided tail) and ignores
+    max_terms and support_cap.  Every other walk reads the unrestricted
+    `sphere_reduced_sweep`.  The series restricted to a free factor is
+    `parabolic_gap_report`'s.  Every walk whose spectral radius rho is
     known in closed form raises ValueError at r > 1/rho; n_max < 0 and
     tol <= 0 or NaN raise ValueError.
     """
@@ -163,16 +150,16 @@ def h_series(spec: GroupSpec, measure: Optional[Measure] = None,
         raise ValueError(f"n_max must be >= 0, got n_max = {n_max}")
     measure = _measure_on(spec, measure)
     check_request(measure, r, tol)
-    engine = class_engine(measure) if restriction is None else None
-    if restriction is None and composes(measure):
-        series, rigorous = freeprod_sphere_sums(measure, r, n_max, tol)
-        vals = _entries(*series[0], rigorous)
-    elif engine is None:
-        vals, = _h_generic(measure, r, n_max, tol, (restriction,), max_terms,
-                           support_cap)
-    else:
+    engine = class_engine(measure)
+    if engine is not None:
         vals = _entries(*engine.sums(measure, *engine.spheres(spec, n_max),
                                      r, tol))
+    elif composes(measure):
+        series, rigorous = freeprod_sphere_sums(measure, r, n_max, tol)
+        vals = _entries(*series[0], rigorous)
+    else:
+        vals, = _h_generic(measure, r, n_max, tol, (None,), max_terms,
+                           support_cap)
     return GrowthSeries(spec, r, vals)
 
 
@@ -190,7 +177,13 @@ def _entries(values: np.ndarray, tails: np.ndarray, rigorous: bool
 def omega_estimate(series: GrowthSeries,
                    window: Optional[Tuple[int, int]] = None,
                    ) -> OmegaEstimate:
-    """Least-squares slope of log H_r(n) on the window (default: top half)."""
+    """Least-squares slope of log H_r(n) on the window (default: top half).
+
+    The slope is the raw fit of log H_r(n) against n, prefactor included:
+    H_r(n) ~ n^b e^(omega n) gives about omega + b / n at the window's
+    middle n.  So `greengrowth omega --group zd --d 3 --r 1.0 --nmax 30`
+    prints 0.0456 where omega(1) = 0 (b = 1 on Z^3 at r = 1).
+    """
     if window is None:
         window = ((series.n_max + 1) // 2, series.n_max)
     lo, hi = window

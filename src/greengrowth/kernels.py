@@ -62,8 +62,8 @@ from .groups import (
 )
 
 DEFAULT_SUPPORT_CAP = 1_000_000
-# entries kept by each memo: of r-independent sweep coefficients, of
-# transfer solutions, and of the Z^d panel grids
+# entries kept by each memo: of transfer solutions and of the Z^d panel
+# grids
 MEMO_SIZE = 32
 
 
@@ -865,9 +865,6 @@ ZD_TAIL = 1e-9
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 
 
-# one entry: `_zd_sums` reads the rule of the batch call it has just made
-# (typed, so that an r of another float type gets its own rule)
-@lru_cache(maxsize=1, typed=True)
 def _zd_rule(d: int, alpha: float, m_max: int, r: float):
     """(denom, rs, decay, edges, clt) of the batch rule: the lazy walk's
     Green function is the simple walk's at rs = r (1 - alpha) / denom,
@@ -877,7 +874,8 @@ def _zd_rule(d: int, alpha: float, m_max: int, r: float):
     T = max(2e4, 80 m_max^2 / c), c = rs / d, where ive is in its
     asymptotic range.  clt says whether the local-CLT tail is added past
     Te: unless e^(-decay Te) < ZD_NEGLIGIBLE, so always at r = 1.  No
-    edges and no tail at rs = 0, where G = delta_e."""
+    edges and no tail at rs = 0, where G = delta_e.  A pure function of
+    its arguments: `_zd_sums` recomputes the batch's rule from them."""
     denom = 1.0 - r * alpha
     rs = r * (1.0 - alpha) / denom
     decay = (1.0 - r) / denom
@@ -1238,7 +1236,7 @@ def _zd_sums(measure, classes, r, tol, reduce):
     the batch rule adds the local-CLT tail (always at r = 1), a class's
     tail is the magnitude of the expansion's last kept term, and rigorous
     is False, the expansion being asymptotic, not a bound.  The rule is
-    the batch's own, read back from `_zd_rule`'s one-entry memo."""
+    the batch's own: `_zd_rule` at the batch's arguments."""
     d, alpha = measure.spec.d, float(measure.param("alpha"))
     values = zd_lazy_green_batch(d, alpha, classes, r)
     G = np.array([values[k] for k in map(tuple, classes.tolist())])

@@ -149,23 +149,14 @@ def test_induced_omega_requires_factor_range():
         induced_omega_P(params, too_big)
 
 
-def test_r_independent_sweeps_share_a_bounded_memo():
+def test_an_always_true_restriction_gives_the_unrestricted_sweep():
     m = measure_for(0.3)
-    s = growth.sphere_reduced_sweep(m, 2, 6, None, 5_000)
-    assert growth.sphere_reduced_sweep(m, 2, 6, None, 5_000) is s
-    assert growth._memo_sweep.cache_info().maxsize == MEMO_SIZE < 1_000
-    # a restriction closure never repeats, so restricted sweeps bypass it
-    size = growth._memo_sweep.cache_info().currsize
-
-    def inside(x):
-        return True
-
-    first = growth.sphere_reduced_sweep(m, 2, 6, inside, 5_000)
-    second = growth.sphere_reduced_sweep(m, 2, 6, inside, 5_000)
-    assert first is not second
-    assert np.array_equal(first[0], second[0])
-    assert np.array_equal(first[0], s[0])
-    assert growth._memo_sweep.cache_info().currsize == size
+    S, dropped = growth.sphere_reduced_sweep(m, 2, 6, support_cap=5_000)
+    full, every, also_dropped = growth.sphere_reduced_sweep(
+        m, 2, 6, (None, lambda x: True), 5_000)
+    assert np.array_equal(full, every)
+    assert np.array_equal(every, S)
+    assert np.array_equal(also_dropped, dropped)
 
 
 def test_scan_construction_fast(monkeypatch):
@@ -368,7 +359,7 @@ def test_engine_intervals_overlap_the_unpruned_sweep(spec, alpha, r, steps,
     # unpruned sweep of N steps is low by at most r^(N+1) / (1 - r)
     m = standard_measure(spec, alpha=alpha)
     series = growth.h_series(spec, m, r, 4)
-    S, dropped = growth.sphere_reduced_sweep(m, 4, steps, None, None)
+    S, dropped = growth.sphere_reduced_sweep(m, 4, steps, support_cap=None)
     assert not dropped.any()
     sums = S @ r ** np.arange(steps + 1)
     for n in range(5):

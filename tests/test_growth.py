@@ -121,7 +121,7 @@ def test_heisenberg_sweep_matches_bfs_word_lengths():
         want[:, k] = np.bincount(walk.lookup(dist.__getitem__),
                                  weights=walk.p,
                                  minlength=n_max + 1)[: n_max + 1]
-    S, dropped = sphere_reduced_sweep(m, n_max, steps, None)
+    S, dropped = sphere_reduced_sweep(m, n_max, steps)
     assert not dropped.any()
     assert np.array_equal(S, want)
     powers = r ** np.arange(steps + 1)
@@ -142,8 +142,7 @@ def test_heisenberg_sweep_walks_dihedral_orbits(monkeypatch):
         return products[-1]
 
     monkeypatch.setattr(cls, "multiply", recorded)
-    growth._memo_sweep.cache_clear()
-    sphere_reduced_sweep(standard_measure(spec), 6, 16, None)
+    sphere_reduced_sweep(standard_measure(spec), 6, 16)
     assert len(products) == 10_860
     assert len({g.identity()} | set(map(g.canonical, products))) == 3_511
 
@@ -170,8 +169,8 @@ def test_pruning_keeps_the_heisenberg_series_rigorous():
 
 def test_pruned_sweep_plus_dropped_mass_bounds_the_full_sweep():
     m = standard_measure(FreeProduct(RegularTree(3), FreeAbelian(2)))
-    full, none = sphere_reduced_sweep(m, 4, 6, None, None)
-    cut, dropped = sphere_reduced_sweep(m, 4, 6, None, 200)
+    full, none = sphere_reduced_sweep(m, 4, 6, support_cap=None)
+    cut, dropped = sphere_reduced_sweep(m, 4, 6, support_cap=200)
     assert not none.any()
     assert dropped[0] == 0.0 and dropped[-1] > 0.0
     assert np.all(np.diff(dropped) >= 0.0)
@@ -179,7 +178,7 @@ def test_pruned_sweep_plus_dropped_mass_bounds_the_full_sweep():
     # p_k(A) <= (pruned p_k)(A) + M_k on every sphere A
     assert np.all(full <= cut + dropped + 1e-15)
     # 1346 is the 4-step support: a sweep that lands on the cap drops nothing
-    S, on_cap = sphere_reduced_sweep(m, 4, 4, None, 1346)
+    S, on_cap = sphere_reduced_sweep(m, 4, 4, support_cap=1346)
     assert not on_cap.any()
     assert np.array_equal(S, full[:, :5])
 
@@ -300,10 +299,35 @@ def test_parabolic_gap_report_runs_one_sweep(monkeypatch):
     assert len(steps) == 7
     full = GrowthSeries(spec, 0.9,
                         _h_generic(m, 0.9, 5, 1e-9, (None,), 7, 2000)[0])
-    factor = h_series(spec, r=0.9, n_max=5, max_terms=7, support_cap=2000,
-                      restriction=lambda a: g.factor_part(0, a) is not None)
+    factor = GrowthSeries(spec, 0.9, _h_generic(
+        m, 0.9, 5, 1e-9, (lambda a: g.factor_part(0, a) is not None,), 7,
+        2000)[0])
     assert full_vals == full.values
     assert factor_vals == factor.values
+
+
+def test_parabolic_gap_report_sweeps_only_where_nothing_composes(
+        monkeypatch):
+    # T3 * Heisenberg3 has no engine: one sweep carries both restrictions;
+    # T3 * Z^2 composes from its factors and sweeps nothing
+    calls = []
+    sweep = growth.sphere_reduced_sweep
+
+    def recorded(measure, n_max, n_steps, restrictions=(None,), *args):
+        calls.append(restrictions)
+        return sweep(measure, n_max, n_steps, restrictions, *args)
+
+    monkeypatch.setattr(growth, "sphere_reduced_sweep", recorded)
+    parabolic_gap_report(FreeProduct(RegularTree(3), Heisenberg3()), None,
+                         0.5, 0, 5, max_terms=7, support_cap=2000,
+                         window=(0, 5))
+    assert len(calls) == 1
+    none, in_factor = calls[0]
+    assert none is None and callable(in_factor)
+    calls.clear()
+    parabolic_gap_report(FreeProduct(RegularTree(3), FreeAbelian(2)), None,
+                         0.5, 0, 5, window=(0, 5))
+    assert calls == []
 
 
 def test_series_entries_are_plain_floats():

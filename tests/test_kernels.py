@@ -615,6 +615,25 @@ def test_zd_panel_memo_is_bounded_and_read_only():
     assert kernels._zd_panels.cache_info().hits > 0
 
 
+def test_the_package_keeps_two_bounded_function_memos():
+    # module-level lru_cache wrappers: the transfer solutions and the Z^d
+    # panel grids, each bounded by MEMO_SIZE
+    import importlib
+    import pkgutil
+
+    import greengrowth
+
+    memos = {}
+    for info in pkgutil.iter_modules(greengrowth.__path__):
+        module = importlib.import_module(f"greengrowth.{info.name}")
+        for name, value in vars(module).items():
+            if (hasattr(value, "cache_info")
+                    and value.__module__ == module.__name__):
+                memos[f"{info.name}.{name}"] = value.cache_info().maxsize
+    assert memos == {"kernels._memo_transfer": kernels.MEMO_SIZE,
+                     "kernels._zd_panels": kernels.MEMO_SIZE}
+
+
 @pytest.mark.parametrize("spec,n_max,name", [
     (FreeAbelian(3), 30, "zd_lazy_green_batch"),
     (DiestelLeader(3), 10, "dl_green_classes")])
@@ -1024,7 +1043,7 @@ def test_a_measure_the_symmetries_move_walks_per_element():
     m = Measure(spec, "skewed", (),
                 tuple(sorted(w.items(), key=lambda kv: g.encode(kv[0]))))
     assert not FloatWalk(m, {g.identity(): 1.0}, lump=True).lumped
-    swept = sphere_reduced_sweep(m, 6, 12, None, None)
+    swept = sphere_reduced_sweep(m, 6, 12, support_cap=None)
     plain = step_sums(m, g.word_length, 7, 12, support_cap=None)
     assert all(np.array_equal(a, b) for a, b in zip(swept, plain))
 
