@@ -133,7 +133,7 @@ def test_brw_output_is_byte_stable(capsys, argv, digest):
 @pytest.mark.parametrize("argv, digest", [
     # README examples
     ("omega --group zd --d 3 --r 1.0 --nmax 30",
-     "3b651f933778ba1167f1ab63d94e3da38eb76531be9a9b64c632d18bba3e33aa"),
+     "2c6c4b5e8d859cbbce7c9c517659bfde036e20db12cd2c2bc75840f9532afe11"),
     ("theta --group tree --l 4 --r 0.9 --s 0.5 --nmax 20",
      "77fdc0023c7e4da4fa3d5c6a24e13741095b457e71b1fda342cbca113eca83a5"),
     ("bitree-phase --l1 6 --l2 4 --a1 0.5 --grid 40",

@@ -124,23 +124,23 @@ GOLDEN = {
         "51e14a913680f24c",
     ),
     "Z2-0.9": (
-        "e6b085e0ab00d407", "aeb294dc3915cacf", "cc5f6cf32f361e9f",
-        "5a5534171fd69121", "1f34be94c0f63030", "f42644cb78e69725",
+        "4288c75c1b0f226c", "aeb294dc3915cacf", "cc5f6cf32f361e9f",
+        "7c04a63b74f47614", "1f34be94c0f63030", "f42644cb78e69725",
         "2432dbb70926df29",
     ),
     "Z3-0.5": (
-        "05c01d1c0a92be0e", "8836e0581cef9182", "cc5f6cf32f361e9f",
-        "15582081075bb3ae", "9021f9b42681058b", "4edc207f909df185",
+        "e379595138ae0876", "8836e0581cef9182", "cc5f6cf32f361e9f",
+        "9ab1942dfa07d5ed", "9021f9b42681058b", "4edc207f909df185",
         "8d5f685f8572c75f",
     ),
     "Z3-0.9": (
-        "22dc154d271fae0e", "8836e0581cef9182", "cc5f6cf32f361e9f",
-        "c47287d8cbb1dde0", "9021f9b42681058b", "4edc207f909df185",
+        "02d64d6669bbe91d", "8836e0581cef9182", "cc5f6cf32f361e9f",
+        "33d80ba2782e6a1e", "9021f9b42681058b", "4edc207f909df185",
         "8d5f685f8572c75f",
     ),
     "Z3-1.0": (
-        "c7edea01ade94667", "a73abb7956900f9d", "fd08be957bda07dc",
-        "2ec7129a8af5d2f1", "9021f9b42681058b", "667de5e777779d86",
+        "456a6a7a7730e037", "a73abb7956900f9d", "fd08be957bda07dc",
+        "b8d48d4ea2a876c2", "9021f9b42681058b", "667de5e777779d86",
         "7955cb2de90dd9ef",
     ),
 }

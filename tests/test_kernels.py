@@ -541,12 +541,18 @@ def test_zd_functions_refuse_r_outside_unit_interval():
     assert zd_lazy_green_batch(3, 0.5, [], 0.5) == {}
 
 
-def _zd_green_per_class(d, alpha, classes, r):
-    """`zd_lazy_green_batch` as one product per class over the whole grid,
-    the Bessel table at every node: the reference its grouped products
-    and live-node table keep the bits of."""
+def _scipy_ive_table(m_max, x):
+    """ive(m, x) for m = 0..m_max from scipy at every order."""
     from scipy.special import ive
 
+    return ive(np.arange(m_max + 1)[:, None], x)
+
+
+def _zd_green_per_class(d, alpha, classes, r, table=kernels._ive_table):
+    """`zd_lazy_green_batch` as one product per class over the whole grid,
+    the Bessel table at every node: with the engine's table, the reference
+    its grouped products and live-node table keep the bits of; with
+    `_scipy_ive_table`, the reference it is accurate against."""
     from greengrowth.kernels import (
         _GL_NODES, _GL_WEIGHTS, _zd_clt_tail, _zd_rule,
     )
@@ -560,7 +566,7 @@ def _zd_green_per_class(d, alpha, classes, r):
     w = np.concatenate([0.5 * (b - a) * _GL_WEIGHTS
                         for a, b in zip(edges[:-1], edges[1:])])
     base = w * np.exp(-s * decay)
-    bessel = ive(np.arange(m_max + 1)[:, None], c * s[None, :])
+    bessel = table(m_max, c * s)
     out = {}
     for x in uniq:
         prod = base.copy()
@@ -573,16 +579,55 @@ def _zd_green_per_class(d, alpha, classes, r):
     return out
 
 
-@pytest.mark.parametrize("d,alpha,r", [
+ZD_BATCH_CASES = [
     (1, 0.5, 0.05), (1, 0.5, 0.5), (1, 0.5, 0.99), (1, 0.5, 1 - 1e-9),
     (2, 0.25, 0.05), (2, 0.25, 0.5), (2, 0.25, 0.99),
-    (4, 0.5, 0.05), (4, 0.5, 0.5), (4, 0.5, 0.99), (4, 0.5, 1.0)])
+    (4, 0.5, 0.05), (4, 0.5, 0.5), (4, 0.5, 0.99), (4, 0.5, 1.0)]
+
+
+@pytest.mark.parametrize("d,alpha,r", ZD_BATCH_CASES)
 def test_zd_batch_keeps_the_bits_of_one_product_per_class(d, alpha, r):
     spec = FreeAbelian(d)
     classes, _, _ = class_engine(standard_measure(spec)).spheres(spec, 12)
     keys = list(map(tuple, classes.tolist()))
     assert zd_lazy_green_batch(d, alpha, keys, r) == _zd_green_per_class(
         d, alpha, keys, r)
+
+
+@pytest.mark.parametrize("d,alpha,r,n_max", [
+    *((d, alpha, r, 12) for d, alpha, r in ZD_BATCH_CASES),
+    (3, 0.5, 0.5, 30), (3, 0.5, 0.9, 30), (3, 0.5, 1.0, 30)])
+def test_zd_batch_is_within_1e_12_of_the_scipy_table(d, alpha, r, n_max):
+    # the recurrence table moves no value by more than 1e-12 relative from
+    # the same rule on scipy's ive at every order
+    spec = FreeAbelian(d)
+    classes, _, _ = class_engine(standard_measure(spec)).spheres(
+        spec, n_max)
+    keys = list(map(tuple, classes.tolist()))
+    got = zd_lazy_green_batch(d, alpha, keys, r)
+    ref = _zd_green_per_class(d, alpha, keys, r, table=_scipy_ive_table)
+    assert got.keys() == ref.keys()
+    assert all(abs(got[x] - ref[x]) <= 1e-12 * ref[x] for x in ref)
+
+
+@pytest.mark.parametrize("m_max", [0, 1, 2, 8, 30, 60])
+@pytest.mark.parametrize("r", [0.05, 0.5, 0.99, 1.0])
+def test_ive_table_is_within_2e_13_of_scipy_at_every_order(m_max, r):
+    # on the batch's own live nodes; below m_max = 2 (the one-point calls
+    # at e) it is scipy's table, and at m_max = 60 and r = 0.05 some top
+    # seeds underflow and those nodes take scipy's values
+    _, rs, decay, edges, _ = kernels._zd_rule(3, 0.5, m_max, r)
+    _, s, w = kernels._zd_panels(len(edges) - 1)
+    x = rs / 3 * s[w * np.exp(-s * decay) > 0.0]
+    table = kernels._ive_table(m_max, x)
+    ref = _scipy_ive_table(m_max, x)
+    assert table.shape == ref.shape
+    assert np.all(np.abs(table - ref) <= 2e-13 * ref)
+    if m_max < 2:
+        assert np.array_equal(table, ref)
+    if (m_max, r) == (60, 0.05):
+        low = ref[-1] < np.finfo(float).tiny
+        assert low.any() and np.array_equal(table[:, low], ref[:, low])
 
 
 @pytest.mark.parametrize("z", [0.01, 0.05, 0.1, 0.2, 0.3])
