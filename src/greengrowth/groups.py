@@ -530,14 +530,9 @@ _CLASSES = {
     FreeProduct: _FreeProductGroup,
 }
 
-# one group per spec; no group keeps per-element state
-_CACHE: Dict[GroupSpec, Group] = {}
-
-
 def group_for(spec: GroupSpec) -> Group:
-    if spec not in _CACHE:
-        _CACHE[spec] = _CLASSES[type(spec)](spec)
-    return _CACHE[spec]
+    """A new group of spec (groups keep no per-element state)."""
+    return _CLASSES[type(spec)](spec)
 
 
 # ---------------------------------------------------------------------------

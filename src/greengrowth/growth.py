@@ -191,7 +191,7 @@ def omega_estimate(series: GrowthSeries,
         raise ValueError("window must lie in the series with span >= 5")
     ns = np.arange(lo, hi + 1, dtype=float)
     vals = np.array([series.value(int(n)) for n in ns])
-    if np.any(vals <= 0):
+    if not np.all(vals > 0):
         raise ValueError("series must be positive on the window")
     slope, stderr = _line_fit(ns, np.log(vals))
     return OmegaEstimate(slope, (lo, hi), stderr)
@@ -279,7 +279,7 @@ def convergence_diagnostic(series: GrowthSeries, omega: float,
     lo, hi = max(window[0], 1), window[1]  # log n needs n >= 1
     ns = np.arange(lo, hi + 1)
     vals = np.array([series.value(int(n)) for n in ns])
-    if np.any(vals <= 0):
+    if not np.all(vals > 0):
         return float("nan"), "undetermined"
     expo, _ = prefactor_exponent(np.log(vals), ns, omega)
     return expo, _convergence_label(expo)

@@ -49,7 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import islice, repeat
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -88,8 +88,8 @@ class Measure:
 
     def __post_init__(self):
         if any(self.kind == kind for _, kind in CLASS_ENGINES):
-            kind, params, weights = _standard_walk(self.spec,
-                                                   dict(self.params))
+            kind, params, weights, _ = _standard_walk(self.spec,
+                                                      dict(self.params))
             if ((kind, params) != (self.kind, self.params)
                     or dict(self.weights) != weights):
                 raise ValueError(
@@ -97,8 +97,9 @@ class Measure:
                     f" but these params {self.params} and weights on "
                     f"{self.spec} are not that walk's")
 
-    @property
+    @cached_property
     def group(self) -> Group:
+        """The group of spec, built once per measure."""
         return group_for(self.spec)
 
     def param(self, name):
@@ -127,13 +128,12 @@ def standard_measure(spec: GroupSpec, **params) -> Measure:
     "right" parameters).  Any other spec, and any parameter its walk does
     not read, raises ValueError.
     """
-    kind, p, w = _standard_walk(spec, params)
-    g = group_for(spec)
+    kind, p, w, g = _standard_walk(spec, params)
     items = tuple(sorted(w.items(), key=lambda kv: g.encode(kv[0])))
     # the walk is its own standard walk: `Measure`'s check, which builds
-    # that walk again to compare, is skipped
+    # that walk again to compare, is skipped; g is the measure's group
     m = object.__new__(Measure)
-    m.__dict__.update(spec=spec, kind=kind, params=p, weights=items)
+    m.__dict__.update(spec=spec, kind=kind, params=p, weights=items, group=g)
     return m
 
 
@@ -150,8 +150,8 @@ def _measure_on(spec: GroupSpec, measure: Optional[Measure]) -> Measure:
 
 def _standard_walk(spec: GroupSpec, params: Dict[str, object]
                    ) -> Tuple[str, Tuple[Tuple[str, object], ...],
-                              Dict[Element, Fraction]]:
-    """(kind, params, weights) of `standard_measure`, which `Measure`
+                              Dict[Element, Fraction], Group]:
+    """(kind, params, weights, group) of `standard_measure`, which `Measure`
     checks a measure of a class-engine kind against.  Each walk pops the
     parameters it reads; any left over raise ValueError."""
     params = dict(params)
@@ -210,7 +210,7 @@ def _standard_walk(spec: GroupSpec, params: Dict[str, object]
                          f"{sorted(params)}")
 
     assert sum(w.values()) == 1
-    return kind, p, w
+    return kind, p, w, g
 
 
 def known_spectral_radius(measure: Measure) -> Optional[float]:
@@ -315,9 +315,9 @@ class StepTable:
                 old, len(self._table))[:, None]
 
     def at(self, ids: np.ndarray, steps: np.ndarray) -> np.ndarray:
-        """Product ids of the pairs (ids[k], steps[k]), ids and steps
-        broadcast against each other, filling each missing pair once, in
-        order of first appearance (row-major)."""
+        """Product ids of the pairs (ids[k], steps[k]), broadcast against
+        each other, filling each missing pair once, in row-major order of
+        first appearance (`brw`'s draws repeat pairs, `FloatWalk`'s never)."""
         self._grow()
         flat = self._table.reshape(-1)
         keys = ids * len(self.steps) + steps
@@ -573,9 +573,19 @@ def tree_distance_law(l: int, n_max: int, d_max: int) -> np.ndarray:
 
 
 def tree_sphere_sizes(l: int, n_max: int) -> np.ndarray:
-    sizes = np.ones(n_max + 1)
+    """|S(d)| on T_l for d = 0..n_max: 1, then l (l - 1)^(d - 1); floats."""
+    sizes = [1.0]  # Python floats, which overflow to inf without a warning
     for d in range(1, n_max + 1):
-        sizes[d] = sizes[d - 1] * ((l - 1) if d > 1 else l)
+        sizes.append(sizes[-1] * ((l - 1) if d > 1 else l))
+    return _finite_sizes(np.array(sizes), np.arange(n_max + 1), f"T_{l}")
+
+
+def _finite_sizes(sizes, n, name):
+    """sizes (of name, at radii n), or ValueError past the float range."""
+    if np.isinf(sizes).any():
+        first = int(n[np.isinf(sizes)].min())
+        raise ValueError(f"the sphere sizes of {name} pass the float range "
+                         f"at n = {first}; n_max must be below {first}")
     return sizes
 
 
@@ -729,7 +739,7 @@ def treeprod_green_by_distance(l1: int, l2: int, a1: float, r: float,
 
 
 def _treeprod_circle(l1, l2, a1, r, rho):
-    """(A, p, q) with |h| <= A p^d1 q^d2 on the circle |u| = rho.
+    """(A, p, q) with |h| <= A p^d1 q^d2 on |u| = rho, elementwise in rho.
 
     |dz/dtheta| <= (f/2)(rho + 1/rho); |F1| = p = 1 / (sqrt(l1 - 1) rho)
     and |w1 - F1| = (sqrt(l1 - 1)/l1) |u^2 - 1/(l1 - 1)| / |u| >= L1.  The
@@ -740,18 +750,13 @@ def _treeprod_circle(l1, l2, a1, r, rho):
     """
     c1 = _tree_c(l1)
     k = math.sqrt(l1 - 1)
-    p = 1.0 / (k * rho)
     L1 = (k / l1) * (rho * rho - 1.0 / (l1 - 1)) / rho
-    big = max(rho, 1.0 / rho)
+    big = np.maximum(rho, 1.0 / rho)
     w2 = _treeprod_w2(a1, r, r / 4 + (r * a1 * c1 / 4) * (big + 1.0 / big))
-    # 1 / (w2 - F2) and F2 / (w2 - F2) of `tree_resolvent`, in scalar
-    # floats with its operations, so with its bits
-    c2 = _tree_c(l2)
-    F2 = 2.0 / (l2 * (w2 + math.sqrt(max(w2 - c2, 0.0))
-                      * math.sqrt(w2 + c2)))
+    F2 = tree_first_passage(l2, w2)
     res0, res1 = 1.0 / (w2 - F2), F2 / (w2 - F2)
     A = c1 * (rho + 1.0 / rho) * res0 / (r * (1.0 - a1) * L1)
-    return A, p, res1 / res0
+    return A, 1.0 / (k * rho), res1 / res0
 
 
 def treeprod_error(l1: int, l2: int, a1: float, r: float, d1_max: int,
@@ -766,24 +771,22 @@ def treeprod_error(l1: int, l2: int, a1: float, r: float, d1_max: int,
     nonnegative weights) to the errors the caller reports, e.g. sphere
     sums.  Returns the smallest node count M with every entry of reduce(E)
     at most tol, and reduce(E) at M.  Raises ValueError if M would exceed
-    MAX_NODES.  The circles' bounds A, p, q come from `_treeprod_circle`
-    in scalar floats; each side's four grids A p^d1 q^d2 are formed in one
-    array, and one np.errstate covers all eight circles.
+    MAX_NODES.  The eight circles' bounds come in one pass, F2 through
+    `tree_first_passage`; each side's four grids A p^d1 q^d2 form one array.
     """
     if r == 0.0:  # G = delta_e, no nodes needed
         return 0, reduce(np.zeros((d1_max + 1, d2_max + 1)))
     rho0, rho_in, rho_out = _treeprod_contour(l1, l2, a1, r)
     d1 = np.arange(d1_max + 1)[:, None]
     d2 = np.arange(d2_max + 1)[None, :]
+    rhos = [[rho0 * (edge / rho0) ** t for t in _BOUND_FRACTIONS]
+            for edge in (rho_out, rho_in)]  # floats, so ** keeps its bits
     sides = []
     with np.errstate(over="ignore"):
-        for edge in (rho_out, rho_in):
-            rhos = [rho0 * (edge / rho0) ** t for t in _BOUND_FRACTIONS]
-            # one grid per circle, all of a side's in one array
-            A, p, q = np.array([_treeprod_circle(l1, l2, a1, r, rho)
-                                for rho in rhos]).T[:, :, None, None]
+        for side, A, p, q in zip(rhos, *_treeprod_circle(
+                l1, l2, a1, r, np.array(rhos)[:, :, None, None])):
             best = None
-            for rho, E in zip(rhos, A * p ** d1 * q ** d2):
+            for rho, E in zip(side, A * p ** d1 * q ** d2):
                 K = reduce(E)
                 x = min(rho / rho0, rho0 / rho)
                 m = (math.log1p(2.0 * float(K.max()) / tol) / -math.log(x)
@@ -1231,9 +1234,10 @@ def _treeprod_spheres(spec, n_max):
     d = np.arange(n_max + 1)
     classes = np.argwhere(np.add.outer(d, d) <= n_max)
     d1, d2 = classes.T
-    mult = (tree_sphere_sizes(spec.l1, n_max)[d1]
-            * tree_sphere_sizes(spec.l2, n_max)[d2])
-    return classes, d1 + d2, mult
+    with np.errstate(over="ignore"):
+        mult = (tree_sphere_sizes(spec.l1, n_max)[d1]
+                * tree_sphere_sizes(spec.l2, n_max)[d2])
+    return classes, d1 + d2, _finite_sizes(mult, d1 + d2, spec)
 
 
 def _treeprod_sums(measure, classes, r, tol, reduce):

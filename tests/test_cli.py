@@ -221,6 +221,14 @@ def test_treeprod_r_at_radius_exit_code(capsys):
     assert "0 <= r < R" in err
 
 
+def test_tree_sphere_sizes_past_the_float_range_exit_code(capsys):
+    code, out, err = run(capsys, "hr", "--group", "tree", "--l", "6",
+                         "--r", "0.5", "--nmax", "500")
+    assert code == 1
+    assert not out
+    assert "float range" in err
+
+
 def test_treeprod_series_tails_within_tol(capsys):
     code, out, _ = run(capsys, "hr", "--group", "treeprod", "--l1", "6",
                        "--l2", "4", "--r", "1.03", "--nmax", "30")

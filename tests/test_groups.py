@@ -1,6 +1,8 @@
 """Group engines: BFS balls, word lengths, and counting formulas."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -234,3 +236,9 @@ def test_free_product_factor_part():
 def test_ball_budget_enforced():
     with pytest.raises(BudgetExceededError):
         group_for(FreeGroup(3)).ball(12, budget=1000)
+
+
+def test_no_module_cache_keeps_a_group_alive():
+    ref = weakref.ref(group_for(FreeAbelian(57)))
+    gc.collect()
+    assert ref() is None

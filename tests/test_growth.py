@@ -17,8 +17,9 @@ from greengrowth.kernels import (
     zd_lazy_green,
 )
 from greengrowth.growth import (
-    GrowthSeries, _h_generic, convergence_diagnostic, dr_distance, h_series,
-    omega_estimate, parabolic_gap_report, sphere_reduced_sweep, theta_partial,
+    GrowthSeries, HEntry, _h_generic, convergence_diagnostic, dr_distance,
+    h_series, omega_estimate, parabolic_gap_report, sphere_reduced_sweep,
+    theta_partial,
 )
 
 
@@ -148,8 +149,9 @@ def test_heisenberg_sweep_walks_dihedral_orbits(monkeypatch):
 
 
 def test_heisenberg_group_keeps_no_per_element_state():
-    h_series(Heisenberg3(), r=0.5, n_max=4, max_terms=8)
-    assert vars(group_for(Heisenberg3())) == {"spec": Heisenberg3()}
+    m = standard_measure(Heisenberg3())
+    h_series(Heisenberg3(), m, r=0.5, n_max=4, max_terms=8)
+    assert vars(m.group) == {"spec": Heisenberg3()}
 
 
 def test_pruning_keeps_the_heisenberg_series_rigorous():
@@ -197,6 +199,30 @@ def test_treeprod_series_to_400_fills_no_overflowing_cell():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         series = h_series(TreeProduct(6, 4), r=1.1001627, n_max=400)
+    assert np.all(np.isfinite(series.array()))
+
+
+@pytest.mark.parametrize("spec,r,n_max,first", [
+    (RegularTree(6), 0.5, 500, 441), (RegularTree(6), 1.0, 445, 441),
+    (TreeProduct(6, 4), 1.05, 445, 441),
+    # each factor's sizes stay finite to n = 1023, 9 * 2^1021 does not
+    (TreeProduct(3, 3), 0.5, 1023, 1023)])
+def test_sphere_sizes_past_the_float_range_are_refused(spec, r, n_max,
+                                                       first):
+    # 6 * 5^440 passes the largest float; the series read nan or inf there
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"float range .* n = {first};"):
+            h_series(spec, r=r, n_max=n_max)
+
+
+@pytest.mark.parametrize("spec,r", [(RegularTree(6), 0.5),
+                                    (RegularTree(6), 1.0),
+                                    (TreeProduct(6, 4), 1.05)])
+def test_sphere_sizes_to_440_are_in_the_float_range(spec, r):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        series = h_series(spec, r=r, n_max=440)
     assert np.all(np.isfinite(series.array()))
 
 
@@ -250,6 +276,16 @@ def test_omega_estimate_needs_a_window():
     series = h_series(RegularTree(4), r=1.0, n_max=4)
     with pytest.raises(ValueError):
         omega_estimate(series)
+
+
+def test_fits_refuse_a_nan_sphere():
+    values = {n: HEntry(2.0 ** n, 0.0, True) for n in range(21)}
+    values[15] = HEntry(float("nan"), 0.0, True)
+    series = GrowthSeries(RegularTree(3), 0.5, values)
+    with pytest.raises(ValueError, match="positive"):
+        omega_estimate(series)
+    expo, label = convergence_diagnostic(series, 0.69)
+    assert math.isnan(expo) and label == "undetermined"
 
 
 def test_parabolic_gap_report_tree_factor():

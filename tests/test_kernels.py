@@ -174,9 +174,9 @@ def test_treeprod_green_satisfies_resolvent_identity():
 
 
 def _treeprod_circle_by_resolvent(l1, l2, a1, r, rho):
-    """`kernels._treeprod_circle` with its second factor read from
-    `tree_resolvent`'s 0-d arrays: the reference the scalar form keeps the
-    bits of."""
+    """`kernels._treeprod_circle` on one radius, with its second factor
+    read from `tree_resolvent`'s 0-d arrays: the reference the array form
+    keeps the bits of."""
     c1 = kernels._tree_c(l1)
     k = math.sqrt(l1 - 1)
     L1 = (k / l1) * (rho * rho - 1.0 / (l1 - 1)) / rho
@@ -195,11 +195,12 @@ def test_treeprod_bound_circles_keep_the_bits_of_the_resolvent(l1, l2, a1):
     for r in (1e-3 * R, 0.1 * R, 0.5 * R, 0.9 * R, 0.999 * R,
               R * (1 - 1e-9)):
         rho0, rho_in, rho_out = kernels._treeprod_contour(l1, l2, a1, r)
-        for edge in (rho_out, rho_in):
-            for t in kernels._BOUND_FRACTIONS:
-                rho = rho0 * (edge / rho0) ** t
-                assert (kernels._treeprod_circle(l1, l2, a1, r, rho)
-                        == _treeprod_circle_by_resolvent(l1, l2, a1, r, rho))
+        rhos = [rho0 * (edge / rho0) ** t for edge in (rho_out, rho_in)
+                for t in kernels._BOUND_FRACTIONS]
+        circles = kernels._treeprod_circle(l1, l2, a1, r, np.array(rhos))
+        for i, rho in enumerate(rhos):
+            assert (tuple(v[i] for v in circles)
+                    == _treeprod_circle_by_resolvent(l1, l2, a1, r, rho))
 
 
 def test_treeprod_error_restores_numpy_error_state():
