@@ -258,8 +258,13 @@ def _parse_offspring(text: str):
 
     weights = {}
     for part in text.split(","):
-        k, w = part.split(":")
-        weights[int(k)] = Fraction(w)
+        pair = part.split(":")
+        if len(pair) != 2:
+            raise ValueError(f"--offspring part {part!r} is not one k:w pair")
+        k = int(pair[0])
+        if k in weights:
+            raise ValueError(f"--offspring part {part!r} repeats k = {k}")
+        weights[k] = Fraction(pair[1])
     return offspring_law(weights)
 
 

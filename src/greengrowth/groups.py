@@ -9,10 +9,13 @@ Supported groups:
 
 * ``FreeAbelian(d)``   -- Z^d, elements are integer tuples.
 * ``Heisenberg3()``    -- discrete Heisenberg group, coordinates (a, b, c)
-  of the upper unitriangular matrix, generators x^{+-1}, y^{+-1}.
-* ``FreeGroup(k)``     -- reduced words over k free generators.
-* ``RegularTree(l)``   -- free product of l copies of Z/2; its Cayley graph
-  is the l-regular tree.
+  of the upper unitriangular matrix, generators x^{+-1}, y^{+-1}; the
+  word length is read from the D4 normal form `canonical`.
+* ``FreeGroup(k)``     -- reduced words over the letters +-1 .. +-k: the
+  tree group over 2k letters, with -g the inverse of g; its Cayley graph
+  is the 2k-regular tree.
+* ``RegularTree(l)``   -- free product of l copies of Z/2, the tree group
+  over l involutions; its Cayley graph is the l-regular tree.
 * ``TreeProduct(l1, l2)`` -- direct product RegularTree(l1) x RegularTree(l2).
 * ``DiestelLeader(q)`` -- DL(q, q), realized as the lamplighter group
   Z_q wr Z with lamps sitting on the edges of Z.
@@ -116,6 +119,7 @@ class Group:
     """
 
     spec: GroupSpec
+    tag: bytes
     symmetries: Tuple[Callable[[Element], Element], ...] = ()
 
     def canonical(self, a: Element) -> Element:
@@ -134,7 +138,9 @@ class Group:
         raise NotImplementedError
 
     def encode(self, a: Element) -> bytes:
-        raise NotImplementedError
+        """The flat-tuple groups' encoding: `tag` and the comma-joined
+        coordinates or letters.  Groups with nested elements override it."""
+        return self.tag + ",".join(map(str, a)).encode()
 
     def word_length(self, a: Element) -> int:
         raise NotImplementedError
@@ -170,6 +176,8 @@ class Group:
 
 
 class _ZdGroup(Group):
+    tag = b"Z:"
+
     def __init__(self, spec: FreeAbelian):
         self.spec = spec
         self.d = spec.d
@@ -193,9 +201,6 @@ class _ZdGroup(Group):
     def inverse(self, a):
         return tuple(-x for x in a)
 
-    def encode(self, a):
-        return b"Z:" + (",".join(map(str, a))).encode()
-
     def word_length(self, a):
         return sum(abs(x) for x in a)
 
@@ -207,6 +212,7 @@ class _HeisenbergGroup(Group):
     group of order 8, acting on (a, b) as the signed permutations.
     """
 
+    tag = b"H:"
     symmetries = (lambda x: (-x[0], x[1], -x[2]),
                   lambda x: (x[0], -x[1], -x[2]),
                   lambda x: (x[1], x[0], x[0] * x[1] - x[2]))
@@ -243,31 +249,23 @@ class _HeisenbergGroup(Group):
     def inverse(self, a):
         return (-a[0], -a[1], -a[2] + a[0] * a[1])
 
-    def encode(self, a):
-        return b"H:" + (",".join(map(str, a))).encode()
-
     def word_length(self, a):
         """Closed-form word length (Blachere, Colloq. Math. 95, 2003).
 
         A word is a lattice path from 0 to (a, b) with c = integral of x dy.
         Inverting x or y, the inverse word, and swapping x and y make the
         length invariant under (a,b,c) -> (-a,b,-c), (a,-b,-c), (a,b,ab-c)
-        and (b,a,c), so take 0 <= a <= b, c >= 0.  Then |g| = a + b if
-        c <= ab (a staircase); b - a + 2 ceil(c/b) if c <= b^2 (a b-high
-        strip out and back); else 2s - a - b with s = isqrt(4c - 1) + 1, the
-        least s with s^2 >= 4c: the word closed along y = b and x = 0 (no
-        area) is a loop of length |g| + a + b around area c, a loop of
-        length 2s holds at most s^2/4, and a near-square attains it.
+        and (b,a,c), so take the `canonical` point, 0 <= a <= b, and c >= 0
+        by c -> ab - c.  Then |g| = a + b if c <= ab (a staircase);
+        b - a + 2 ceil(c/b) if c <= b^2 (a b-high strip out and back); else
+        2s - a - b with s = isqrt(4c - 1) + 1, the least s with s^2 >= 4c:
+        the word closed along y = b and x = 0 (no area) is a loop of length
+        |g| + a + b around area c, a loop of length 2s holds at most s^2/4,
+        and a near-square attains it.
         """
-        x, y, z = a
-        if x < 0:
-            x, z = -x, -z
-        if y < 0:
-            y, z = -y, -z
+        x, y, z = self.canonical(a)
         if z < 0:
             z = x * y - z
-        if x > y:
-            x, y = y, x
         if z <= x * y:
             return x + y
         if z <= y * y:
@@ -275,63 +273,36 @@ class _HeisenbergGroup(Group):
         return 2 * (isqrt(4 * z - 1) + 1) - x - y
 
 
-class _FreeGroup(Group):
-    """Reduced words; letters are +-1 .. +-k."""
-
-    def __init__(self, spec: FreeGroup):
-        self.spec = spec
-        self.k = spec.k
-
-    def identity(self):
-        return ()
-
-    def generators(self):
-        return [(g,) for i in range(1, self.k + 1) for g in (i, -i)]
-
-    def multiply(self, a, b):
-        a = list(a)
-        i = 0
-        while a and i < len(b) and a[-1] == -b[i]:
-            a.pop()
-            i += 1
-        return tuple(a) + tuple(b[i:])
-
-    def inverse(self, a):
-        return tuple(-x for x in reversed(a))
-
-    def encode(self, a):
-        return b"F:" + (",".join(map(str, a))).encode()
-
-    def word_length(self, a):
-        return len(a)
-
-
 class _RegularTreeGroup(Group):
-    """Free product of l involutions a_0 .. a_{l-1}; Cayley graph = T_l."""
+    """Reduced words, as tuples, over l = len(_inv) letters whose inverses
+    the dict `_inv` gives; the Cayley graph is the l-regular tree T_l.
+
+    For RegularTree(l) the letters 0 .. l-1 are involutions.
+    """
+
+    tag = b"T:"
 
     def __init__(self, spec: RegularTree):
         self.spec = spec
-        self.l = spec.l
+        self._inv = {i: i for i in range(spec.l)}
 
     def identity(self):
         return ()
 
     def generators(self):
-        return [(i,) for i in range(self.l)]
+        return [(g,) for g in self._inv]
 
     def multiply(self, a, b):
-        a = list(a)
-        i = 0
-        while a and i < len(b) and a[-1] == b[i]:
-            a.pop()
-            i += 1
-        return tuple(a) + tuple(b[i:])
+        inv = self._inv
+        i, j, n = len(a), 0, len(b)
+        while i and j < n and a[i - 1] == inv[b[j]]:
+            i -= 1
+            j += 1
+        return a[:i] + b[j:]
 
     def inverse(self, a):
-        return tuple(reversed(a))
-
-    def encode(self, a):
-        return b"T:" + (",".join(map(str, a))).encode()
+        inv = self._inv
+        return tuple(inv[x] for x in reversed(a))
 
     def word_length(self, a):
         return len(a)
@@ -339,7 +310,19 @@ class _RegularTreeGroup(Group):
     def sphere_size(self, n: int) -> int:
         if n == 0:
             return 1
-        return self.l * (self.l - 1) ** (n - 1)
+        l = len(self._inv)
+        return l * (l - 1) ** (n - 1)
+
+
+class _FreeGroup(_RegularTreeGroup):
+    """F_k: the tree group over the letters +-1 .. +-k, with -g the
+    inverse of g, so it is T_2k as a Cayley graph."""
+
+    tag = b"F:"
+
+    def __init__(self, spec: FreeGroup):
+        self.spec = spec
+        self._inv = {g: -g for i in range(1, spec.k + 1) for g in (i, -i)}
 
 
 class _TreeProductGroup(Group):

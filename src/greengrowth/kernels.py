@@ -808,17 +808,22 @@ def zd_lazy_green(d: int, alpha: float, x: Sequence[int], r: float) -> float:
     quadrature of the Bessel integral, one class at a time.
 
     The independent reference for `zd_lazy_green_batch`: no engine calls
-    it.  Requires 0 <= r <= 1; at r = 1 convergence needs d >= 3.
+    it.  Requires 0 <= alpha < 1 and 0 <= r <= 1; at r = 1 convergence
+    needs d >= 3.
     """
-    _zd_check(d, r)
+    _zd_check(d, alpha, r)
     # strip the laziness: G_lazy(x | r) = G_srw(x | r') / (1 - r alpha)
     denom = 1.0 - r * alpha
     r_srw = r * (1.0 - alpha) / denom
     return _zd_srw_green(d, tuple(abs(int(v)) for v in x), r_srw) / denom
 
 
-def _zd_check(d: int, r: float) -> None:
-    """Refuse r outside [0, 1] (NaN too), and r = 1 below d = 3."""
+def _zd_check(d: int, alpha: float, r: float) -> None:
+    """Refuse alpha outside [0, 1) and r outside [0, 1] (NaN too), and
+    r = 1 below d = 3."""
+    if not 0.0 <= alpha < 1.0:
+        raise ValueError(f"the lazy walk on Z^d needs 0 <= alpha < 1, got "
+                         f"alpha = {alpha}")
     if not 0.0 <= r <= 1.0:
         raise ValueError(f"the Z^d Green function needs 0 <= r <= 1 (it "
                          f"diverges for r > 1), got r = {r}")
@@ -971,7 +976,8 @@ def zd_lazy_green_batch(d: int, alpha: float,
                         ) -> Dict[Tuple[int, ...], float]:
     """Lazy-walk Green values on Z^d for many coordinate classes at once:
     the Z^d engine of `green_truncated` and `h_series` (through
-    `_zd_sums`, which states its error), for 0 <= r <= 1.
+    `_zd_sums`, which states its error), for 0 <= alpha < 1 and
+    0 <= r <= 1.
 
     Classes are tuples, or the rows of an int array, of coordinates (sign
     and order irrelevant); no classes give {}.  The Bessel integral
@@ -995,7 +1001,7 @@ def zd_lazy_green_batch(d: int, alpha: float,
     added wherever `_zd_rule` says so (always at r = 1).  Only deeply
     vanishing values (below ~1e-40) lose relative accuracy.
     """
-    _zd_check(d, r)
+    _zd_check(d, alpha, r)
     if not len(classes):
         return {}
     X = np.sort(np.abs(np.array(classes, dtype=np.intp)), axis=1)

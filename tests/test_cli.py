@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from greengrowth.cli import build_parser, main
-from greengrowth.groups import TreeProduct
+from greengrowth.groups import FreeGroup, RegularTree, TreeProduct, group_for
 from greengrowth.kernels import known_spectral_radius, standard_measure
 
 
@@ -143,6 +143,40 @@ def test_readme_series_and_phase_output_is_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, *argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("offspring, words", [
+    ("1:0.5,1:0.5", "repeats k = 1"),
+    ("1:0.5,2", "'2' is not one k:w pair"),
+    ("1:0.5:0.5", "'1:0.5:0.5' is not one k:w pair"),
+])
+def test_brw_refuses_a_malformed_offspring_law(capsys, offspring, words):
+    code, out, err = run(capsys, "brw", "--group", "tree", "--l", "4",
+                         "--offspring", offspring, "--maxgen", "10")
+    assert code == 1
+    assert out == ""
+    assert words in err
+
+
+def test_brw_offspring_law_prints_the_bytes_of_its_mean(capsys):
+    args = ("brw", "--group", "tree", "--l", "4", "--runs", "5",
+            "--maxgen", "20", "--seed", "3")
+    _, by_law, _ = run(capsys, *args, "--offspring", "1:0.95,2:0.05")
+    _, by_mean, _ = run(capsys, *args, "--mean", "1.05")
+    assert by_law == by_mean
+
+
+@pytest.mark.parametrize("spec, flags", [
+    (RegularTree(4), ["--group", "tree", "--l", "4"]),
+    (FreeGroup(2), ["--group", "free", "--k", "2"]),
+])
+def test_sphere_counts_are_the_tree_sphere_sizes(capsys, spec, flags):
+    code, out, _ = run(capsys, "sphere", *flags, "--n", "6")
+    assert code == 0
+    lines = out.strip().split("\n")
+    assert lines[0] == "n,count"
+    g = group_for(spec)
+    assert lines[1:] == [f"{n},{g.sphere_size(n)}" for n in range(7)]
 
 
 @pytest.mark.parametrize("radius", ["-1", "11"])

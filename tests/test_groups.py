@@ -1,6 +1,7 @@
 """Group engines: BFS balls, word lengths, and counting formulas."""
 
 import gc
+import hashlib
 import random
 import weakref
 
@@ -25,9 +26,11 @@ def test_zd_sphere_sizes():
 
 def test_free_group_sphere_sizes():
     k = 2
-    sizes = sphere_sizes(FreeGroup(k), 4)
+    g = group_for(FreeGroup(k))
+    sizes = [len(layer) for layer in g.ball(4)]
     assert sizes == [1] + [2 * k * (2 * k - 1) ** (n - 1)
                            for n in range(1, 5)]
+    assert sizes == [g.sphere_size(n) for n in range(5)]
 
 
 def test_regular_tree_sphere_sizes():
@@ -242,3 +245,21 @@ def test_no_module_cache_keeps_a_group_alive():
     ref = weakref.ref(group_for(FreeAbelian(57)))
     gc.collect()
     assert ref() is None
+
+
+@pytest.mark.parametrize("spec, digest", [
+    (FreeGroup(2),
+     "07dd8d159411cff4275e8f9751dbed0922b02fd28acc051ea85cde94659458d5"),
+    (RegularTree(4),
+     "f81a97130204e608f578cf3e853ac426ee0b3f61421329cc6f9b4dcd995f3c67"),
+    (FreeAbelian(3),
+     "fa49d2f1033341a23111d88bd80712e41c524c0ed5d2d068fe40ee351b9aea6b"),
+    (Heisenberg3(),
+     "e4d3ac54fbe8e6582ac6d7aa6f2a4957358aef40ca532823ea18d73863f0abdc"),
+])
+def test_ball_encodings_and_word_lengths_are_pinned(spec, digest):
+    # `encode` orders every BFS layer and breaks every pruning tie
+    g = group_for(spec)
+    blob = b"\n".join(g.encode(x) + b"|%d" % g.word_length(x)
+                      for layer in g.ball(5) for x in layer)
+    assert hashlib.sha256(blob).hexdigest() == digest

@@ -542,6 +542,16 @@ def test_zd_functions_refuse_r_outside_unit_interval():
     assert zd_lazy_green_batch(3, 0.5, [], 0.5) == {}
 
 
+@pytest.mark.parametrize("alpha", [-0.5, 1.0, 1.2, float("nan")])
+def test_zd_functions_refuse_alpha_outside_its_range(alpha):
+    # the lazy walk's holding mass must lie in [0, 1): at 1.2 the parent
+    # returned a negative G, at 1.0 a point mass 2 at e
+    with pytest.raises(ValueError, match="0 <= alpha < 1"):
+        zd_lazy_green_batch(3, alpha, [(0, 0, 0), (1, 0, 0)], 0.5)
+    with pytest.raises(ValueError, match="0 <= alpha < 1"):
+        zd_lazy_green(3, alpha, (1, 0, 0), 0.5)
+
+
 def _scipy_ive_table(m_max, x):
     """ive(m, x) for m = 0..m_max from scipy at every order."""
     from scipy.special import ive
