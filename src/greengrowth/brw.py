@@ -11,23 +11,26 @@ the first-return mass t_{r,P}.
 State.  Particles are int ids of elements interned in a
 `kernels.StepTable` over the kernel's steps, shared by the runs of one
 call, so the product of an element and a step is computed once, the
-first time a child draws that pair.  A generation is array work on ids:
-`np.repeat` of the parents by their offspring counts, then one table
-read for the drawn steps.  A product of trees is walked one factor at a
-time: one table per factor over that factor's step components (a
-component equal to the identity keeps the id), visited states told apart
-as id pairs, and the word length the sum of the factor lengths.  Every
-other group is a walk of one coordinate on the same code.  Word lengths
-and other per-element values are computed once per element.
+first time a child draws that pair: on a tree from the ids alone (the
+parent, or a new child), on any other group by one multiply.  A
+generation is array work on ids: `np.repeat` of the parents by their
+offspring counts, then one table read for the drawn steps.  A product
+of trees is walked one factor at a time: one table per factor over that
+factor's step components (a component equal to the identity keeps the
+id), visited states told apart as id pairs, and the word length the sum
+of the factor lengths.  Every other group is a walk of one coordinate on
+the same code.  The visited states are deduplicated by a mask over the
+ids, or by sorting the id pairs.  Word lengths and other per-element
+values are computed once per element.
 
-Randomness comes from a counter-based Philox generator keyed by
-(seed, run index), so runs are reproducible individually and the
-aggregate is independent of scheduling.  Each generation draws its
-offspring counts, then one step per birth, before the population cap
-applies, so the random stream does not depend on the cap or on how the
-state is stored.  The cap drops children breadth-first (flagged);
-dropping can only shrink the trace, so positive-growth conclusions
-survive truncation.
+Randomness comes from a counter-based Philox generator keyed by the
+uint64 pair (seed, run index), seed in [0, 2^64), so runs are
+reproducible individually and the aggregate is independent of
+scheduling.  Each generation draws its offspring counts, then one step
+per birth, before the population cap applies, so the random stream does
+not depend on the cap or on how the state is stored.  The cap drops
+children breadth-first (flagged); dropping can only shrink the trace, so
+positive-growth conclusions survive truncation.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .groups import Element, FreeProduct, GroupSpec, TreeProduct
-from .kernels import Measure, StepTable, _measure_on
+from .kernels import Measure, StepTable, _measure_on, _sorted_distinct
 
 
 @dataclass(frozen=True)
@@ -61,6 +64,8 @@ class BrwConfig:
             raise ValueError("offspring weights must sum to 1")
         if self.max_generation < 1 or self.population_cap < 1 or self.runs < 1:
             raise ValueError("budgets must be positive")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must lie in [0, 2^64), got {self.seed}")
 
     @property
     def mean(self) -> Fraction:
@@ -103,8 +108,8 @@ class TraceSummary:
 
 
 def _run_rng(seed: int, run: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1),
-                                                      run]))
+    return np.random.Generator(np.random.Philox(
+        key=np.array([seed, run], np.uint64)))
 
 
 def _cumulative(pairs) -> np.ndarray:
@@ -169,17 +174,17 @@ class _Walk:
     def visited(self, generations: List[List[np.ndarray]]
                 ) -> List[np.ndarray]:
         """The distinct states among the generations, one id array per
-        coordinate; states are told apart by the key id1 * n2 + id2."""
-        sizes = [len(t.elements) for t in self.tables]
-        key = np.zeros(1, np.int64)
-        for k, n in enumerate(sizes):
-            key = key * n + np.concatenate([gen[k] for gen in generations])
-        key = np.unique(key)
-        ids = []
-        for n in reversed(sizes):
-            key, part = np.divmod(key, n)
-            ids.append(part)
-        return ids[::-1]
+        coordinate, in increasing order: one id is marked in a mask over
+        the table, a pair is told apart by the sorted key id1 * n2 + id2."""
+        ids = [np.concatenate([gen[k] for gen in generations])
+               for k in range(len(self.tables))]
+        if len(ids) == 1:
+            seen = np.zeros(len(self.tables[0].elements), bool)
+            seen[ids[0]] = True
+            return [np.flatnonzero(seen)]
+        n2 = len(self.tables[1].elements)
+        return list(np.divmod(
+            _sorted_distinct(ids[0].astype(np.int64) * n2 + ids[1]), n2))
 
     def word_length(self, ids: List[np.ndarray]) -> np.ndarray:
         return sum(t.values(t.group.word_length, i)

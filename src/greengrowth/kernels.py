@@ -57,8 +57,8 @@ import numpy as np
 
 from .groups import (
     DiestelLeader, Element, FreeAbelian, FreeProduct, GroupSpec, Group,
-    Heisenberg3, RegularTree, TreeProduct, dl_sphere_profiles, group_for,
-    orbit,
+    Heisenberg3, RegularTree, TreeProduct, _RegularTreeGroup,
+    dl_sphere_profiles, group_for, orbit,
 )
 
 DEFAULT_SUPPORT_CAP = 1_000_000
@@ -268,6 +268,15 @@ def convolve(dist: Dict[Element, object], measure: Measure,
     return out
 
 
+def _sorted_distinct(a: np.ndarray) -> np.ndarray:
+    """np.unique(a) of an int array by a sort and a neighbour mask, which
+    is many times faster than the hash table numpy 2 uses."""
+    a = np.sort(a)
+    keep = np.ones(len(a), bool)
+    keep[1:] = a[1:] != a[:-1]
+    return a[keep]
+
+
 def _grown(a: np.ndarray, n: int, fill) -> np.ndarray:
     """a with at least n rows, the new rows set to fill (growing by half)."""
     if len(a) >= n:
@@ -285,12 +294,19 @@ class StepTable:
     `elements[i]` is the element with id i.  The table maps (id, step
     index) to the id of the product.  A step equal to the identity maps
     every id to itself; any other pair is filled the first time it is
-    asked for, by one `multiply`, and a new product gets the next id.
-    With a `canonical` map the table interns canonical(product) instead,
-    so that an id stands for a whole symmetry orbit; the start elements
-    must then be canonical already.  Per-element values (word lengths,
-    predicates) are cached per id by `values`.  Nothing is evicted: the
-    table lives as long as its owner.
+    asked for, and a new product gets the next id.  On a tree group
+    (T_l or F_k) walked from e alone by distinct steps that are e or one
+    letter, the fill is array work on ids: the product of x and a letter
+    is x's parent when the letter inverts x's last one, and otherwise a
+    new child of x that no other pair makes (Woess, Random Walks on
+    Infinite Graphs and Groups, CUP 2000, §1.D), so per id the table
+    keeps the parent and the step of the last letter.  Any other table
+    fills a pair by one `multiply` and interns the product; with a
+    `canonical` map it interns canonical(product) instead, so that an id
+    stands for a whole symmetry orbit, and the start elements must then be
+    canonical already.  Both fills hand out the same ids.  Per-element
+    values (word lengths, predicates) are cached per id by `values`.
+    Nothing is evicted: the table lives as long as its owner.
     """
 
     def __init__(self, group: Group, steps: Sequence[Element],
@@ -305,6 +321,18 @@ class StepTable:
         self._stay = [j for j, s in enumerate(self.steps) if s == e]
         self._table = np.full((0, len(self.steps)), -1, np.int32)
         self._cache: Dict[Callable, Tuple[np.ndarray, np.ndarray]] = {}
+        letters = {s: j for j, s in enumerate(self.steps)}
+        self._tree = (isinstance(group, _RegularTreeGroup)
+                      and canonical is None and self.elements == [e]
+                      and len(letters) == len(self.steps)
+                      and all(len(s) <= 1 for s in self.steps))
+        if self._tree:
+            # the step inverse to each step (-2 if none is a step), and
+            # per id the parent and the step of the last letter (-1 at e)
+            self._back = np.array([letters.get(group.inverse(s), -2)
+                                   for s in self.steps])
+            self._parent = np.full(1, -1, np.int32)
+            self._last = np.full(1, -1, np.int32)
 
     def _grow(self) -> None:
         """A table row for every element."""
@@ -324,9 +352,28 @@ class StepTable:
         out = flat[keys]
         miss = keys[out < 0]
         if len(miss):
-            self._fill(list(dict.fromkeys(miss.tolist())))
+            fill = self._fill_tree if self._tree else self._fill
+            fill(list(dict.fromkeys(miss.tolist())))
             out = flat[keys]
         return out
+
+    def _fill_tree(self, keys: List[int]) -> None:
+        """Fill the distinct pairs keys = id * len(steps) + step index on a
+        tree: up to the parent, or down to a new child, which gets the
+        next id in the order of keys."""
+        x, s = np.divmod(np.array(keys), len(self.steps))
+        up = self._last[x] == self._back[s]
+        ids = self._parent[x]
+        x, s = x[~up], s[~up]
+        old, elements, steps = len(self.elements), self.elements, self.steps
+        ids[~up] = np.arange(old, old + len(x))
+        np.put(self._table, keys, ids)
+        elements.extend([elements[i] + steps[j]
+                         for i, j in zip(x.tolist(), s.tolist())])
+        self._parent = _grown(self._parent, len(elements), -1)
+        self._last = _grown(self._last, len(elements), -1)
+        self._parent[old:len(elements)] = x
+        self._last[old:len(elements)] = s
 
     def _fill(self, keys: List[int]) -> None:
         """Fill the distinct pairs keys = id * len(steps) + step index."""
@@ -354,7 +401,7 @@ class StepTable:
                                              np.zeros(0, bool)))
         n = len(self.elements)
         values, known = _grown(values, n, 0), _grown(known, n, False)
-        new = np.unique(ids[~known[ids]])
+        new = _sorted_distinct(ids[~known[ids]])
         if len(new):
             values[new] = [fn(self.elements[i]) for i in new.tolist()]
             known[new] = True

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +16,7 @@ from greengrowth.groups import (
     DiestelLeader, FreeAbelian, FreeProduct, Heisenberg3, RegularTree,
     TreeProduct, group_for,
 )
-from greengrowth.kernels import standard_measure
+from greengrowth.kernels import StepTable, standard_measure
 
 BINARY = mean_offspring(2.0)
 FP = FreeProduct(TreeProduct(4, 4), FreeAbelian(3))
@@ -104,16 +105,33 @@ def test_simulate_refuses_radius_before_walking(monkeypatch, radius):
     assert calls == []
 
 
+def _recorded_tree_fills(monkeypatch):
+    """(table, key) of every pair a `StepTable` fills on a tree's ids."""
+    fill = StepTable._fill_tree
+    pairs = []
+
+    def recorded(self, keys):
+        pairs.extend((self, k) for k in keys)
+        return fill(self, keys)
+
+    monkeypatch.setattr(StepTable, "_fill_tree", recorded)
+    return pairs
+
+
 @pytest.mark.parametrize("spec", [RegularTree(4), FreeAbelian(3),
                                   Heisenberg3(), DiestelLeader(3)])
 def test_simulate_multiplies_each_drawn_pair_once(monkeypatch, spec):
     calls = _recorded_multiplies(monkeypatch, spec)
+    filled = _recorded_tree_fills(monkeypatch)
     out = simulate(spec, None, BrwConfig(BINARY, 12, 300, seed=1, runs=3))
     children = sum(int(t.population[1:].sum()) for t in out.runs)
-    assert calls
-    assert len(set(calls)) == len(calls)
-    # a multiply per child would take one call per child
-    assert len(calls) < children / 2
+    # a tree is filled on ids, without a multiply; other groups multiply
+    tree = isinstance(spec, RegularTree)
+    pairs = filled if tree else calls
+    assert pairs and not (calls if tree else filled)
+    assert len(set(pairs)) == len(pairs)
+    # a fill per child would take one per child
+    assert len(pairs) < children / 2
 
 
 def test_tree_product_walks_one_factor_at_a_time(monkeypatch):
@@ -121,9 +139,30 @@ def test_tree_product_walks_one_factor_at_a_time(monkeypatch):
     product = _recorded_multiplies(monkeypatch, spec)
     # both factors are regular trees, so this records either factor
     factor = _recorded_multiplies(monkeypatch, RegularTree(6))
+    filled = _recorded_tree_fills(monkeypatch)
     simulate(spec, None, BrwConfig(BINARY, 12, 300, seed=1, runs=3))
-    assert product == []
-    assert factor and len(set(factor)) == len(factor)
+    assert product == [] and factor == []
+    # one table per factor, each pair filled once
+    assert len({table for table, _ in filled}) == 2
+    assert len(set(filled)) == len(filled)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_a_seed_outside_64_bits_is_refused(seed):
+    with pytest.raises(ValueError, match="seed"):
+        BrwConfig(BINARY, 5, 100, seed, 1)
+
+
+def test_seeds_past_2_63_get_their_own_streams():
+    # the Philox key once went through float64: 2^63 and 2^63 + 1 shared a
+    # stream, and 2^64 - 2 and 2^64 - 1 both got the key [0, 0]
+    seeds = [0, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 2, 2**64 - 1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traces = [simulate(RegularTree(4), None,
+                           BrwConfig(BINARY, 12, 300, seed, 1)).runs[0]
+                  for seed in seeds]
+    assert len({tuple(t.m_counts) for t in traces}) == len(seeds)
 
 
 def test_coset_hits_multiplies_each_drawn_pair_once(monkeypatch):

@@ -459,3 +459,12 @@ def test_freeprod_scan_has_no_sweep_flags(capsys, flag):
         main(["freeprod-scan", "--alpha", "0.05", flag, "24"])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_brw_refuses_a_seed_outside_64_bits(capsys, seed):
+    code, out, err = run(capsys, "brw", "--group", "tree", "--l", "4",
+                         "--seed", seed)
+    assert code == 1
+    assert out == ""
+    assert "seed" in err

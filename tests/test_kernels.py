@@ -8,8 +8,8 @@ import pytest
 
 from greengrowth import kernels
 from greengrowth.groups import (
-    DiestelLeader, FreeAbelian, FreeProduct, Heisenberg3, RegularTree,
-    TreeProduct, dl_sphere_profiles, group_for, orbit,
+    DiestelLeader, FreeAbelian, FreeGroup, FreeProduct, Heisenberg3,
+    RegularTree, TreeProduct, dl_sphere_profiles, group_for, orbit,
 )
 from greengrowth.growth import h_series, sphere_reduced_sweep
 from greengrowth.kernels import (
@@ -960,7 +960,7 @@ def test_float_core_matches_the_exact_dict_loop(spec, cap, steps):
 
 
 def test_step_table_multiplies_each_missing_pair_once(monkeypatch):
-    g = group_for(RegularTree(3))
+    g = group_for(FreeAbelian(2))
     cls = type(g)
     mul = cls.multiply
     calls = []
@@ -970,18 +970,67 @@ def test_step_table_multiplies_each_missing_pair_once(monkeypatch):
         return mul(self, a, b)
 
     monkeypatch.setattr(cls, "multiply", recorded)
-    e = g.identity()
-    steps = [e, (0,), (1,), (2,)]
+    e, x, y, x_ = g.identity(), (1, 0), (0, 1), (-1, 0)
+    steps = [e, x, y, x_]
     table = StepTable(g, steps, [e])
     out = table.at(np.array([0, 0, 0, 0]), np.array([1, 1, 0, 2]))
-    assert [table.elements[i] for i in out] == [(0,), (0,), e, (1,)]
+    assert [table.elements[i] for i in out] == [x, x, e, y]
     # a repeated pair is multiplied once, a step by e never
-    assert calls == [(e, (0,)), (e, (1,))]
+    assert calls == [(e, x), (e, y)]
     rows = table.at(np.array([[0], [1]]), np.arange(4))
     # the rows fill only the pairs the reads above left missing
-    assert calls[2:] == [(e, (2,)), ((0,), (0,)), ((0,), (1,)), ((0,), (2,))]
+    assert calls[2:] == [(e, x_), (x, x), (x, y), (x, x_)]
     assert [[table.elements[i] for i in row] for row in rows] == [
-        [mul(g, x, s) for s in steps] for x in (e, (0,))]
+        [mul(g, z, s) for s in steps] for z in (e, x)]
+
+
+@pytest.mark.parametrize("spec,steps", [
+    (RegularTree(3), [(), (0,), (1,), (2,)]),
+    (RegularTree(6), [(), (0,), (1,), (2,), (3,), (4,), (5,)]),
+    (FreeGroup(2), [(), (-2,), (-1,), (1,), (2,)]),
+    # a step of two letters: the table multiplies, with the same ids
+    (RegularTree(3), [(0,), (1, 2), (2,)]),
+])
+def test_step_table_on_a_tree_matches_an_intern_and_multiply_loop(
+        monkeypatch, spec, steps):
+    g = group_for(spec)
+    fill, filled = StepTable._fill_tree, []
+
+    def recorded(self, keys):
+        filled.extend(keys)
+        return fill(self, keys)
+
+    monkeypatch.setattr(StepTable, "_fill_tree", recorded)
+    table = StepTable(g, steps, [g.identity()])
+    elements, index = [g.identity()], {g.identity(): 0}
+
+    def interned(i, s):
+        z = g.multiply(elements[i], steps[s])
+        if z not in index:
+            index[z] = len(elements)
+            elements.append(z)
+        return index[z]
+
+    rng = np.random.default_rng(len(steps))
+    for _ in range(40):
+        # few ids and steps per batch, so pairs repeat and walks backtrack
+        ids = rng.integers(0, len(elements), 12)
+        ss = rng.integers(0, len(steps), 12)
+        want = [interned(i, s) for i, s in zip(ids.tolist(), ss.tolist())]
+        out = table.at(ids, ss).tolist()
+        assert out == want
+        assert [table.elements[j] for j in out] == [
+            g.multiply(elements[i], steps[s])
+            for i, s in zip(ids.tolist(), ss.tolist())]
+    # a broadcast read fills row by row
+    ids = rng.permutation(len(elements))[:30]
+    want = [[interned(i, s) for s in range(len(steps))] for i in ids.tolist()]
+    assert table.at(ids[:, None], np.arange(len(steps))).tolist() == want
+    assert table.elements == elements
+    # the tree fill ran exactly when every step is e or one letter, once
+    # per pair
+    assert bool(filled) == all(len(s) <= 1 for s in steps)
+    assert len(set(filled)) == len(filled)
 
 
 def _float_dict_step(dist, m, cap):
