@@ -20,8 +20,9 @@ factor's step components (a component equal to the identity keeps the
 id), visited states told apart as id pairs, and the word length the sum
 of the factor lengths.  Every other group is a walk of one coordinate on
 the same code.  The visited states are deduplicated by a mask over the
-ids, or by sorting the id pairs.  Word lengths and other per-element
-values are computed once per element.
+ids, or by sorting the id pairs.  On a tree a word length is the id's
+depth, kept by the table; other per-element values are computed once
+per element.
 
 Randomness comes from a counter-based Philox generator keyed by the
 uint64 pair (seed, run index), seed in [0, 2^64), so runs are
@@ -187,8 +188,7 @@ class _Walk:
             _sorted_distinct(ids[0].astype(np.int64) * n2 + ids[1]), n2))
 
     def word_length(self, ids: List[np.ndarray]) -> np.ndarray:
-        return sum(t.values(t.group.word_length, i)
-                   for t, i in zip(self.tables, ids))
+        return sum(t.word_length(i) for t, i in zip(self.tables, ids))
 
 
 def simulate(spec: GroupSpec, measure: Optional[Measure], config: BrwConfig,

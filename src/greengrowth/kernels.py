@@ -300,7 +300,8 @@ class StepTable:
     is x's parent when the letter inverts x's last one, and otherwise a
     new child of x that no other pair makes (Woess, Random Walks on
     Infinite Graphs and Groups, CUP 2000, §1.D), so per id the table
-    keeps the parent and the step of the last letter.  Any other table
+    keeps the parent, the step of the last letter and the depth, which
+    is the word length `word_length` reads.  Any other table
     fills a pair by one `multiply` and interns the product; with a
     `canonical` map it interns canonical(product) instead, so that an id
     stands for a whole symmetry orbit, and the start elements must then be
@@ -328,11 +329,13 @@ class StepTable:
                       and all(len(s) <= 1 for s in self.steps))
         if self._tree:
             # the step inverse to each step (-2 if none is a step), and
-            # per id the parent and the step of the last letter (-1 at e)
+            # per id the parent, the step of the last letter (-1 at e)
+            # and the depth
             self._back = np.array([letters.get(group.inverse(s), -2)
                                    for s in self.steps])
             self._parent = np.full(1, -1, np.int32)
             self._last = np.full(1, -1, np.int32)
+            self._depth = np.zeros(1, np.int32)
 
     def _grow(self) -> None:
         """A table row for every element."""
@@ -359,8 +362,8 @@ class StepTable:
 
     def _fill_tree(self, keys: List[int]) -> None:
         """Fill the distinct pairs keys = id * len(steps) + step index on a
-        tree: up to the parent, or down to a new child, which gets the
-        next id in the order of keys."""
+        tree: up to the parent, or down to a new child one deeper, which
+        gets the next id in the order of keys."""
         x, s = np.divmod(np.array(keys), len(self.steps))
         up = self._last[x] == self._back[s]
         ids = self._parent[x]
@@ -372,8 +375,10 @@ class StepTable:
                          for i, j in zip(x.tolist(), s.tolist())])
         self._parent = _grown(self._parent, len(elements), -1)
         self._last = _grown(self._last, len(elements), -1)
+        self._depth = _grown(self._depth, len(elements), 0)
         self._parent[old:len(elements)] = x
         self._last[old:len(elements)] = s
+        self._depth[old:len(elements)] = self._depth[x] + 1
 
     def _fill(self, keys: List[int]) -> None:
         """Fill the distinct pairs keys = id * len(steps) + step index."""
@@ -407,6 +412,13 @@ class StepTable:
             known[new] = True
         self._cache[fn] = values, known
         return values[ids]
+
+    def word_length(self, ids: np.ndarray) -> np.ndarray:
+        """The word lengths of the elements ids: a tree table's depths,
+        any other table's `values` of the group's `word_length`."""
+        if self._tree:
+            return self._depth[ids]
+        return self.values(self.group.word_length, ids)
 
 
 def _invariant(measure: Measure) -> bool:
@@ -859,6 +871,7 @@ def zd_lazy_green(d: int, alpha: float, x: Sequence[int], r: float) -> float:
     needs d >= 3.
     """
     _zd_check(d, alpha, r)
+    _zd_classes(d, [x])
     # strip the laziness: G_lazy(x | r) = G_srw(x | r') / (1 - r alpha)
     denom = 1.0 - r * alpha
     r_srw = r * (1.0 - alpha) / denom
@@ -866,8 +879,10 @@ def zd_lazy_green(d: int, alpha: float, x: Sequence[int], r: float) -> float:
 
 
 def _zd_check(d: int, alpha: float, r: float) -> None:
-    """Refuse alpha outside [0, 1) and r outside [0, 1] (NaN too), and
-    r = 1 below d = 3."""
+    """Refuse d < 1, alpha outside [0, 1) and r outside [0, 1] (NaN too),
+    and r = 1 below d = 3."""
+    if not d >= 1:
+        raise ValueError(f"the walk on Z^d needs d >= 1, got d = {d}")
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"the lazy walk on Z^d needs 0 <= alpha < 1, got "
                          f"alpha = {alpha}")
@@ -876,6 +891,21 @@ def _zd_check(d: int, alpha: float, r: float) -> None:
                          f"diverges for r > 1), got r = {r}")
     if r == 1.0 and d < 3:
         raise ValueError("Green function at r = 1 needs d >= 3")
+
+
+def _zd_classes(d: int, classes) -> np.ndarray:
+    """The classes as an int array of d columns, or a ValueError that
+    names d and the first class that is not d coordinates."""
+    try:
+        X = np.array(classes, dtype=np.intp)
+    except (TypeError, ValueError):  # ragged, or not integers
+        X = None
+    if X is None or X.shape[1:] != (d,):
+        bad = next((x for x in classes
+                    if np.ndim(x) != 1 or len(x) != d), classes)
+        raise ValueError(f"a class on Z^{d} is a tuple of d = {d} "
+                         f"coordinates, got {bad!r}")
+    return X
 
 
 def _zd_srw_green(d: int, x: Tuple[int, ...], r: float) -> float:
@@ -915,7 +945,8 @@ ZD_NEGLIGIBLE = 1e-16
 # term: the batch rule's own error lies far below it wherever it has been
 # checked against closed forms and 30-digit references, but is not proved;
 # its Bessel table (`_ive_table`: two scipy orders and a downward
-# recurrence of positive terms) adds at most ~1e-13 relative
+# recurrence of positive terms, or Cephes i0e and i1e below order 2)
+# adds at most ~1e-13 relative
 ZD_TAIL = 1e-9
 
 # nodes and weights of the batch rule's Gauss-Legendre panels on [-1, 1]
@@ -999,14 +1030,16 @@ def _ive_table(m_max: int, x: np.ndarray) -> np.ndarray:
     scipy's `ive` at the top two orders, and the lower ones by the
     downward recurrence I_(n-1)(x) = I_(n+1)(x) + (2n / x) I_n(x)
     (DLMF 10.29.1), which adds only positive terms, so every order stays
-    within ~2e-13 relative of scipy's.  Below m_max = 2 it is scipy's
-    table, bit for bit; at nodes whose top seed has underflowed below the
-    smallest normal float the recurrence would lose all relative
-    accuracy, and those nodes take scipy at every order."""
-    from scipy.special import ive
+    within ~2e-13 relative of scipy's.  Below m_max = 2 (the one-point
+    calls at e) the rows are scipy's Cephes `i0e` and `i1e`, as accurate
+    as `ive` against 40-digit references and about four times cheaper;
+    at nodes whose top seed has underflowed below the smallest normal
+    float the recurrence would lose all relative accuracy, and those
+    nodes take scipy's `ive` at every order."""
+    from scipy.special import i0e, i1e, ive
 
     if m_max < 2:
-        return ive(np.arange(m_max + 1)[:, None], x)
+        return np.array([f(x) for f in (i0e, i1e)[:m_max + 1]])
     table = np.empty((m_max + 1, len(x)))
     table[m_max - 1:] = ive(np.arange(m_max - 1, m_max + 1)[:, None], x)
     two_over_x = 2.0 / x
@@ -1026,14 +1059,17 @@ def zd_lazy_green_batch(d: int, alpha: float,
     `_zd_sums`, which states its error), for 0 <= alpha < 1 and
     0 <= r <= 1.
 
-    Classes are tuples, or the rows of an int array, of coordinates (sign
-    and order irrelevant); no classes give {}.  The Bessel integral
+    Classes are tuples, or the rows of an int array, of d coordinates
+    (sign and order irrelevant; any other length is refused); no classes
+    give {}.  The Bessel integral
     (Woess, Random Walks on Infinite Graphs and Groups, CUP 2000) runs on
     one composite Gauss-Legendre grid with one Bessel table shared by all
     classes, which is what makes sphere sums out to n ~ 30 affordable.
     The table (`_ive_table`) calls scipy's `ive` at its top two orders
     only and fills the others by a downward recurrence of positive terms,
-    within ~1e-13 relative of `ive` at every order.
+    within ~1e-13 relative of `ive` at every order; where no coordinate
+    exceeds 1 (as at e, the free-product transfer's one-point call) it is
+    Cephes `i0e` and `i1e`, as accurate as `ive` and cheaper.
     The grid depends only on its panel count and is built once per count
     (`_zd_panels`, a bounded memo of read-only arrays); a lone class
     skips the sort and dedupe of the rows.
@@ -1051,7 +1087,7 @@ def zd_lazy_green_batch(d: int, alpha: float,
     _zd_check(d, alpha, r)
     if not len(classes):
         return {}
-    X = np.sort(np.abs(np.array(classes, dtype=np.intp)), axis=1)
+    X = np.sort(np.abs(_zd_classes(d, classes)), axis=1)
     if len(X) > 1:
         X = X[np.lexsort(X.T[::-1])]
         X = X[np.r_[True, (X[1:] != X[:-1]).any(axis=1)]]

@@ -552,6 +552,27 @@ def test_zd_functions_refuse_alpha_outside_its_range(alpha):
         zd_lazy_green(3, alpha, (1, 0, 0), 0.5)
 
 
+@pytest.mark.parametrize("d,classes", [
+    (3, [(1, 2)]), (3, [(1, 2, 3, 4)]), (3, [(0, 0, 0), (1, 2)]),
+    (2, np.zeros((2, 3), int))])
+def test_zd_functions_refuse_a_class_of_the_wrong_length(d, classes):
+    # the parent returned a d = 2 product under d = 3's c = rs / 3
+    with pytest.raises(ValueError, match=f"class on Z\\^{d} .* d = {d}"):
+        zd_lazy_green_batch(d, 0.5, classes, 0.5)
+    bad = next(x for x in classes if len(x) != d)
+    with pytest.raises(ValueError, match=f"class on Z\\^{d} .* d = {d}"):
+        zd_lazy_green(d, 0.5, bad, 0.5)
+
+
+@pytest.mark.parametrize("d", [0, -1])
+def test_zd_functions_refuse_d_below_1(d):
+    # the parent's batch failed inside numpy on a zero-size maximum
+    with pytest.raises(ValueError, match=f"d >= 1, got d = {d}"):
+        zd_lazy_green_batch(d, 0.5, [()], 0.5)
+    with pytest.raises(ValueError, match=f"d >= 1, got d = {d}"):
+        zd_lazy_green(d, 0.5, (), 0.5)
+
+
 def _scipy_ive_table(m_max, x):
     """ive(m, x) for m = 0..m_max from scipy at every order."""
     from scipy.special import ive
@@ -625,8 +646,8 @@ def test_zd_batch_is_within_1e_12_of_the_scipy_table(d, alpha, r, n_max):
 @pytest.mark.parametrize("r", [0.05, 0.5, 0.99, 1.0])
 def test_ive_table_is_within_2e_13_of_scipy_at_every_order(m_max, r):
     # on the batch's own live nodes; below m_max = 2 (the one-point calls
-    # at e) it is scipy's table, and at m_max = 60 and r = 0.05 some top
-    # seeds underflow and those nodes take scipy's values
+    # at e) it is scipy's Cephes i0e and i1e, and at m_max = 60 and
+    # r = 0.05 some top seeds underflow and those nodes take scipy's ive
     _, rs, decay, edges, _ = kernels._zd_rule(3, 0.5, m_max, r)
     _, s, w = kernels._zd_panels(len(edges) - 1)
     x = rs / 3 * s[w * np.exp(-s * decay) > 0.0]
@@ -635,10 +656,55 @@ def test_ive_table_is_within_2e_13_of_scipy_at_every_order(m_max, r):
     assert table.shape == ref.shape
     assert np.all(np.abs(table - ref) <= 2e-13 * ref)
     if m_max < 2:
-        assert np.array_equal(table, ref)
+        from scipy.special import i0e, i1e
+
+        assert np.array_equal(table, np.array([i0e(x), i1e(x)])[:m_max + 1])
     if (m_max, r) == (60, 0.05):
         low = ref[-1] < np.finfo(float).tiny
         assert low.any() and np.array_equal(table[:, low], ref[:, low])
+
+
+@pytest.mark.parametrize("r", [0.05, 0.5, 0.99, 1.0])
+def test_ive_table_orders_0_and_1_are_as_accurate_as_scipy_ive(r):
+    # on every 7th live node of the one-point rule at e (m_max = 1 covers
+    # both rows), against 40-digit mpmath: neither routine is the more
+    # accurate at every node, and both stay below 8 eps relative
+    import mpmath
+    from scipy.special import ive
+
+    _, rs, decay, edges, _ = kernels._zd_rule(3, 0.5, 1, r)
+    _, s, w = kernels._zd_panels(len(edges) - 1)
+    x = (rs / 3 * s[w * np.exp(-s * decay) > 0.0])[::7]
+    with mpmath.workdps(40):
+        ref = np.array([[float(mpmath.besseli(m, v) * mpmath.exp(-v))
+                         for v in map(mpmath.mpf, x.tolist())]
+                        for m in (0, 1)])
+    bound = 8 * np.finfo(float).eps
+    for table in (kernels._ive_table(1, x), ive([[0], [1]], x)):
+        assert np.all(np.abs(table - ref) <= bound * ref)
+
+
+@pytest.mark.parametrize("z", [*np.linspace(0.05, 0.45, 9), 1.0])
+def test_zd_batch_at_e_matches_the_scalar_reference(z):
+    # the free-product transfer's one-point call; at r = 1 the reference's
+    # own quad tolerance is 1e-11 relative, and the two differ by 1.04e-12
+    # (the batch's Cephes table and scipy's ive alike), so there both are
+    # held to Watson's closed form 2 G_srw(e) (Glasser & Zucker, PNAS 74,
+    # 1977) instead
+    e = (0, 0, 0)
+    got = zd_lazy_green_batch(3, 0.5, [e], z)[e]
+    want = zd_lazy_green(3, 0.5, e, z)
+    if z < 1.0:
+        assert abs(got - want) <= 1e-12 * want
+        return
+    import mpmath
+
+    with mpmath.workdps(30):
+        watson = float(2 * mpmath.sqrt(6) / (32 * mpmath.pi ** 3)
+                       * mpmath.fprod(mpmath.gamma(mpmath.mpf(k) / 24)
+                                      for k in (1, 5, 7, 11)))
+    assert abs(got - watson) <= 5e-12 * watson
+    assert abs(want - watson) <= 5e-12 * watson
 
 
 @pytest.mark.parametrize("z", [0.01, 0.05, 0.1, 0.2, 0.3])
@@ -1031,6 +1097,14 @@ def test_step_table_on_a_tree_matches_an_intern_and_multiply_loop(
     # per pair
     assert bool(filled) == all(len(s) <= 1 for s in steps)
     assert len(set(filled)) == len(filled)
+    # word lengths: the tree fill's depths, with no word_length call
+    asked = []
+    monkeypatch.setattr(type(g), "word_length",
+                        lambda self, a: asked.append(a) or len(a))
+    every = rng.permutation(len(elements))
+    assert table.word_length(every).tolist() == [
+        len(elements[i]) for i in every.tolist()]
+    assert bool(asked) != bool(filled)
 
 
 def _float_dict_step(dist, m, cap):
