@@ -82,6 +82,8 @@ def offspring_law(weights: Dict[int, object]) -> Tuple[Tuple[int, Fraction], ...
 def mean_offspring(r: float) -> Tuple[Tuple[int, Fraction], ...]:
     """Offspring law on {1, 2} with exact mean r (rational): two children
     with probability r - 1."""
+    if not math.isfinite(r):
+        raise ValueError(f"mean must lie in [1, 2], got {r}")
     rq = Fraction(r).limit_denominator(10 ** 9)
     if not (1 <= rq <= 2):
         raise ValueError("mean must lie in [1, 2]")

@@ -4,9 +4,11 @@ free-product scans, and branching-walk summaries.
 Output conventions: CSV with a header row, comma separators, LF newlines
 and 17-significant-digit floats (byte-stable across runs: every engine is
 deterministic, pruned sweeps included); JSON is UTF-8 with a "schema": 1
-tag.  A flat ``key = value`` config file can supply defaults; explicit
-flags win.  Each --group reads its own group flags (`_GROUPS`), and a
-group flag it does not read is refused, from a config file too.
+tag.  A flat ``key = value`` config file supplies defaults of the chosen
+command's own options, and any other key is refused; explicit flags win.
+Each --group reads its own group flags (`_GROUPS`), and a group flag it
+does not read is refused, from a config file too.  Non-finite walk
+parameters are refused.
 Exit codes: 0 success, 1 validation error, 2 enumeration budget exceeded.
 """
 
@@ -18,6 +20,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from typing import Dict, List, Optional
 
@@ -50,7 +53,11 @@ def _json(payload: Dict, out) -> None:
 
 
 def _walk(**params) -> Dict[str, Fraction]:
-    """The walk parameters that are set, as fractions."""
+    """The walk parameters that are set, as fractions; a non-finite one
+    raises ValueError."""
+    for k, v in params.items():
+        if v is not None and not math.isfinite(v):
+            raise ValueError(f"--{k} must be finite, got {v}")
     return {k: Fraction(v).limit_denominator(10 ** 9)
             for k, v in params.items() if v is not None}
 
@@ -133,30 +140,27 @@ def _cmd_sphere(args, out) -> int:
     return 0
 
 
-def _series_rows(series):
-    rows = []
-    for n in range(series.n_max + 1):
-        e = series.values[n]
-        rows.append([n, e.value, e.tail, e.rigorous])
-    return rows
-
-
-def _cmd_hr(args, out) -> int:
+def _series(args):
+    """H_r(n), n = 0..--nmax, of --group's walk at --r to --tol."""
     from .growth import h_series
 
     spec, measure = _measure(args)
-    series = h_series(spec, measure, args.r, args.nmax, args.tol)
-    _csv(_series_rows(series), ["n", "H", "tail", "rigorous"], out)
+    return h_series(spec, measure, args.r, args.nmax, args.tol)
+
+
+def _cmd_hr(args, out) -> int:
+    _csv([[n, e.value, e.tail, e.rigorous]
+          for n, e in _series(args).values.items()],
+         ["n", "H", "tail", "rigorous"], out)
     return 0
 
 
 def _cmd_omega(args, out) -> int:
-    from .growth import h_series, omega_estimate
+    from .growth import omega_estimate
 
-    spec, measure = _measure(args)
     window = _range(args.window_lo, args.window_hi,
                     "--window-lo and --window-hi")
-    series = h_series(spec, measure, args.r, args.nmax, args.tol)
+    series = _series(args)
     est = omega_estimate(series, window)
     _json({"r": args.r, "slope": est.slope, "stderr": est.stderr,
            "window": list(est.window), "n_max": series.n_max}, out)
@@ -164,10 +168,9 @@ def _cmd_omega(args, out) -> int:
 
 
 def _cmd_theta(args, out) -> int:
-    from .growth import _poincare_sums, h_series
+    from .growth import _poincare_sums
 
-    spec, measure = _measure(args)
-    series = h_series(spec, measure, args.r, args.nmax, args.tol)
+    series = _series(args)
     terms, partials = _poincare_sums(series, args.s)
     _csv([[n, series.value(n), term, partial] for n, (term, partial)
           in enumerate(zip(terms, partials))],
@@ -208,17 +211,6 @@ def _cmd_bitree_phase(args, out) -> int:
     return 0
 
 
-def _cmd_dl_verify(args, out) -> int:
-    g = group_for(DiestelLeader(args.q))
-    layers = g.ball(args.nmax)
-    rows = []
-    for n, layer in enumerate(layers):
-        formula = dl_sphere_count(args.q, n)
-        rows.append([n, formula, len(layer), formula == len(layer)])
-    _csv(rows, ["n", "formula", "bfs", "match"], out)
-    return 0
-
-
 def _cmd_freeprod_scan(args, out) -> int:
     import numpy as np
 
@@ -234,22 +226,12 @@ def _cmd_freeprod_scan(args, out) -> int:
         np.linspace(*r_range, args.points or 9))
     report = scan_construction(params, args.d, args.alpha, r_grid,
                                full_series_n=args.full_series_n)
-    payload = {
-        "l1": args.l1, "l2": args.l2, "a1": args.a1, "d": args.d,
-        "alpha": args.alpha, "truncation": report.truncation,
-        "r0": report.r0, "r_cap": report.r_cap,
-        "crossing_r": report.crossing_r,
-        "crossing_zeta0": report.crossing_zeta0,
-        "crossing_residual": report.crossing_residual,
-        "transition_index": report.transition_index,
-        "points": [{
-            "r": p.r, "w0": p.w0, "w1": p.w1, "zeta0": p.zeta0,
-            "zeta1": p.zeta1, "omega_P": p.omega_P,
-            "omega_full": p.omega_full, "gap": p.gap,
-            "diagnostic_exponent": p.diagnostic_exponent,
-            "diagnostic": p.diagnostic_label} for p in report.points],
-    }
-    _json(payload, out)
+    payload = asdict(report)
+    factor = payload.pop("factor_params")
+    for point in payload["points"]:
+        point["diagnostic"] = point.pop("diagnostic_label")
+    _json({**payload, "l1": factor["l1"], "l2": factor["l2"],
+           "a1": factor["a1"]}, out)
     return 0
 
 
@@ -356,10 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rmin", type=float, default=None)
     p.add_argument("--rmax", type=float, default=None)
 
-    p = sub.add_parser("dl-verify", help="Diestel-Leader counting check")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--nmax", type=int, default=8)
-
     p = sub.add_parser("freeprod-scan", help="free-product construction scan")
     p.add_argument("--l1", type=int, default=6)
     p.add_argument("--l2", type=int, default=4)
@@ -395,7 +373,6 @@ _COMMANDS = {
     "omega": _cmd_omega,
     "theta": _cmd_theta,
     "bitree-phase": _cmd_bitree_phase,
-    "dl-verify": _cmd_dl_verify,
     "freeprod-scan": _cmd_freeprod_scan,
     "brw": _cmd_brw,
     "selftest": _cmd_selftest,
@@ -406,27 +383,20 @@ def dispatch(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args, _ = parser.parse_known_args(argv)
     if args.config:
+        # the keys are defaults of the chosen command's own options
+        command = parser._subparsers._group_actions[0].choices[args.command]
         defaults = _load_config(args.config)
-        known = {a.dest for a in parser._actions}
-        for sp in parser._subparsers._group_actions[0].choices.values():
-            known |= {a.dest for a in sp._actions}
-        bad = set(defaults) - known
-        if bad:
-            raise ValueError(f"unknown config keys: {sorted(bad)}")
-        for sp in parser._subparsers._group_actions[0].choices.values():
-            sp.set_defaults(**{k: v for k, v in defaults.items()
-                               if k in {a.dest for a in sp._actions}})
+        own = {a.dest for a in command._actions} - {"help"}
+        unread = sorted(set(defaults) - own)
+        if unread:
+            raise ValueError(f"{args.command} does not read config key(s) "
+                             f"{', '.join(unread)}")
+        command.set_defaults(**defaults)
     args = parser.parse_args(argv)
-    out = sys.stdout
-    close = False
-    if args.output:
-        out = open(args.output, "w", encoding="utf-8", newline="\n")
-        close = True
-    try:
+    if not args.output:
+        return _COMMANDS[args.command](args, sys.stdout)
+    with open(args.output, "w", encoding="utf-8", newline="\n") as out:
         return _COMMANDS[args.command](args, out)
-    finally:
-        if close:
-            out.close()
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -244,8 +244,6 @@ def scan_construction(factor_params: PhaseParams, d: int, alpha: float,
     if not (full_series_n == 0 or full_series_n >= 10):
         raise ValueError(f"omega_estimate's window needs full_series_n "
                          f">= 10 (0: off), got {full_series_n}")
-    if not (0.0 < alpha < 1.0):
-        raise ValueError("alpha must be in (0, 1)")
     spec = FreeProduct(
         TreeProduct(factor_params.l1, factor_params.l2), FreeAbelian(d))
     measure = standard_measure(

@@ -537,9 +537,8 @@ def tree_level_sphere_count(q: int, n: int, m: int) -> int:
 
 
 def _updown_count(q: int, u: int, d: int) -> int:
-    """Number of tree vertices with u steps toward the end, d steps away."""
-    if u < 0 or d < 0:
-        return 0
+    """Number of tree vertices with u >= 0 steps toward the end, d >= 0
+    steps away."""
     if u == 0:
         return q ** d
     if d == 0:

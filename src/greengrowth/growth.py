@@ -83,10 +83,13 @@ class OmegaEstimate:
 def _h_generic(measure, r, n_max, tol, restrictions, max_terms, support_cap):
     """One series per restriction (None: the whole sphere), all reduced
     from one sweep."""
-    n_steps, rigorous, rho = _pick_n(measure, r, tol, max_terms, default=40)
+    # rho is 1 (Heisenberg) or unknown here, so a proved tail is
+    # sum_{k > n_steps} r^k, which bounds every sphere's: the p_k(e, .) of a
+    # sphere sum to at most 1
+    n_steps, proved = _pick_n(measure, r, tol, max_terms, default=40)
     *matrices, dropped = sphere_reduced_sweep(measure, n_max, n_steps,
                                               restrictions, support_cap)
-    rigorous = rigorous and r < 1.0
+    rigorous = proved is not None
     powers = r ** np.arange(n_steps + 1)
     # p_k(A) <= (pruned p_k)(A) + M_k for every set A
     pruned = float(dropped @ powers)
@@ -96,11 +99,8 @@ def _h_generic(measure, r, n_max, tol, restrictions, max_terms, support_cap):
         for n in range(n_max + 1):
             row = S[n]
             total = float(row @ powers)
-            if rigorous:
-                # sum over a sphere of p_k(e, .) is at most 1 for every k
-                tail = r ** (n_steps + 1) / (1.0 - r)
-            else:
-                tail = _heuristic_tail(list(row * powers))
+            tail = proved if rigorous else _heuristic_tail(
+                list(row * powers))
             vals[n] = HEntry(total, float(tail + pruned), rigorous)
         out.append(vals)
     return out
@@ -209,7 +209,9 @@ def theta_partial(spec: GroupSpec, measure: Optional[Measure], r: float,
 def _poincare_sums(series: GrowthSeries, s: float
                   ) -> Tuple[List[float], List[float]]:
     """The terms H_r(n) e^{-s n} of the series, and their running sums,
-    added in order of n."""
+    added in order of n; s must be finite (ValueError)."""
+    if not math.isfinite(s):
+        raise ValueError(f"s must be finite, got s = {s}")
     terms = [series.value(n) * math.exp(-s * n)
              for n in range(series.n_max + 1)]
     return terms, list(accumulate(terms))

@@ -113,6 +113,8 @@ def _frac(x) -> Fraction:
     if isinstance(x, (Fraction, int)):
         return Fraction(x)
     if isinstance(x, float):
+        if not math.isfinite(x):
+            raise ValueError(f"a walk parameter must be finite, got {x}")
         return Fraction(x).limit_denominator(10 ** 12)
     return Fraction(x)
 
@@ -227,12 +229,13 @@ def known_spectral_radius(measure: Measure) -> Optional[float]:
 
 def check_request(measure: Measure, r: float, tol: float) -> None:
     """Refuse r < 0, r > 1/rho where the spectral radius rho is known in
-    closed form (the Green function diverges there), and tol <= 0 or NaN.
+    closed form (the Green function diverges there), and tol <= 0, inf or
+    NaN.
     """
     if not r >= 0:
         raise ValueError(f"r must be >= 0, got r = {r}")
-    if not tol > 0:
-        raise ValueError(f"tol must be > 0, got tol = {tol}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be > 0 and finite, got tol = {tol}")
     rho = known_spectral_radius(measure)
     if rho is not None and r > 1.0 / rho:
         raise ValueError(f"the Green function diverges for r > R = 1/rho: "
@@ -895,17 +898,29 @@ def _zd_check(d: int, alpha: float, r: float) -> None:
 
 def _zd_classes(d: int, classes) -> np.ndarray:
     """The classes as an int array of d columns, or a ValueError that
-    names d and the first class that is not d coordinates."""
-    try:
-        X = np.array(classes, dtype=np.intp)
-    except (TypeError, ValueError):  # ragged, or not integers
-        X = None
+    names d and the first class that is not d integral coordinates."""
+    X = _int_rows(classes)
     if X is None or X.shape[1:] != (d,):
         bad = next((x for x in classes
-                    if np.ndim(x) != 1 or len(x) != d), classes)
-        raise ValueError(f"a class on Z^{d} is a tuple of d = {d} "
+                    if np.shape(x) != (d,) or _int_rows([x]) is None),
+                   classes)
+        raise ValueError(f"a class on Z^{d} is a tuple of d = {d} integral "
                          f"coordinates, got {bad!r}")
     return X
+
+
+def _int_rows(rows) -> Optional[np.ndarray]:
+    """rows as an intp array, or None where they are ragged or hold a
+    value that is not an integer (1.5, NaN, inf)."""
+    try:
+        A = np.asarray(rows)
+        if A.dtype.kind in "iu":
+            return A.astype(np.intp, copy=False)
+        with np.errstate(invalid="ignore"):  # NaN and inf cast to garbage
+            X = A.astype(np.intp)
+    except (TypeError, ValueError):
+        return None
+    return X if np.array_equal(X, A) else None
 
 
 def _zd_srw_green(d: int, x: Tuple[int, ...], r: float) -> float:
@@ -1474,22 +1489,24 @@ def green_truncated(measure: Measure, targets: Sequence[Element], r: float,
 
 
 def _pick_n(measure, r, tol, max_terms, default=64):
-    """(n_max, rigorous, rho): the smallest N with sum_{n>N} (r rho)^n <=
-    tol, cut to max_terms, or else max_terms (default) unproved steps."""
+    """(N, tail): the smallest N whose tail sum_{n>N} (r rho)^n is <= tol,
+    rho the spectral radius; or else max_terms (default) steps and tail
+    None, where rho is unknown, r rho >= 1 or that N exceeds max_terms."""
     rho = known_spectral_radius(measure)
     if rho is None or r * rho >= 1.0:
-        return (max_terms if max_terms is not None else default), False, rho
+        return (max_terms if max_terms is not None else default), None
     x = r * rho
     n_rig = (0 if x == 0.0 else
              max(0, math.ceil(math.log(tol * (1.0 - x)) / math.log(x) - 1.0)))
-    n_max = n_rig if max_terms is None else min(n_rig, max_terms)
-    return n_max, n_max >= n_rig, rho
+    if max_terms is not None and max_terms < n_rig:
+        return max_terms, None
+    return n_rig, x ** (n_rig + 1) / (1.0 - x)
 
 
 def _green_generic(measure, targets, r, tol, max_terms, support_cap):
     """One `step_sums` sweep binned by target; e always gets a bin, since
     its return series drives the heuristic tail."""
-    n_max, rigorous, rho = _pick_n(measure, r, tol, max_terms)
+    n_max, tail = _pick_n(measure, r, tol, max_terms)
     e = measure.group.identity()
     index = {x: i for i, x in enumerate(dict.fromkeys([*targets, e]))}
     n_bins = len(index)
@@ -1497,8 +1514,9 @@ def _green_generic(measure, targets, r, tol, max_terms, support_cap):
                            n_max, support_cap=support_cap)
     powers = float(r) ** np.arange(n_max + 1)
     # p_n(e, x) <= rho^n: each tail is at most sum_{n > n_max} (r rho)^n
-    tail = ((r * rho) ** (n_max + 1) / (1.0 - r * rho) if rigorous
-            else _heuristic_tail(list(S[index[e]] * powers)))
+    rigorous = tail is not None
+    if not rigorous:
+        tail = _heuristic_tail(list(S[index[e]] * powers))
     tail = float(tail + dropped @ powers)
     return {x: GreenEstimate(float(S[index[x]] @ powers), n_max, tail,
                              rigorous)

@@ -19,14 +19,17 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_sphere_dl_has_matching_counts(capsys):
-    code, out, _ = run(capsys, "sphere", "--group", "dl", "--q", "3",
-                       "--n", "2")
+@pytest.mark.parametrize("q, n", [(3, 2), (2, 5)])
+def test_sphere_dl_has_matching_counts(capsys, q, n):
+    code, out, _ = run(capsys, "sphere", "--group", "dl", "--q", str(q),
+                       "--n", str(n))
     assert code == 0
-    lines = out.split("\n")
+    lines = out.strip().split("\n")
     assert lines[0] == "n,bfs_count,formula_count"
-    n, bfs, formula = lines[3].split(",")
-    assert n == "2" and bfs == formula
+    rows = [line.split(",") for line in lines[1:]]
+    assert [int(row[0]) for row in rows] == list(range(n + 1))
+    for _, bfs, formula in rows:
+        assert bfs == formula
 
 
 def test_hr_tree_constant_column(capsys):
@@ -98,13 +101,6 @@ def test_bitree_phase_grid_csv(capsys):
     assert len(lines) == 5
 
 
-def test_dl_verify_all_match(capsys):
-    code, out, _ = run(capsys, "dl-verify", "--q", "2", "--nmax", "5")
-    assert code == 0
-    for line in out.strip().split("\n")[1:]:
-        assert line.split(",")[3] == "true"
-
-
 def test_brw_json(capsys):
     code, out, _ = run(capsys, "brw", "--group", "tree", "--l", "4",
                        "--mean", "1.05", "--maxgen", "15", "--popcap",
@@ -130,15 +126,36 @@ def test_brw_output_is_byte_stable(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("argv, digest", [
-    # README examples
+# every README example but selftest, and a scan with the full series
+README_DIGESTS = [
     ("omega --group zd --d 3 --r 1.0 --nmax 30",
      "2c6c4b5e8d859cbbce7c9c517659bfde036e20db12cd2c2bc75840f9532afe11"),
     ("theta --group tree --l 4 --r 0.9 --s 0.5 --nmax 20",
      "77fdc0023c7e4da4fa3d5c6a24e13741095b457e71b1fda342cbca113eca83a5"),
     ("bitree-phase --l1 6 --l2 4 --a1 0.5 --grid 40",
      "9525ab933fc29cf3b69a26019ca29e7ee0e99459adb7237d2d0d86347138c0ee"),
-])
+    ("sphere --group dl --q 3 --n 8",
+     "3c6946e25da2a3fb875fc9ac0172fec82c471cca2778036bb26de8182a199593"),
+    ("hr --group tree --l 4 --r 1.0 --nmax 10",
+     "89765675cc8abbce9383b090abdfd99d118c02598cd6109b518ecf26ccfae363"),
+    ("hr --group heisenberg --r 0.5 --nmax 6",
+     "aa7a008fc934e71cddf547c582f93d687d85e7875e240dfd3c82773b7e068c75"),
+    ("hr --group freeprod --l1 4 --l2 4 --d 3 --alpha 0.2 --r 0.5 --nmax 6",
+     "6a4b4f1f5090d593ea66562bacf6eb49c16a657095e2651c24bef1108f56a903"),
+    ("bitree-phase --l1 6 --l2 4 --a1 0.5 --r 1.05",
+     "8fe6308f7554e86893b0ccc3b04c6d5643cf7d6f61c5de4802c51fed4f84fd60"),
+    ("freeprod-scan --l1 6 --l2 4 --d 3 --alpha 0.05 --rmin 1.0 --rmax 1.13 "
+     "--points 9",
+     "07d50a3223a219e5e059d117cfdc8f62d7ae06132306eb25aa1a9908b709ae4c"),
+    ("brw --group tree --l 4 --mean 1.05 --runs 50 --seed 12345",
+     "9a2c63d179268a121e6b39e905f4643dbbd9d6c7acd34c4ce42187ed2342ab05"),
+    ("freeprod-scan --alpha 0.05 --full-series-n 10 --rmin 1.0 --rmax 1.13 "
+     "--points 3",
+     "86592088d7907445be463a8f55b30ae619d99e9b33b08534108b5777b7eedebc"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", README_DIGESTS)
 def test_readme_series_and_phase_output_is_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, *argv.split())
     assert code == 0
@@ -368,6 +385,81 @@ def test_readme_examples_run(capsys):
         code, out, err = run(capsys, *argv[1:])
         assert code == 0, f"{shlex.join(argv)} exited {code}: {err}"
         assert out
+
+
+def test_every_readme_example_is_pinned():
+    pinned = {argv for argv, _ in README_DIGESTS}
+    for argv in _readme_examples():
+        assert argv[1] == "selftest" or shlex.join(argv[1:]) in pinned
+
+
+@pytest.mark.parametrize("argv, words", [
+    ("hr --group zd --alpha inf --r 0.5", "--alpha must be finite"),
+    ("hr --group treeprod --a1 inf --r 0.5", "--a1 must be finite"),
+    ("hr --group heisenberg --alpha nan --r 0.5", "--alpha must be finite"),
+    ("brw --group tree --mean inf", "got inf"),
+    ("brw --group tree --mean nan", "got nan"),
+    ("hr --group heisenberg --r 0.5 --tol inf", "tol = inf"),
+    ("hr --group tree --r 0.5 --tol inf", "tol = inf"),
+    ("theta --group tree --r 0.5 --s inf --nmax 3", "s = inf"),
+    ("theta --group tree --r 0.5 --s nan --nmax 3", "s = nan"),
+    ("freeprod-scan --alpha inf", "got inf"),
+])
+def test_a_non_finite_number_is_refused(capsys, argv, words):
+    code, out, err = run(capsys, *argv.split())
+    assert code == 1
+    assert out == ""
+    assert err.startswith("invalid request") and words in err
+
+
+def test_free_has_no_series(capsys):
+    code, out, err = run(capsys, "hr", "--group", "free", "--r", "0.5")
+    assert code == 1
+    assert out == ""
+    assert "no default kernel" in err
+
+
+@pytest.mark.parametrize("line, key", [
+    ("seed = 3", "seed"), ("output = x", "output"), ("config = y", "config"),
+    ("window-lo = 3", "window_lo"),
+])
+def test_a_config_key_the_command_does_not_read_is_refused(
+        tmp_path, capsys, line, key):
+    cfg = tmp_path / "defaults.cfg"
+    cfg.write_text(f"nmax = 3\n{line}\n")
+    code, out, err = run(capsys, "--config", str(cfg), "hr", "--group",
+                         "tree", "--r", "1")
+    assert code == 1
+    assert out == ""
+    assert f"hr does not read config key(s) {key}" in err
+
+
+def test_a_config_key_of_the_command_sets_its_default(tmp_path, capsys):
+    cfg = tmp_path / "defaults.cfg"
+    cfg.write_text("seed = 3\nmaxgen = 20\nruns = 5\nl = 4\n")
+    code, by_config, _ = run(capsys, "--config", str(cfg), "brw", "--group",
+                             "tree")
+    assert code == 0
+    _, by_flags, _ = run(capsys, "brw", "--group", "tree", "--l", "4",
+                         "--seed", "3", "--maxgen", "20", "--runs", "5")
+    assert by_config == by_flags
+
+
+def test_a_config_line_without_equals_is_refused(tmp_path, capsys):
+    cfg = tmp_path / "defaults.cfg"
+    cfg.write_text("nmax 3\n")
+    code, out, err = run(capsys, "--config", str(cfg), "hr", "--group",
+                         "tree", "--r", "1")
+    assert code == 1
+    assert out == ""
+    assert "config line without '='" in err
+
+
+def test_dl_verify_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["dl-verify", "--q", "2"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'dl-verify'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("group, tol", [
